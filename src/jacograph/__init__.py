@@ -27,18 +27,20 @@ from .irregularity import (
     METHOD_SORTED,
     IrrValue,
     biclique_firr_closed,
+    degree_histogram,
     firr_pm,
     firr_t,
     irr_t,
     is_f_regular,
+    pair_sum_histogram,
     pair_sum_naive,
-    pair_sum_sorted,
     star_firr_closed,
 )
 from .jaco import (
     JacoProfile,
     build_profile,
     prime_jaconian_index,
+    underlying_degree_counts,
     underlying_degrees,
     underlying_graph,
 )
@@ -83,13 +85,15 @@ __all__ = [
     "firr_t",
     "firr_pm",
     "pair_sum_naive",
-    "pair_sum_sorted",
+    "degree_histogram",
+    "pair_sum_histogram",
     "star_firr_closed",
     "biclique_firr_closed",
     "is_f_regular",
     "JacoProfile",
     "build_profile",
     "underlying_degrees",
+    "underlying_degree_counts",
     "underlying_graph",
     "prime_jaconian_index",
     "THEOREM_IDS",

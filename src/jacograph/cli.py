@@ -1,8 +1,8 @@
 """Command-line interface: tables, single metrics, verification sweeps, exports.
 
 Exit codes: 0 success (all checks matched, for ``verify``), 1 at least one
-mismatched check, 2 usage or I/O error.  Identical invocations produce
-byte-identical output.
+mismatched check, 2 usage, I/O or resource error (a request too large to
+allocate).  Identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from .graphs import (
     to_dot,
     to_edge_list,
 )
-from .irregularity import firr_pm, firr_t, irr_t
-from .jaco import build_profile, underlying_degrees, underlying_graph
+from .irregularity import degree_histogram, firr_t, irr_t, pair_sum_histogram
+from .jaco import build_profile, underlying_degree_counts, underlying_degrees, underlying_graph
 from .theorems import THEOREM_IDS, verify_sweep
 
 __all__ = ["main"]
@@ -97,15 +97,15 @@ def graph_for_spec(spec: str) -> SimpleGraph:
         raise SpecError(f"graph spec {spec!r}: {exc}") from exc
 
 
-def degrees_for_spec(spec: str) -> tuple[int, ...]:
-    """Degree sequence for a spec; Jaco graphs skip adjacency materialization."""
+def counts_for_spec(spec: str) -> list[int]:
+    """Degree histogram for a spec; Jaco graphs skip per-vertex data entirely."""
     kind, args = _parse_spec(spec)
     if kind == "jaco":
         try:
-            return underlying_degrees(args[0])
+            return underlying_degree_counts(args[0])
         except ValueError as exc:
             raise SpecError(f"graph spec {spec!r}: {exc}") from exc
-    return degree_sequence(graph_for_spec(spec))
+    return degree_histogram(degree_sequence(graph_for_spec(spec)))
 
 
 def _table_rows(kind: str, n_max: int) -> list[dict]:
@@ -211,9 +211,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_metric(args: argparse.Namespace) -> int:
-    degrees = degrees_for_spec(args.spec)
-    metric = {"irr": irr_t, "firr": firr_t, "firrpm": firr_pm}[args.kind]
-    return _write_output(f"{metric(degrees).value}\n", args.out)
+    value = pair_sum_histogram(counts_for_spec(args.spec), args.kind)
+    return _write_output(f"{value}\n", args.out)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -335,6 +334,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (MemoryError, OverflowError) as exc:
+        # Resource exhaustion is not a verdict: keep exit 1 for mismatches.
+        print(f"error: request too large for this machine: {exc!r}", file=sys.stderr)
         return 2
 
 

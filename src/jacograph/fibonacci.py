@@ -16,7 +16,10 @@ class FibCache:
     Lookups extend the cache on demand and are amortized O(1) afterwards.
     Extension is not synchronized: warm the cache up to the largest index
     needed (a single ``fib`` call), then it may be shared immutably across
-    threads.
+    threads.  Holding f_0..f_i takes about 0.347 i^2 bits, so only small
+    indices belong here: within the package the theorem formulas, the
+    table's weight column, the closed forms and the naive oracle fill it; the
+    histogram metric kernel never does.
     """
 
     __slots__ = ("_values",)

@@ -7,21 +7,37 @@ differences:
 * ``firr_t``  with the Fibonacci weight f_d,
 * ``firr_pm`` with the signed weight -f_d for odd d, +f_d for even d.
 
-Every metric can be evaluated two ways: the quadratic pairwise oracle
-(``naive``) or the O(n log n) sorted prefix path (``sorted-prefix``), which
-uses the identity  sum_{u<v} |w_u - w_v| = sum_k w_(k) * (2k - 1 - n)  over
-the ascending order statistics w_(1) <= ... <= w_(n).  The two must agree
-exactly on every input; all arithmetic is integer.
+All three depend only on the degree histogram: c_d vertices of degree d,
+n vertices in all, largest degree D.  Every metric can be evaluated two ways:
+the quadratic pairwise oracle (``naive``) or one pass over the histogram
+(``sorted-prefix``, a prefix count over the ascending degrees).  The two must
+agree exactly on every input; all arithmetic is integer.
 
-Metrics consume plain degree sequences rather than graphs: all three indices
-are functions of the degree sequence alone, and large graphs are handled
-through their O(n) degree data.
+With L_d = #{degrees <= d}, exactly L_d (n - L_d) pairs straddle the step
+from d to d + 1, and f_{d+1} - f_d = f_{d-1} (with f_{-1} = 1), so
+
+    irr_t  = sum_{d<D} L_d (n - L_d)
+    firr_t = sum_{d<D} f_{d-1} L_d (n - L_d).
+
+Signed weights of equal parity have equal signs, and consecutive members d,
+d + 2 of one parity class differ by f_{d+1}; degrees of opposite parity give
+|w_a - w_b| = f_a + f_b.  Collecting the coefficient of each f_d,
+
+    firr_pm = sum_d f_d (c_d m_d + Y_d (m_d - Y_d)),
+
+where m_d counts the degrees of the parity opposite to d and Y_d those of
+them below d.  The Fibonacci sums are evaluated by Horner's rule from D
+down, a step (p, q) -> (q + g_d, p + q) of big-integer additions only: the
+kernel never looks up a Fibonacci number, so it leaves the shared cache of
+:mod:`jacograph.fibonacci` alone and its memory stays O(D) words plus the
+result.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import islice
 
 from .fibonacci import fib, signed_weight_of_degree
 
@@ -31,7 +47,8 @@ __all__ = [
     "METHOD_CLOSED",
     "IrrValue",
     "pair_sum_naive",
-    "pair_sum_sorted",
+    "degree_histogram",
+    "pair_sum_histogram",
     "irr_t",
     "firr_t",
     "firr_pm",
@@ -63,22 +80,56 @@ def pair_sum_naive(weights: Sequence[int]) -> int:
     return total
 
 
-def pair_sum_sorted(weights: Iterable[int]) -> int:
-    """Fast path: sort, then accumulate w_(k) * (2k - 1 - n)."""
-    ws = sorted(weights)
-    n = len(ws)
-    total = 0
-    for k, w in enumerate(ws, 1):
-        total += w * (2 * k - 1 - n)
-    return total
-
-
 def _checked_degrees(degrees: Iterable[int]) -> list[int]:
     ds = list(degrees)
-    for d in ds:
-        if d < 0:
-            raise ValueError(f"degrees must be non-negative, got {d}")
+    if ds and min(ds) < 0:
+        raise ValueError(f"degrees must be non-negative, got {min(ds)}")
     return ds
+
+
+def degree_histogram(degrees: Iterable[int]) -> list[int]:
+    """Entry d counts the degrees equal to d, for d = 0..max; empty for no degrees."""
+    ds = _checked_degrees(degrees)
+    counts = [0] * (max(ds) + 1 if ds else 0)
+    for d in ds:
+        counts[d] += 1
+    return counts
+
+
+def pair_sum_histogram(counts: Sequence[int], kind: str) -> int:
+    """Metric ``kind`` ("irr", "firr" or "firrpm") of a degree histogram.
+
+    ``counts[d]`` is the number of vertices of degree d; trailing zeros are
+    allowed.  One pass over ``counts`` from the top, so the cost grows with
+    the largest degree, not with the number of vertices.
+    """
+    n = sum(counts)
+    above = 0  # degrees > d, so L_d = n - above
+    if kind == "irr":
+        total = 0
+        for c in reversed(counts):
+            total += above * (n - above)
+            above += c
+        return total
+    # Horner state at d: p = sum_{e>=d} g_e f_{e-d-1}, q = sum_{e>=d} g_e f_{e-d}
+    p = q = 0
+    if kind == "firr":
+        for c in reversed(counts):
+            p, q = q + above * (n - above), p + q
+            above += c
+        return p
+    if kind == "firrpm":
+        # "this" is the parity class of the current d, "that" the other one;
+        # they swap at every step.
+        n_odd = sum(islice(counts, 1, None, 2))
+        this_n, that_n = (n_odd, n - n_odd) if len(counts) % 2 == 0 else (n - n_odd, n_odd)
+        this_above = that_above = 0
+        for c in reversed(counts):
+            p, q = q + c * that_n + that_above * (that_n - that_above), p + q
+            this_above, that_above = that_above, this_above + c
+            this_n, that_n = that_n, this_n
+        return q
+    raise ValueError(f"unknown metric kind {kind!r}")
 
 
 def _check_method(method: str) -> None:
@@ -92,39 +143,29 @@ def irr_t(degrees: Iterable[int], method: str = METHOD_SORTED) -> IrrValue:
     Empty and single-entry sequences give 0.
     """
     _check_method(method)
-    ds = _checked_degrees(degrees)
     if method == METHOD_NAIVE:
-        return IrrValue(pair_sum_naive(ds), METHOD_NAIVE)
-    return IrrValue(pair_sum_sorted(ds), METHOD_SORTED)
+        return IrrValue(pair_sum_naive(_checked_degrees(degrees)), METHOD_NAIVE)
+    return IrrValue(pair_sum_histogram(degree_histogram(degrees), "irr"), METHOD_SORTED)
 
 
 def firr_t(degrees: Iterable[int], method: str = METHOD_SORTED) -> IrrValue:
     """Total fibonaccian irregularity: pair sum over the weights f_d."""
     _check_method(method)
-    ds = _checked_degrees(degrees)
     if method == METHOD_NAIVE:
-        return IrrValue(pair_sum_naive([fib(d) for d in ds]), METHOD_NAIVE)
-    # d -> f_d is non-decreasing, so sorting the (small) degrees first puts
-    # the big-integer weights in order without comparing them.
-    ds.sort()
-    n = len(ds)
-    total = 0
-    for k, d in enumerate(ds, 1):
-        total += fib(d) * (2 * k - 1 - n)
-    return IrrValue(total, METHOD_SORTED)
+        return IrrValue(pair_sum_naive([fib(d) for d in _checked_degrees(degrees)]), METHOD_NAIVE)
+    return IrrValue(pair_sum_histogram(degree_histogram(degrees), "firr"), METHOD_SORTED)
 
 
 def firr_pm(degrees: Iterable[int], method: str = METHOD_SORTED) -> IrrValue:
     """Signed-weight irregularity: pair sum over -f_d (odd d) / +f_d (even d).
 
-    The signed weight map is not monotone in d, so the fast path sorts the
-    weights themselves.  The result is a non-negative integer.
+    The result is a non-negative integer.
     """
     _check_method(method)
-    weights = [signed_weight_of_degree(d) for d in _checked_degrees(degrees)]
     if method == METHOD_NAIVE:
+        weights = [signed_weight_of_degree(d) for d in _checked_degrees(degrees)]
         return IrrValue(pair_sum_naive(weights), METHOD_NAIVE)
-    return IrrValue(pair_sum_sorted(weights), METHOD_SORTED)
+    return IrrValue(pair_sum_histogram(degree_histogram(degrees), "firrpm"), METHOD_SORTED)
 
 
 def star_firr_closed(n: int) -> IrrValue:

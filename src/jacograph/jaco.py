@@ -8,12 +8,14 @@ on n vertices keeps only ids <= n, truncating each out-interval at n, which
 gives vertex i the degree d-(v_i) + min(i - d-(v_i), n - i).
 
 :func:`build_profile` runs the construction as a single O(n) interval sweep
-with no per-arc work; adjacency is materialized only by
+with no per-arc work; :func:`underlying_degree_counts` runs the same sweep
+straight into a degree histogram, and adjacency is materialized only by
 :func:`underlying_graph`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .graphs import SimpleGraph
@@ -22,6 +24,7 @@ __all__ = [
     "JacoProfile",
     "build_profile",
     "underlying_degrees",
+    "underlying_degree_counts",
     "underlying_graph",
     "prime_jaconian_index",
 ]
@@ -63,28 +66,31 @@ class JacoProfile:
         return self._check(i) - self.in_degrees[i - 1]
 
 
-def build_profile(n_max: int) -> JacoProfile:
-    """Compute in-degrees and out-reaches for vertices 1..n_max in O(n_max).
+def _in_degrees(n_max: int) -> Iterator[int]:
+    """Yield d-(v_i) for i = 1..n_max: the O(n_max) interval sweep.
 
     The sweep keeps a running count of out-reach intervals covering the
     current vertex: every vertex covers its successor (r_h >= h + 1 always),
-    and intervals with out-reach exactly i - 1 stop covering at i.
+    and intervals with out-reach exactly i - 1 stop covering at i.  It stores
+    nothing per vertex beyond one expiry count per id.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    in_deg = [0] * n_max
-    reach = [0] * n_max
     expiring = [0] * (n_max + 1)  # expiring[j]: count of vertices with out-reach j
     active = 0
     for i in range(1, n_max + 1):
         if i > 1:
             active += 1 - expiring[i - 1]
-        in_deg[i - 1] = active
+        yield active
         r = i + i - active
-        reach[i - 1] = r
         if r <= n_max:
             expiring[r] += 1
-    return JacoProfile(tuple(in_deg), tuple(reach))
+
+
+def build_profile(n_max: int) -> JacoProfile:
+    """Compute in-degrees and out-reaches for vertices 1..n_max in O(n_max)."""
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    in_deg = tuple(_in_degrees(n_max))
+    return JacoProfile(in_deg, tuple(i + i - d for i, d in enumerate(in_deg, 1)))
 
 
 def _profile_for(n: int, profile: JacoProfile | None) -> JacoProfile:
@@ -95,6 +101,17 @@ def _profile_for(n: int, profile: JacoProfile | None) -> JacoProfile:
     return profile
 
 
+def _degrees(n: int, in_degrees: Iterable[int]) -> Iterator[int]:
+    """Degrees of v_1..v_n in the graph on n vertices, from their in-degrees.
+
+    Vertex i has degree d-(v_i) + min(i - d-(v_i), n - i), which is
+    min(i, n - i + d-(v_i)); extra in-degrees past v_n are ignored.
+    """
+    for i, dminus in zip(range(1, n + 1), in_degrees):
+        rest = n - i + dminus
+        yield i if i < rest else rest
+
+
 def underlying_degrees(n: int, profile: JacoProfile | None = None) -> tuple[int, ...]:
     """Degree sequence of the underlying undirected graph on n vertices.
 
@@ -103,14 +120,24 @@ def underlying_degrees(n: int, profile: JacoProfile | None = None) -> tuple[int,
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    ind = _profile_for(n, profile).in_degrees
-    degrees = []
-    for i in range(1, n + 1):
-        dminus = ind[i - 1]
-        dplus = i - dminus
-        rem = n - i
-        degrees.append(dminus + (dplus if dplus < rem else rem))
-    return tuple(degrees)
+    return tuple(_degrees(n, _profile_for(n, profile).in_degrees))
+
+
+def underlying_degree_counts(n: int) -> list[int]:
+    """Degree histogram of the underlying graph on n vertices.
+
+    Entry d counts the vertices of degree d, for d = 0 up to the largest
+    degree.  Runs the sweep of :func:`build_profile` and counts each
+    vertex's degree as it passes, so no per-vertex data is kept.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    counts = [0] * n  # degrees are at most n - 1
+    for d in _degrees(n, _in_degrees(n)):
+        counts[d] += 1
+    while not counts[-1]:
+        counts.pop()
+    return counts
 
 
 def underlying_graph(

@@ -93,6 +93,16 @@ def test_metric_bad_specs(capsys):
         assert "error" in err
 
 
+def test_metric_too_large_exits_2(capsys):
+    # The count list for 10^15 vertices (and the index for 10^20) cannot be
+    # allocated at all, so each request fails at once without using memory.
+    for spec in ("jaco:1000000000000000", "jaco:100000000000000000000"):
+        rc, out, err = run_cli(capsys, "metric", "irr", spec)
+        assert rc == 2, spec
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_verify_passing_sweep(capsys):
     rc, out, _ = run_cli(capsys, "verify", "thm21", "--n", "2..40")
     assert rc == 0

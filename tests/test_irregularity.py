@@ -1,10 +1,10 @@
-"""Irregularity metrics: oracle vs fast path, closed forms, characterizations."""
+"""Irregularity metrics: oracle vs histogram kernel, closed forms, characterizations."""
 
 import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from jacograph import (
@@ -13,21 +13,33 @@ from jacograph import (
     biclique_firr_closed,
     complete_bipartite,
     cycle,
+    degree_histogram,
     degree_sequence,
     fib,
     firr_pm,
     firr_t,
     irr_t,
     is_f_regular,
+    pair_sum_histogram,
     pair_sum_naive,
-    pair_sum_sorted,
     path,
+    signed_weight_of_degree,
     star,
     star_firr_closed,
     underlying_degrees,
 )
 
 degree_sequences = st.lists(st.integers(min_value=0, max_value=120), max_size=40)
+
+# Inputs where a histogram kernel can slip: zeros (f_0 = 0), degrees 1 and 2
+# (f_1 = f_2), repeats, both parities, weights past 64 bits (d > 93), and
+# sparse sequences with wide gaps between few distinct degrees.
+kernel_sequences = st.one_of(
+    st.lists(st.sampled_from([0, 1, 2]), max_size=12),
+    st.lists(st.integers(min_value=0, max_value=120), max_size=30),
+    st.lists(st.integers(min_value=90, max_value=130), max_size=12),
+    st.lists(st.sampled_from([0, 1, 2, 93, 94, 699, 700]), max_size=8),
+)
 
 
 def brute(ws):
@@ -73,7 +85,7 @@ def test_method_tags():
 
 
 def test_negative_degrees_rejected():
-    for metric in (irr_t, firr_t, firr_pm):
+    for metric in (irr_t, firr_t, firr_pm, degree_histogram):
         with pytest.raises(ValueError):
             metric([2, -1])
 
@@ -115,8 +127,58 @@ def test_sorted_prefix_identity_small():
     seq = [1, 2, 3, 4, 4, 3, 3]
     ws = sorted(seq)
     n = len(ws)
-    assert pair_sum_sorted(seq) == sum(w * (2 * k - 1 - n) for k, w in enumerate(ws, 1))
-    assert pair_sum_sorted(seq) == pair_sum_naive(seq) == brute(seq)
+    assert irr_t(seq).value == sum(w * (2 * k - 1 - n) for k, w in enumerate(ws, 1))
+    assert irr_t(seq).value == pair_sum_naive(seq) == brute(seq)
+    weights = [fib(d) for d in seq]
+    assert firr_t(seq).value == pair_sum_naive(weights) == brute(weights)
+
+
+def test_histogram_examples():
+    assert degree_histogram([]) == []
+    assert degree_histogram([2, 0, 2]) == [1, 0, 2]
+    assert degree_histogram(iter([3])) == [0, 0, 0, 1]
+    for kind in ("irr", "firr", "firrpm"):
+        assert pair_sum_histogram([], kind) == 0
+    with pytest.raises(ValueError):
+        pair_sum_histogram([1], "guess")
+
+
+@given(kernel_sequences)
+@example([])
+@example([0])
+@example([0, 700])
+@example([1, 2, 2, 1])
+def test_kernel_matches_naive_oracle(ds):
+    expected = {
+        "irr": pair_sum_naive(ds),
+        "firr": pair_sum_naive([fib(d) for d in ds]),
+        "firrpm": pair_sum_naive([signed_weight_of_degree(d) for d in ds]),
+    }
+    assert irr_t(ds).value == expected["irr"]
+    assert firr_t(ds).value == expected["firr"]
+    assert firr_pm(ds).value == expected["firrpm"]
+    padded = degree_histogram(ds) + [0, 0, 0]  # trailing zero counts change nothing
+    for kind, value in expected.items():
+        assert pair_sum_histogram(padded, kind) == value
+
+
+def test_kernel_leaves_fibonacci_cache_alone(monkeypatch):
+    ds = underlying_degrees(10**4)
+    n = len(ds)
+
+    def sorted_prefix(weights):
+        return sum(w * (2 * k - 1 - n) for k, w in enumerate(sorted(weights), 1))
+
+    expected_firr = sorted_prefix(fib(d) for d in ds)
+    expected_pm = sorted_prefix(signed_weight_of_degree(d) for d in ds)
+
+    def refuse(*args):
+        raise AssertionError("the metric kernel looked up a Fibonacci number")
+
+    monkeypatch.setattr("jacograph.irregularity.fib", refuse)
+    monkeypatch.setattr("jacograph.fibonacci.FibCache.fib", refuse)
+    assert firr_t(ds).value == expected_firr
+    assert firr_pm(ds).value == expected_pm
 
 
 @given(degree_sequences)
@@ -161,6 +223,6 @@ def test_random_equivalence_sample():
     rng = random.Random(7)
     for _ in range(300):
         ds = [rng.randint(0, 200) for _ in range(rng.randint(0, 60))]
-        assert pair_sum_naive(ds) == pair_sum_sorted(ds) == brute(ds)
+        assert irr_t(ds).value == pair_sum_naive(ds) == brute(ds)
         ws = [fib(d) for d in ds]
-        assert pair_sum_naive(ws) == pair_sum_sorted(ws) == brute(ws)
+        assert firr_t(ds).value == pair_sum_naive(ws) == brute(ws)

@@ -1,6 +1,7 @@
 """Jaco construction: profile sweep, truncated degrees, prime Jaconian index."""
 
 import warnings
+from collections import Counter
 
 import pytest
 
@@ -8,6 +9,7 @@ from jacograph import (
     build_profile,
     degree_sequence,
     prime_jaconian_index,
+    underlying_degree_counts,
     underlying_degrees,
     underlying_graph,
 )
@@ -73,6 +75,27 @@ def test_underlying_degrees_first_twelve():
     prof = build_profile(12)
     for n, expected in EXPECTED_DEGREE_SEQUENCES.items():
         assert underlying_degrees(n, prof) == expected
+
+
+def histogram(degrees):
+    counts = Counter(degrees)
+    return [counts[d] for d in range(max(counts) + 1)]
+
+
+def test_underlying_degree_counts_match_degree_sequences():
+    prof = build_profile(2000)
+    for n in range(1, 2001):
+        assert underlying_degree_counts(n) == histogram(underlying_degrees(n, prof)), n
+    for n in (0, -3):
+        with pytest.raises(ValueError):
+            underlying_degree_counts(n)
+
+
+def test_underlying_degree_counts_match_graphs():
+    prof = build_profile(200)
+    for n in range(1, 201):
+        g = underlying_graph(n, prof)
+        assert underlying_degree_counts(n) == histogram(degree_sequence(g)), n
 
 
 def test_underlying_graph_small():
