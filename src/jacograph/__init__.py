@@ -1,10 +1,10 @@
 """Linear Jaco graphs and exact irregularity metrics.
 
-The package builds the sequential Jaco construction in O(n) via its interval
-representation, computes total irregularity, Fibonacci irregularity, and the
-signed-weight variant with exact integer arithmetic, and verifies the
-recursive and union identities these metrics satisfy against independent
-brute-force recomputation.
+The package derives the degrees of the sequential Jaco construction from a
+closed form for its out-degrees (Hofstadter's G-sequence), computes total
+irregularity, Fibonacci irregularity, and the signed-weight variant with
+exact integer arithmetic, and verifies the recursive and union identities
+these metrics satisfy against independent brute-force recomputation.
 """
 
 from .fibonacci import FibCache, fib, signed_weight_of_degree, weight_of_degree
@@ -39,6 +39,7 @@ from .irregularity import (
 from .jaco import (
     JacoProfile,
     build_profile,
+    out_degree,
     prime_jaconian_index,
     underlying_degree_counts,
     underlying_degrees,
@@ -92,6 +93,7 @@ __all__ = [
     "is_f_regular",
     "JacoProfile",
     "build_profile",
+    "out_degree",
     "underlying_degrees",
     "underlying_degree_counts",
     "underlying_graph",

@@ -24,7 +24,7 @@ from .graphs import (
     to_edge_list,
 )
 from .irregularity import degree_histogram, firr_t, irr_t, pair_sum_histogram
-from .jaco import build_profile, underlying_degree_counts, underlying_degrees, underlying_graph
+from .jaco import out_degree, underlying_degree_counts, underlying_degrees, underlying_graph
 from .theorems import THEOREM_IDS, verify_sweep
 
 __all__ = ["main"]
@@ -109,25 +109,28 @@ def counts_for_spec(spec: str) -> list[int]:
 
 
 def _table_rows(kind: str, n_max: int) -> list[dict]:
-    profile = build_profile(n_max)
+    """One dict per row i = 1..n_max; its keys are the JSON row keys."""
     reported = REPORTED_IRR if kind == "irr" else REPORTED_FIRR
     rows = []
     for i in range(1, n_max + 1):
-        degrees = underlying_degrees(i, profile)
+        degrees = underlying_degrees(i)
         if kind == "irr":
             sequence = degrees
             value = irr_t(degrees).value
         else:
             sequence = tuple(fib(d) for d in degrees)
             value = firr_t(degrees).value
+        g = out_degree(i)
+        ref = reported.get(i)
         rows.append(
             {
                 "i": i,
-                "in_degree": profile.in_degree(i),
-                "out_degree": profile.out_degree_unbounded(i),
+                "in_degree": i - g,
+                "out_degree": g,
                 "sequence": sequence,
                 "value": value,
-                "reported": reported.get(i),
+                "reported": ref,
+                "matches_reported": None if ref is None else ref == value,
             }
         )
     return rows
@@ -138,9 +141,7 @@ def _format_table_text(kind: str, rows: list[dict]) -> str:
     cells = []
     for row in rows:
         seq = "(" + ", ".join(str(x) for x in row["sequence"]) + ")"
-        note = ""
-        if row["reported"] is not None and row["reported"] != row["value"]:
-            note = f"  *differs from reported {row['reported']}"
+        note = f"  *differs from reported {row['reported']}" if row["matches_reported"] is False else ""
         cells.append((str(row["i"]), str(row["in_degree"]), str(row["out_degree"]), seq, str(row["value"]), note))
     widths = [max(len(header[c]), max(len(r[c]) for r in cells)) for c in range(5)]
     lines = [
@@ -156,32 +157,14 @@ def _format_table_csv(kind: str, rows: list[dict]) -> str:
     lines = [f"i,in_degree,out_degree,sequence,{kind},note"]
     for row in rows:
         seq = "(" + ",".join(str(x) for x in row["sequence"]) + ")"
-        note = ""
-        if row["reported"] is not None and row["reported"] != row["value"]:
-            note = f"reported={row['reported']}"
+        note = f"reported={row['reported']}" if row["matches_reported"] is False else ""
         lines.append(f"{row['i']},{row['in_degree']},{row['out_degree']},{seq},{row['value']},{note}")
     return "\n".join(lines) + "\n"
 
 
 def _format_table_json(kind: str, rows: list[dict]) -> str:
-    payload = {
-        "kind": kind,
-        "rows": [
-            {
-                "i": row["i"],
-                "in_degree": row["in_degree"],
-                "out_degree": row["out_degree"],
-                "sequence": list(row["sequence"]),
-                "value": row["value"],
-                "reported": row["reported"],
-                "matches_reported": (
-                    None if row["reported"] is None else row["reported"] == row["value"]
-                ),
-            }
-            for row in rows
-        ],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    # json writes the sequence tuples as arrays
+    return json.dumps({"kind": kind, "rows": rows}, indent=2, sort_keys=True) + "\n"
 
 
 def _write_output(text: str, out: str | None) -> int:
@@ -292,7 +275,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "Run the requested checks over inclusive ranges (lo..hi or a "
             "single integer); instances outside a check's domain are "
             "skipped.  Exit code 0 when every stated relation holds, 1 when "
-            "any instance mismatches, 2 on usage errors.  With --out the "
+            "any instance mismatches, 2 on usage errors, ranges that leave a "
+            "requested check without instances among them.  With --out the "
             "JSON report is written there (pass or fail) and the summary "
             "goes to stdout."
         ),

@@ -33,7 +33,7 @@ from typing import Any
 from .fibonacci import fib
 from .graphs import degree_sequence, disjoint_union, edge_joint
 from .irregularity import firr_t, irr_t, pair_sum_naive
-from .jaco import JacoProfile, build_profile, prime_jaconian_index, underlying_degrees, underlying_graph
+from .jaco import prime_jaconian_index, underlying_degrees, underlying_graph
 
 __all__ = [
     "THEOREM_IDS",
@@ -155,15 +155,7 @@ class VerifyReport:
         return "\n".join(lines) + "\n"
 
 
-def _profile_for(n_needed: int, profile: JacoProfile | None) -> JacoProfile:
-    if profile is None:
-        return build_profile(n_needed)
-    if profile.n_max < n_needed:
-        raise ValueError(f"profile covers 1..{profile.n_max}, need {n_needed}")
-    return profile
-
-
-def thm21_rhs(n: int, profile: JacoProfile | None = None) -> int:
+def thm21_rhs(n: int) -> int:
     """Predicted irr_t of J*_{n+1} from the state of J*_n.
 
     With k the prime Jaconian index of J*_n, vertex n+1 arrives with degree
@@ -174,10 +166,9 @@ def thm21_rhs(n: int, profile: JacoProfile | None = None) -> int:
     """
     if n < 2:
         raise ValueError(f"thm21_rhs needs n >= 2, got {n}")
-    prof = _profile_for(n + 1, profile)
-    old = underlying_degrees(n, prof)
-    new = underlying_degrees(n + 1, prof)
-    k = prime_jaconian_index(n, prof)
+    old = underlying_degrees(n)
+    new = underlying_degrees(n + 1)
+    k = prime_jaconian_index(n)
     head = sorted(old[:k])
     count_term = 0
     for j in range(k, n):
@@ -188,7 +179,7 @@ def thm21_rhs(n: int, profile: JacoProfile | None = None) -> int:
     return irr_t(old).value + count_term + new_vertex
 
 
-def thm31_rhs(n: int, profile: JacoProfile | None = None) -> int:
+def thm31_rhs(n: int) -> int:
     """Predicted firr_t of J*_{n+1} from the state of J*_n.
 
     Same vertex-arrival structure as :func:`thm21_rhs`, in weight space:
@@ -199,10 +190,9 @@ def thm31_rhs(n: int, profile: JacoProfile | None = None) -> int:
     """
     if n < 2:
         raise ValueError(f"thm31_rhs needs n >= 2, got {n}")
-    prof = _profile_for(n + 1, profile)
-    old = underlying_degrees(n, prof)
-    new = underlying_degrees(n + 1, prof)
-    k = prime_jaconian_index(n, prof)
+    old = underlying_degrees(n)
+    new = underlying_degrees(n + 1)
+    k = prime_jaconian_index(n)
     arrival_weight = fib(n - k)
     new_vertex = sum(abs(arrival_weight - fib(d)) for d in new[:n])
     head = sorted(old[:k])
@@ -225,16 +215,14 @@ def _union_check(
     theorem: str,
     n: int,
     m: int,
-    profile: JacoProfile | None,
     fibonacci_weights: bool,
 ) -> CheckRecord:
     if m < 1:
         raise ValueError(f"{theorem} needs m >= 1, got {m}")
     if n < m:
         raise ValueError(f"{theorem} needs n >= m; swap arguments ({n}, {m})")
-    prof = _profile_for(n, profile)
-    dn = underlying_degrees(n, prof)
-    dm = underlying_degrees(m, prof)
+    dn = underlying_degrees(n)
+    dm = underlying_degrees(m)
     metric = firr_t if fibonacci_weights else irr_t
     lhs = metric(dn + dm).value
     if n == m:
@@ -250,7 +238,7 @@ def _union_check(
     base = 2 * (metric(dn).value + metric(dm).value)
     weight = fib if fibonacci_weights else (lambda d: d)
     cuts: dict[str, int | None] = {"degree": max(dm)}
-    cuts["index"] = prime_jaconian_index(m, prof) if m >= 2 else None
+    cuts["index"] = prime_jaconian_index(m) if m >= 2 else None
     corr_by_cut: dict[int, int] = {}
     detail: dict[str, Any] = {}
     holds_any = False
@@ -286,21 +274,21 @@ def _union_check(
     )
 
 
-def thm32_check(n: int, m: int, profile: JacoProfile | None = None) -> CheckRecord:
+def thm32_check(n: int, m: int) -> CheckRecord:
     """Union statement for irr_t: lhs computed on the union degree sequence.
 
     n = m asserts lhs = 4 * irr_t(J*_n); n > m asserts the upper bound with
     the correction sum over vertices beyond the cut in both copies.
     """
-    return _union_check("thm32", n, m, profile, fibonacci_weights=False)
+    return _union_check("thm32", n, m, fibonacci_weights=False)
 
 
-def cor31_check(n: int, m: int, profile: JacoProfile | None = None) -> CheckRecord:
+def cor31_check(n: int, m: int) -> CheckRecord:
     """Union statement for firr_t, same shape as :func:`thm32_check`."""
-    return _union_check("cor31", n, m, profile, fibonacci_weights=True)
+    return _union_check("cor31", n, m, fibonacci_weights=True)
 
 
-def lemma31_check(n: int, m: int, profile: JacoProfile | None = None) -> CheckRecord:
+def lemma31_check(n: int, m: int) -> CheckRecord:
     """firr_t is unchanged by joining the two first vertices, n, m >= 2.
 
     Both first vertices have degree 1, and f_1 = f_2, so raising both to
@@ -309,9 +297,8 @@ def lemma31_check(n: int, m: int, profile: JacoProfile | None = None) -> CheckRe
     """
     if n < 2 or m < 2:
         raise ValueError(f"lemma31 needs n, m >= 2, got ({n}, {m})")
-    prof = _profile_for(max(n, m), profile)
-    gn = underlying_graph(n, prof)
-    gm = underlying_graph(m, prof)
+    gn = underlying_graph(n)
+    gm = underlying_graph(m)
     lhs = firr_t(degree_sequence(disjoint_union(gn, gm))).value
     rhs = firr_t(degree_sequence(edge_joint(gn, 1, gm, 1))).value
     return CheckRecord(
@@ -333,25 +320,23 @@ def _check_thm33_args(n: int, m: int, i: int) -> None:
         raise ValueError(f"thm33 needs 2 <= i <= n, got i={i} (i = 1 is the first-vertex joint)")
 
 
-def thm33_exact(n: int, m: int, i: int, profile: JacoProfile | None = None) -> int:
+def thm33_exact(n: int, m: int, i: int) -> int:
     """Ground truth: firr_t of the graph joined at v_i and the first vertex
     of the second copy, recomputed by the pairwise oracle on the joined graph."""
     _check_thm33_args(n, m, i)
-    prof = _profile_for(max(n, m), profile)
-    joined = edge_joint(underlying_graph(n, prof), i, underlying_graph(m, prof), 1)
+    joined = edge_joint(underlying_graph(n), i, underlying_graph(m), 1)
     return pair_sum_naive([fib(d) for d in degree_sequence(joined)])
 
 
-def thm33_literal(n: int, m: int, i: int, profile: JacoProfile | None = None) -> int:
+def thm33_literal(n: int, m: int, i: int) -> int:
     """The printed delta formula, evaluated literally under the documented
     reading: the pivot weight is taken at the pre-join degree of v_i, the
     +/- partitions run over the first copy without v_i and over the whole
     second copy, and each side contributes |pivot - weight| with sign + for
     weights at most the pivot and - for strictly larger weights."""
     _check_thm33_args(n, m, i)
-    prof = _profile_for(max(n, m), profile)
-    dn = underlying_degrees(n, prof)
-    dm = underlying_degrees(m, prof)
+    dn = underlying_degrees(n)
+    dm = underlying_degrees(m)
     wn = [fib(d) for d in dn]
     wm = [fib(d) for d in dm]
     pivot = wn[i - 1]
@@ -370,11 +355,10 @@ def thm33_literal(n: int, m: int, i: int, profile: JacoProfile | None = None) ->
     return base + cross + side_sum
 
 
-def thm33_check(n: int, m: int, i: int, profile: JacoProfile | None = None) -> CheckRecord:
+def thm33_check(n: int, m: int, i: int) -> CheckRecord:
     """Record whether the literal formula agrees with the exact recomputation."""
-    prof = _profile_for(max(n, m), profile)
-    lhs = thm33_exact(n, m, i, prof)
-    rhs = thm33_literal(n, m, i, prof)
+    lhs = thm33_exact(n, m, i)
+    rhs = thm33_literal(n, m, i)
     return CheckRecord(
         theorem="thm33",
         params={"n": n, "m": m, "i": i},
@@ -403,7 +387,8 @@ def verify_sweep(
     Instances outside a check's domain are skipped (for example thm21 skips
     n < 2 and thm32 skips n < m); for thm33 the join vertex runs over
     ``i_range`` clipped to [2, n], the whole interval when not given.
-    Records are emitted sorted by (theorem, n, m, i).
+    Records are emitted sorted by (theorem, n, m, i).  Raises ValueError
+    naming every requested check that the ranges leave without instances.
     """
     ids = []
     for tid in theorems:
@@ -418,22 +403,21 @@ def verify_sweep(
     if i_range is not None:
         _check_range(i_range, "i")
 
-    needs_successor = any(tid in ("thm21", "thm31") for tid in ids)
-    profile = build_profile(max(n_hi + (1 if needs_successor else 0), m_hi))
     report = VerifyReport()
-
+    empty = []
     for tid in ids:
+        before = report.total
         if tid == "thm21":
             for n in range(max(2, n_lo), n_hi + 1):
-                lhs = pair_sum_naive(list(underlying_degrees(n + 1, profile)))
-                rhs = thm21_rhs(n, profile)
+                lhs = pair_sum_naive(list(underlying_degrees(n + 1)))
+                rhs = thm21_rhs(n)
                 report.add(
                     CheckRecord("thm21", {"n": n}, RELATION_EQUALITY, lhs, rhs, lhs == rhs)
                 )
         elif tid == "thm31":
             for n in range(max(2, n_lo), n_hi + 1):
-                lhs = pair_sum_naive([fib(d) for d in underlying_degrees(n + 1, profile)])
-                rhs = thm31_rhs(n, profile)
+                lhs = pair_sum_naive([fib(d) for d in underlying_degrees(n + 1)])
+                rhs = thm31_rhs(n)
                 report.add(
                     CheckRecord("thm31", {"n": n}, RELATION_EQUALITY, lhs, rhs, lhs == rhs)
                 )
@@ -441,16 +425,21 @@ def verify_sweep(
             check = thm32_check if tid == "thm32" else cor31_check
             for n in range(n_lo, n_hi + 1):
                 for m in range(m_lo, min(m_hi, n) + 1):
-                    report.add(check(n, m, profile))
+                    report.add(check(n, m))
         elif tid == "lemma31":
             for n in range(max(2, n_lo), n_hi + 1):
                 for m in range(max(2, m_lo), m_hi + 1):
-                    report.add(lemma31_check(n, m, profile))
+                    report.add(lemma31_check(n, m))
         elif tid == "thm33":
             for n in range(max(3, n_lo), n_hi + 1):
                 i_lo, i_hi = (2, n) if i_range is None else i_range
                 i_lo, i_hi = max(2, i_lo), min(n, i_hi)
                 for m in range(max(1, m_lo), m_hi + 1):
                     for i in range(i_lo, i_hi + 1):
-                        report.add(thm33_check(n, m, i, profile))
+                        report.add(thm33_check(n, m, i))
+        if report.total == before:
+            empty.append(tid)
+    if empty:
+        # A check that ran on nothing has verified nothing; it is not a pass.
+        raise ValueError(f"no instances of {', '.join(empty)} in the given ranges")
     return report.finalize()

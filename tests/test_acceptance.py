@@ -100,8 +100,7 @@ def test_c01_profile_columns():
 
 
 def test_c02_degree_sequences_and_irr_values(capsys):
-    prof = build_profile(12)
-    sequences = tuple(underlying_degrees(n, prof) for n in range(1, 13))
+    sequences = tuple(underlying_degrees(n) for n in range(1, 13))
     assert sequences == REPORTED_DEGREE_SEQUENCES
     irr_values = tuple(irr_t(d).value for d in sequences[:11])
     assert irr_values == REPORTED_IRR_1_TO_11
@@ -119,8 +118,7 @@ def test_c02_degree_sequences_and_irr_values(capsys):
 
 
 def test_c03_weight_sequences_and_firr_values():
-    prof = build_profile(12)
-    sequences = tuple(underlying_degrees(n, prof) for n in range(1, 13))
+    sequences = tuple(underlying_degrees(n) for n in range(1, 13))
     weights = tuple(tuple(fib(d) for d in seq) for seq in sequences)
     assert weights == REPORTED_WEIGHT_SEQUENCES
     t0 = time.perf_counter()
@@ -146,29 +144,26 @@ def test_c03_weight_sequences_and_firr_values():
 
 def test_c04_irr_recursion_sweep():
     t0 = time.perf_counter()
-    prof = build_profile(201)
     for n in range(2, 201):
-        oracle = brute(underlying_degrees(n + 1, prof))
-        assert thm21_rhs(n, prof) == oracle, f"n={n}"
+        oracle = brute(underlying_degrees(n + 1))
+        assert thm21_rhs(n) == oracle, f"n={n}"
     elapsed = time.perf_counter() - t0
     report(4, elapsed < 10.0, f"irr growth recursion equals oracle for n=2..200 in {elapsed:.2f} s")
     assert elapsed < 10.0
 
 
 def test_c05_firr_recursion_sweep():
-    prof = build_profile(201)
     for n in range(2, 201):
-        oracle = brute([fib(d) for d in underlying_degrees(n + 1, prof)])
-        assert thm31_rhs(n, prof) == oracle, f"n={n}"
+        oracle = brute([fib(d) for d in underlying_degrees(n + 1)])
+        assert thm31_rhs(n) == oracle, f"n={n}"
     report(5, True, "firr growth recursion equals oracle for n=2..200")
 
 
 def test_c06_union_identities():
-    prof = build_profile(100)
     for n in range(1, 101):
-        rec = thm32_check(n, n, prof)
+        rec = thm32_check(n, n)
         assert rec.relation == "equality" and rec.matched, f"irr union equality n={n}"
-        rec = cor31_check(n, n, prof)
+        rec = cor31_check(n, n)
         assert rec.relation == "equality" and rec.matched, f"firr union equality n={n}"
     sweep = verify_sweep(["thm32", "cor31"], (1, 60), (1, 60))
     bounds = [r for r in sweep.records if r.relation == "upper-bound"]
@@ -181,10 +176,9 @@ def test_c06_union_identities():
 
 
 def test_c07_leaf_joint_invariance():
-    prof = build_profile(50)
     for n in range(2, 51):
         for m in range(2, 51):
-            rec = lemma31_check(n, m, prof)
+            rec = lemma31_check(n, m)
             assert rec.matched, f"n={n} m={m}: {rec.lhs} != {rec.rhs}"
     report(7, True, "first-vertex joint preserves firr for all n,m in [2,50]")
 
@@ -258,7 +252,7 @@ def test_c11_performance():
     assert prof.n_max == 10**6
     assert build_elapsed < 5.0
 
-    degrees = underlying_degrees(10**5, prof)
+    degrees = underlying_degrees(10**5)
     t1 = time.perf_counter()
     v_irr = irr_t(degrees)
     v_firr = firr_t(degrees)

@@ -149,6 +149,14 @@ def test_verify_rejects_bad_ranges(capsys):
         assert "error" in err
 
 
+def test_verify_without_instances_exits_2(capsys):
+    for argv in (("thm21", "--n", "1..1"), ("thm33", "--n", "3..3", "--i", "5..6")):
+        rc, out, err = run_cli(capsys, "verify", *argv)
+        assert rc == 2, argv
+        assert out == ""
+        assert err.startswith("error:") and argv[0] in err and len(err.splitlines()) == 1
+
+
 def test_verify_rejects_unknown_theorem(capsys):
     rc, _, _ = run_cli(capsys, "verify", "thm99")
     assert rc == 2

@@ -1,5 +1,6 @@
-"""Jaco construction: profile sweep, truncated degrees, prime Jaconian index."""
+"""Jaco construction: profile sweep, closed form, truncated degrees, prime Jaconian index."""
 
+import random
 import warnings
 from collections import Counter
 
@@ -8,6 +9,7 @@ import pytest
 from jacograph import (
     build_profile,
     degree_sequence,
+    out_degree,
     prime_jaconian_index,
     underlying_degree_counts,
     underlying_degrees,
@@ -67,14 +69,30 @@ def test_build_profile_validation():
     prof = build_profile(5)
     with pytest.raises(ValueError):
         prof.in_degree(6)
-    with pytest.raises(ValueError):
-        underlying_degrees(6, prof)
 
 
 def test_underlying_degrees_first_twelve():
-    prof = build_profile(12)
     for n, expected in EXPECTED_DEGREE_SEQUENCES.items():
-        assert underlying_degrees(n, prof) == expected
+        assert underlying_degrees(n) == expected
+
+
+def test_out_degree_matches_sweep():
+    prof = build_profile(10**5)
+    for i in range(1, 10**5 + 1):
+        assert out_degree(i) == prof.out_degree_unbounded(i), i
+    for i in (0, -1):
+        with pytest.raises(ValueError):
+            out_degree(i)
+
+
+def test_out_degree_beatty_bounds():
+    # G(i) = floor(a / phi) with a = i + 1 means g phi < a < (g + 1) phi;
+    # both sides squared in exact integers, without isqrt
+    rng = random.Random(20261018)
+    for i in [1, 2, 3, 10**18] + [rng.randint(1, 10**18) for _ in range(20_000)]:
+        a, g = i + 1, out_degree(i)
+        assert 5 * g * g < (2 * a - g) ** 2, i
+        assert (2 * a - g - 1) ** 2 < 5 * (g + 1) ** 2, i
 
 
 def histogram(degrees):
@@ -82,19 +100,25 @@ def histogram(degrees):
     return [counts[d] for d in range(max(counts) + 1)]
 
 
+def sweep_degrees(n, prof):
+    # degree of v_i in the graph on n vertices, from the definitional sweep
+    return tuple(min(i, n - i + d) for i, d in zip(range(1, n + 1), prof.in_degrees))
+
+
 def test_underlying_degree_counts_match_degree_sequences():
     prof = build_profile(2000)
     for n in range(1, 2001):
-        assert underlying_degree_counts(n) == histogram(underlying_degrees(n, prof)), n
+        expected = sweep_degrees(n, prof)
+        assert underlying_degrees(n) == expected, n
+        assert underlying_degree_counts(n) == histogram(expected), n
     for n in (0, -3):
         with pytest.raises(ValueError):
             underlying_degree_counts(n)
 
 
 def test_underlying_degree_counts_match_graphs():
-    prof = build_profile(200)
     for n in range(1, 201):
-        g = underlying_graph(n, prof)
+        g = underlying_graph(n)
         assert underlying_degree_counts(n) == histogram(degree_sequence(g)), n
 
 
@@ -106,10 +130,9 @@ def test_underlying_graph_small():
 
 
 def test_underlying_graph_degrees_match_formula_up_to_500():
-    prof = build_profile(500)
     for n in range(1, 501):
-        g = underlying_graph(n, prof)
-        assert degree_sequence(g) == underlying_degrees(n, prof)
+        g = underlying_graph(n)
+        assert degree_sequence(g) == underlying_degrees(n)
 
 
 def test_underlying_graph_is_valid():
@@ -137,7 +160,10 @@ def test_prime_jaconian_arrival_cross_check():
     # k = n - d-(v_{n+1}): the newcomer's in-neighbors are exactly v_{k+1}..v_n
     prof = build_profile(2001)
     for n in range(2, 2001):
-        assert prime_jaconian_index(n, prof) == n - prof.in_degree(n + 1)
+        k = prime_jaconian_index(n)
+        assert k == n - prof.in_degree(n + 1)
+        degrees = sweep_degrees(n, prof)
+        assert k == degrees.index(max(degrees)) + 1, n  # the definition
 
 
 def test_degrees_below_prime_index_equal_index():
@@ -147,8 +173,8 @@ def test_degrees_below_prime_index_equal_index():
     prof = build_profile(501)
     violations = []
     for n in range(2, 501):
-        k = prime_jaconian_index(n, prof)
-        degrees = underlying_degrees(n, prof)
+        k = prime_jaconian_index(n)
+        degrees = sweep_degrees(n, prof)
         violations.extend((n, i) for i in range(1, k + 1) if degrees[i - 1] != i)
     if violations:
         warnings.warn(f"degrees[i] = i broken at {violations[:5]}", stacklevel=1)

@@ -6,7 +6,6 @@ from itertools import combinations
 import pytest
 
 from jacograph import (
-    build_profile,
     cor31_check,
     fib,
     firr_t,
@@ -47,9 +46,8 @@ def test_thm21_term_decomposition_at_11():
 
 
 def test_thm21_matches_oracle_up_to_60():
-    prof = build_profile(61)
     for n in range(2, 61):
-        assert thm21_rhs(n, prof) == brute(underlying_degrees(n + 1, prof))
+        assert thm21_rhs(n) == brute(underlying_degrees(n + 1))
 
 
 def test_thm21_validation():
@@ -81,9 +79,8 @@ def test_thm31_term_decomposition_at_11():
 
 
 def test_thm31_matches_oracle_up_to_60():
-    prof = build_profile(61)
     for n in range(2, 61):
-        assert thm31_rhs(n, prof) == brute([fib(d) for d in underlying_degrees(n + 1, prof)])
+        assert thm31_rhs(n) == brute([fib(d) for d in underlying_degrees(n + 1)])
 
 
 def test_thm31_gap_steps_non_negative():
@@ -141,10 +138,9 @@ def test_cor31_cases():
 
 
 def test_union_superadditivity():
-    prof = build_profile(30)
     for n in range(1, 31):
         for m in range(1, n + 1):
-            dn, dm = underlying_degrees(n, prof), underlying_degrees(m, prof)
+            dn, dm = underlying_degrees(n), underlying_degrees(m)
             assert irr_t(dn + dm).value >= irr_t(dn).value + irr_t(dm).value
             assert firr_t(dn + dm).value >= firr_t(dn).value + firr_t(dm).value
 
@@ -270,6 +266,16 @@ def test_sweep_validation():
         verify_sweep(["thm21"], (5, 2))
     with pytest.raises(ValueError):
         verify_sweep(["thm21"], (0, 2))
+
+
+def test_sweep_without_instances_is_an_error():
+    with pytest.raises(ValueError, match="thm21"):
+        verify_sweep(["thm21"], (1, 1))
+    with pytest.raises(ValueError, match="no instances of thm33 in") as exc:
+        verify_sweep(["thm21", "thm33"], (3, 3), i_range=(5, 6))
+    assert "thm21" not in str(exc.value)
+    with pytest.raises(ValueError, match="thm32, lemma31"):
+        verify_sweep(["thm32", "lemma31"], (1, 1), (2, 3))
 
 
 def test_summary_counts_by_theorem():
