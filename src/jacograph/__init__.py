@@ -26,7 +26,9 @@ from .irregularity import (
     METHOD_NAIVE,
     METHOD_SORTED,
     IrrValue,
+    add_histograms,
     biclique_firr_closed,
+    cross_pair_sum,
     degree_histogram,
     firr_pm,
     firr_t,
@@ -88,6 +90,8 @@ __all__ = [
     "pair_sum_naive",
     "degree_histogram",
     "pair_sum_histogram",
+    "add_histograms",
+    "cross_pair_sum",
     "star_firr_closed",
     "biclique_firr_closed",
     "is_f_regular",

@@ -163,6 +163,15 @@ def underlying_graph(n: int, max_edges: int = DEFAULT_EDGE_GUARD) -> SimpleGraph
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    # O(1) pre-check: the head v_1..v_k has degrees 1..k, so the graph has
+    # at least k(k+1)/4 edges; refuse before any O(n) work when that is over.
+    k = out_degree(n + 1) - 1
+    at_least = (k * (k + 1) + 3) // 4
+    if at_least > max_edges:
+        raise ValueError(
+            f"underlying graph on {n} vertices has at least {at_least} edges, above "
+            f"the guard of {max_edges}; use underlying_degrees for metric work"
+        )
     reach = [0] * (n + 1)  # reach[i] = min(r_i, n), with r_i = i + G(i) > i
     total = 0
     for i in range(1, n + 1):

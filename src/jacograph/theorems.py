@@ -22,6 +22,15 @@ For ``thm32``/``cor31`` with n > m the cut parameter of the correction sum
 is evaluated under two documented readings, the maximum degree of J*_m and
 its prime Jaconian index, and the record keeps both; the instance counts as
 matched when at least one reading upholds the bound.
+
+The correction sum runs over every pair of a vertex beyond the cut in J*_n
+and one beyond the cut in J*_m.  For any weights, the pair sum over a union
+A + B is pair_sum(A) + pair_sum(B) + the sum of |w_a - w_b| over a in A,
+b in B, so the correction is the cross pair sum of the two tail histograms:
+three calls to the histogram kernel, O(D) per instance with no per-pair
+weight lookup.  The left side is the kernel on the union's histogram, built
+afresh for every instance; only the formula side keeps per-graph data
+(degrees and metric) for the length of one sweep.
 """
 
 from __future__ import annotations
@@ -32,8 +41,21 @@ from typing import Any
 
 from .fibonacci import fib
 from .graphs import degree_sequence, disjoint_union, edge_joint
-from .irregularity import firr_t, irr_t, pair_sum_naive
-from .jaco import prime_jaconian_index, underlying_degrees, underlying_graph
+from .irregularity import (
+    add_histograms,
+    cross_pair_sum,
+    degree_histogram,
+    firr_t,
+    irr_t,
+    pair_sum_histogram,
+    pair_sum_naive,
+)
+from .jaco import (
+    prime_jaconian_index,
+    underlying_degree_counts,
+    underlying_degrees,
+    underlying_graph,
+)
 
 __all__ = [
     "THEOREM_IDS",
@@ -185,8 +207,12 @@ def thm31_rhs(n: int) -> int:
     Same vertex-arrival structure as :func:`thm21_rhs`, in weight space:
     the new vertex's pair sum uses weight f_{n-k}; each bumped vertex shifts
     pairs against the untouched block by +-(f_{d+1} - f_d); and pairs of two
-    bumped vertices move by the change between consecutive weight gaps,
-    which is non-negative for degrees >= 1, so its absolute value is exact.
+    bumped vertices move by the change between consecutive weight gaps.
+    For degrees a >= b >= 1 that change is
+    (f_{a+1} - f_{b+1}) - (f_a - f_b) = f_{a-1} - f_{b-1} >= 0, so the
+    absolute value is exact and the bumped pairs sum to the firr pair sum
+    of the bumped degrees minus one: one kernel call instead of a loop over
+    the pairs.
     """
     if n < 2:
         raise ValueError(f"thm31_rhs needs n >= 2, got {n}")
@@ -201,32 +227,42 @@ def thm31_rhs(n: int) -> int:
         below = bisect_left(head, new[i])  # head degrees strictly under the bumped degree
         gap = fib(old[i] + 1) - fib(old[i])
         cross += (below - (k - below)) * gap
-    tail = old[k:n]
-    bumped_pairs = 0
-    for a in range(len(tail)):
-        fa, fa1 = fib(tail[a]), fib(tail[a] + 1)
-        for b in range(a + 1, len(tail)):
-            fb, fb1 = fib(tail[b]), fib(tail[b] + 1)
-            bumped_pairs += abs(abs(fa - fb) - abs(fa1 - fb1))
+    bumped_pairs = pair_sum_histogram(degree_histogram(d - 1 for d in old[k:n]), "firr")
     return firr_t(old).value + new_vertex + cross + bumped_pairs
+
+
+def _jaco_side(x: int, kind: str, memo: dict) -> tuple[tuple[int, ...], int]:
+    """Formula-side data of J*_x: its degrees and its metric ``kind``, kept in ``memo``."""
+    if x not in memo:
+        memo[x] = (underlying_degrees(x), {})
+    degrees, metrics = memo[x]
+    if kind not in metrics:
+        metrics[kind] = pair_sum_histogram(degree_histogram(degrees), kind)
+    return degrees, metrics[kind]
 
 
 def _union_check(
     theorem: str,
     n: int,
     m: int,
-    fibonacci_weights: bool,
+    kind: str,
+    memo: dict | None = None,
 ) -> CheckRecord:
+    """The union statement for metric ``kind``; ``memo`` keeps the formula
+    side's per-graph data across the instances of one sweep."""
     if m < 1:
         raise ValueError(f"{theorem} needs m >= 1, got {m}")
     if n < m:
         raise ValueError(f"{theorem} needs n >= m; swap arguments ({n}, {m})")
-    dn = underlying_degrees(n)
-    dm = underlying_degrees(m)
-    metric = firr_t if fibonacci_weights else irr_t
-    lhs = metric(dn + dm).value
+    # The oracle: the union's own histogram, built fresh, never from the memo.
+    lhs = pair_sum_histogram(
+        add_histograms(underlying_degree_counts(n), underlying_degree_counts(m)), kind
+    )
+    if memo is None:
+        memo = {}
+    dn, metric_n = _jaco_side(n, kind, memo)
     if n == m:
-        rhs = 4 * metric(dn).value
+        rhs = 4 * metric_n
         return CheckRecord(
             theorem=theorem,
             params={"n": n, "m": m},
@@ -235,8 +271,8 @@ def _union_check(
             rhs=rhs,
             matched=lhs == rhs,
         )
-    base = 2 * (metric(dn).value + metric(dm).value)
-    weight = fib if fibonacci_weights else (lambda d: d)
+    dm, metric_m = _jaco_side(m, kind, memo)
+    base = 2 * (metric_n + metric_m)
     cuts: dict[str, int | None] = {"degree": max(dm)}
     cuts["index"] = prime_jaconian_index(m) if m >= 2 else None
     corr_by_cut: dict[int, int] = {}
@@ -250,12 +286,9 @@ def _union_check(
             detail[f"holds_{reading}_reading"] = None
             continue
         if cut not in corr_by_cut:
-            corr = 0
-            for i in range(cut, n):
-                wi = weight(dn[i])
-                for j in range(cut, m):
-                    corr += abs(wi - weight(dm[j]))
-            corr_by_cut[cut] = corr
+            corr_by_cut[cut] = cross_pair_sum(
+                degree_histogram(dn[cut:]), degree_histogram(dm[cut:]), kind
+            )
         rhs_reading = base + corr_by_cut[cut]
         holds = lhs <= rhs_reading
         detail[f"rhs_{reading}_reading"] = rhs_reading
@@ -274,18 +307,20 @@ def _union_check(
     )
 
 
-def thm32_check(n: int, m: int) -> CheckRecord:
-    """Union statement for irr_t: lhs computed on the union degree sequence.
+def thm32_check(n: int, m: int, *, _memo: dict | None = None) -> CheckRecord:
+    """Union statement for irr_t: lhs computed on the union degree histogram.
 
     n = m asserts lhs = 4 * irr_t(J*_n); n > m asserts the upper bound with
     the correction sum over vertices beyond the cut in both copies.
+    ``_memo`` is private to :func:`verify_sweep`, which shares the formula
+    side's per-graph data through it; without it every call starts afresh.
     """
-    return _union_check("thm32", n, m, fibonacci_weights=False)
+    return _union_check("thm32", n, m, "irr", _memo)
 
 
-def cor31_check(n: int, m: int) -> CheckRecord:
+def cor31_check(n: int, m: int, *, _memo: dict | None = None) -> CheckRecord:
     """Union statement for firr_t, same shape as :func:`thm32_check`."""
-    return _union_check("cor31", n, m, fibonacci_weights=True)
+    return _union_check("cor31", n, m, "firr", _memo)
 
 
 def lemma31_check(n: int, m: int) -> CheckRecord:
@@ -376,6 +411,40 @@ def _check_range(rng: tuple[int, int], name: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _span(lo: int, hi: int) -> int:
+    """Number of integers in lo..hi."""
+    return max(0, hi - lo + 1)
+
+
+def _staircase(n_lo: int, n_hi: int, lo: int, hi: int) -> int:
+    """Sum over n in n_lo..n_hi of the number of integers in lo..min(hi, n).
+
+    The term is 0 for n < lo, rises by one per n up to n = hi (an arithmetic
+    series), and stays at hi - lo + 1 beyond.
+    """
+    a, b = max(n_lo, lo), min(n_hi, hi)
+    rising = _span(a, b) * (a + b - 2 * lo + 2) // 2
+    return rising + _span(max(n_lo, hi + 1), n_hi) * _span(lo, hi)
+
+
+def _instance_count(
+    tid: str,
+    n_range: tuple[int, int],
+    m_range: tuple[int, int],
+    i_range: tuple[int, int] | None,
+) -> int:
+    """Instances of check ``tid`` in the ranges, as :func:`verify_sweep` clips them."""
+    (n_lo, n_hi), (m_lo, m_hi) = n_range, m_range
+    if tid in ("thm21", "thm31"):
+        return _span(max(2, n_lo), n_hi)
+    if tid in ("thm32", "cor31"):
+        return _staircase(n_lo, n_hi, m_lo, m_hi)
+    if tid == "lemma31":
+        return _span(max(2, n_lo), n_hi) * _span(max(2, m_lo), m_hi)
+    i_lo, i_hi = (2, n_hi) if i_range is None else i_range
+    return _staircase(max(3, n_lo), n_hi, max(2, i_lo), i_hi) * _span(m_lo, m_hi)
+
+
 def verify_sweep(
     theorems: list[str] | tuple[str, ...],
     n_range: tuple[int, int],
@@ -388,7 +457,8 @@ def verify_sweep(
     n < 2 and thm32 skips n < m); for thm33 the join vertex runs over
     ``i_range`` clipped to [2, n], the whole interval when not given.
     Records are emitted sorted by (theorem, n, m, i).  Raises ValueError
-    naming every requested check that the ranges leave without instances.
+    naming every requested check that the ranges leave without instances,
+    before any check runs.
     """
     ids = []
     for tid in theorems:
@@ -402,11 +472,15 @@ def verify_sweep(
     m_lo, m_hi = _check_range(m_range if m_range is not None else n_range, "m")
     if i_range is not None:
         _check_range(i_range, "i")
+    # A check that runs on nothing verifies nothing; it is not a pass.
+    empty = [t for t in ids if _instance_count(t, (n_lo, n_hi), (m_lo, m_hi), i_range) == 0]
+    if empty:
+        raise ValueError(f"no instances of {', '.join(empty)} in the given ranges")
 
     report = VerifyReport()
-    empty = []
+    # Formula-side data per Jaco graph, shared by the union instances below.
+    memo: dict = {}
     for tid in ids:
-        before = report.total
         if tid == "thm21":
             for n in range(max(2, n_lo), n_hi + 1):
                 lhs = pair_sum_naive(list(underlying_degrees(n + 1)))
@@ -425,7 +499,9 @@ def verify_sweep(
             check = thm32_check if tid == "thm32" else cor31_check
             for n in range(n_lo, n_hi + 1):
                 for m in range(m_lo, min(m_hi, n) + 1):
-                    report.add(check(n, m))
+                    report.add(check(n, m, _memo=memo))
+                if n > m_hi:
+                    memo.pop(n, None)  # no later instance has n as its m
         elif tid == "lemma31":
             for n in range(max(2, n_lo), n_hi + 1):
                 for m in range(max(2, m_lo), m_hi + 1):
@@ -437,9 +513,4 @@ def verify_sweep(
                 for m in range(max(1, m_lo), m_hi + 1):
                     for i in range(i_lo, i_hi + 1):
                         report.add(thm33_check(n, m, i))
-        if report.total == before:
-            empty.append(tid)
-    if empty:
-        # A check that ran on nothing has verified nothing; it is not a pass.
-        raise ValueError(f"no instances of {', '.join(empty)} in the given ranges")
     return report.finalize()

@@ -1,12 +1,28 @@
 """Command-line surface: formats, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import jacograph
 from jacograph.cli import main
+
+
+def run_module(*argv):
+    """``python -m jacograph`` in a child that imports the package under test,
+    installed or not."""
+    src = str(Path(jacograph.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "jacograph", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 def run_cli(capsys, *argv):
@@ -214,22 +230,14 @@ def test_help_exits_0(capsys):
 
 
 def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "jacograph", "metric", "firr", "jaco:12"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module("metric", "firr", "jaco:12")
     assert proc.returncode == 0
     assert proc.stdout == "322\n"
 
 
 def test_big_metric_prints_in_full():
     # exact output of a value with thousands of digits
-    proc = subprocess.run(
-        [sys.executable, "-m", "jacograph", "metric", "firr", "jaco:20000"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module("metric", "firr", "jaco:20000")
     assert proc.returncode == 0
     digits = proc.stdout.strip()
     assert digits.isdigit() and len(digits) > 2000

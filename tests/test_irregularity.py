@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from jacograph import (
     METHOD_NAIVE,
     METHOD_SORTED,
+    add_histograms,
     biclique_firr_closed,
     complete_bipartite,
+    cross_pair_sum,
     cycle,
     degree_histogram,
     degree_sequence,
@@ -160,6 +162,26 @@ def test_kernel_matches_naive_oracle(ds):
     padded = degree_histogram(ds) + [0, 0, 0]  # trailing zero counts change nothing
     for kind, value in expected.items():
         assert pair_sum_histogram(padded, kind) == value
+
+
+@given(kernel_sequences, kernel_sequences, st.integers(min_value=0, max_value=3))
+@example([], [], 0)
+@example([0, 0, 0], [0], 2)
+@example([1, 2, 2], [2, 1], 0)
+@example([90, 130, 111], [], 1)
+@example([5], [120, 0], 3)
+def test_cross_pair_sum_matches_bipartite_loop(a, b, pad):
+    weights = {"irr": lambda d: d, "firr": fib, "firrpm": signed_weight_of_degree}
+    counts_a = degree_histogram(a) + [0] * pad  # unequal lengths, trailing zeros
+    counts_b = degree_histogram(b)
+    for kind, weight in weights.items():
+        expected = sum(abs(weight(x) - weight(y)) for x in a for y in b)
+        assert cross_pair_sum(counts_a, counts_b, kind) == expected
+        assert cross_pair_sum(counts_b, counts_a, kind) == expected
+    both = add_histograms(counts_a, counts_b)
+    union = degree_histogram(a + b)
+    assert len(both) == max(len(counts_a), len(counts_b))
+    assert both[: len(union)] == union and not any(both[len(union) :])
 
 
 def test_kernel_leaves_fibonacci_cache_alone(monkeypatch):

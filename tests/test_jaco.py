@@ -1,6 +1,7 @@
 """Jaco construction: profile sweep, closed form, truncated degrees, prime Jaconian index."""
 
 import random
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -142,6 +143,31 @@ def test_underlying_graph_is_valid():
 def test_underlying_graph_memory_guard():
     with pytest.raises(ValueError):
         underlying_graph(1000, max_edges=100)
+
+
+def test_underlying_graph_refuses_in_constant_memory():
+    for n in (2_000_000, 10**9):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="at least"):
+                underlying_graph(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+
+def test_underlying_graph_guard_boundary():
+    # the O(1) bound k(k+1)/4 never exceeds the true edge count, so the guard
+    # still admits a graph of exactly max_edges edges and refuses one more
+    for n in range(1, 301):
+        edges = underlying_graph(n).edge_count
+        k = out_degree(n + 1) - 1
+        assert 4 * edges >= k * (k + 1), n
+        assert underlying_graph(n, max_edges=edges).edge_count == edges
+        if edges:
+            with pytest.raises(ValueError):
+                underlying_graph(n, max_edges=edges - 1)
 
 
 def test_prime_jaconian_examples():

@@ -4,13 +4,21 @@ import json
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+import jacograph.theorems as theorems
 from jacograph import (
+    CheckRecord,
     cor31_check,
+    degree_histogram,
     fib,
     firr_t,
     irr_t,
     lemma31_check,
+    pair_sum_histogram,
+    pair_sum_naive,
+    prime_jaconian_index,
     thm21_rhs,
     thm31_rhs,
     thm32_check,
@@ -24,6 +32,12 @@ from jacograph import (
 
 def brute(ws):
     return sum(abs(a - b) for a, b in combinations(list(ws), 2))
+
+
+def sorted_pair_sum(ws):
+    # the k-th smallest of N weights is the larger one in k - 1 pairs
+    ws = sorted(ws)
+    return sum(w * (2 * k - 1 - len(ws)) for k, w in enumerate(ws, 1))
 
 
 # -- growth recursions -------------------------------------------------------
@@ -81,6 +95,17 @@ def test_thm31_term_decomposition_at_11():
 def test_thm31_matches_oracle_up_to_60():
     for n in range(2, 61):
         assert thm31_rhs(n) == brute([fib(d) for d in underlying_degrees(n + 1)])
+
+
+@given(st.lists(st.integers(min_value=1, max_value=120), max_size=25))
+@example([1, 2, 1, 2])
+@example([93, 94, 1])
+def test_thm31_bumped_pairs_are_a_shifted_firr_pair_sum(tail):
+    literal = sum(
+        abs(abs(fib(a) - fib(b)) - abs(fib(a + 1) - fib(b + 1)))
+        for a, b in combinations(tail, 2)
+    )
+    assert pair_sum_histogram(degree_histogram(d - 1 for d in tail), "firr") == literal
 
 
 def test_thm31_gap_steps_non_negative():
@@ -143,6 +168,72 @@ def test_union_superadditivity():
             dn, dm = underlying_degrees(n), underlying_degrees(m)
             assert irr_t(dn + dm).value >= irr_t(dn).value + irr_t(dm).value
             assert firr_t(dn + dm).value >= firr_t(dn).value + firr_t(dm).value
+
+
+def union_reference(theorem, n, m):
+    """The union record as the statement reads: pair sums over the weights
+    and the correction sum as a literal double loop over both tails."""
+    weight = fib if theorem == "cor31" else (lambda d: d)
+    wn = [weight(d) for d in underlying_degrees(n)]
+    wm = [weight(d) for d in underlying_degrees(m)]
+    lhs = sorted_pair_sum(wn + wm)
+    if n == m:
+        rhs = 4 * sorted_pair_sum(wn)
+        return {"relation": "equality", "lhs": lhs, "rhs": rhs, "matched": lhs == rhs, "detail": None}
+    base = 2 * (sorted_pair_sum(wn) + sorted_pair_sum(wm))
+    cuts = {"degree": max(underlying_degrees(m)), "index": prime_jaconian_index(m) if m >= 2 else None}
+    detail = {}
+    for reading, cut in cuts.items():
+        rhs = None
+        if cut is not None:
+            rhs = base + sum(abs(a - b) for a in wn[cut:] for b in wm[cut:])
+        detail[f"rhs_{reading}_reading"] = rhs
+        detail[f"holds_{reading}_reading"] = None if rhs is None else lhs <= rhs
+    return {
+        "relation": "upper-bound",
+        "lhs": lhs,
+        "rhs": detail["rhs_degree_reading"],
+        "matched": any(detail[f"holds_{r}_reading"] for r in cuts),
+        "detail": detail,
+    }
+
+
+def test_union_records_match_the_double_loop_up_to_60():
+    for theorem, check in (("thm32", thm32_check), ("cor31", cor31_check)):
+        for n in range(1, 61):
+            for m in range(1, n + 1):
+                rec = check(n, m)
+                got = {
+                    "relation": rec.relation,
+                    "lhs": rec.lhs,
+                    "rhs": rec.rhs,
+                    "matched": rec.matched,
+                    "detail": rec.detail,
+                }
+                assert got == union_reference(theorem, n, m), (theorem, n, m)
+
+
+def test_union_lhs_never_reads_the_memo():
+    # a memo whose degrees and metrics are all wrong moves only the formula side
+    for n, m in ((9, 4), (6, 6)):
+        for theorem, kind, weight in (("thm32", "irr", lambda d: d), ("cor31", "firr", fib)):
+            poisoned = {x: ((1,) * x, {kind: 0}) for x in (n, m)}
+            rec = theorems._union_check(theorem, n, m, kind, poisoned)
+            union = underlying_degrees(n) + underlying_degrees(m)
+            assert rec.lhs == pair_sum_naive([weight(d) for d in union]) > 0
+            assert rec.rhs == 0
+            assert not rec.matched
+
+
+def test_union_sweep_looks_up_no_weight(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a union check looked up a Fibonacci number")
+
+    monkeypatch.setattr("jacograph.theorems.fib", refuse)
+    monkeypatch.setattr("jacograph.fibonacci.FibCache.fib", refuse)
+    report = verify_sweep(["thm32", "cor31"], (2, 40), (1, 40))
+    assert report.total == 2 * sum(range(2, 41))
+    assert report.all_matched
 
 
 # -- first-vertex joint ------------------------------------------------------
@@ -276,6 +367,34 @@ def test_sweep_without_instances_is_an_error():
     assert "thm21" not in str(exc.value)
     with pytest.raises(ValueError, match="thm32, lemma31"):
         verify_sweep(["thm32", "lemma31"], (1, 1), (2, 3))
+
+
+def test_empty_sweep_fails_before_any_check(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a check ran before the empty-sweep error")
+
+    monkeypatch.setattr("jacograph.theorems.thm32_check", refuse)
+    with pytest.raises(ValueError, match="no instances of thm21 in"):
+        verify_sweep(["thm21", "thm32"], (1, 1))
+
+
+def test_instance_counts_match_the_sweep(monkeypatch):
+    def stub(tid):
+        return lambda *args, **kwargs: CheckRecord(tid, {}, "equality", 0, 0, True)
+
+    for tid in ("thm32", "cor31", "lemma31", "thm33"):
+        monkeypatch.setattr(f"jacograph.theorems.{tid}_check", stub(tid))
+    ranges = [(lo, hi) for lo in range(1, 6) for hi in range(lo, 6)]
+    for tid in ("thm21", "thm32", "lemma31", "thm33"):
+        for n_range in ranges:
+            for m_range in ranges:
+                for i_range in [None] + (ranges if tid == "thm33" else []):
+                    count = theorems._instance_count(tid, n_range, m_range, i_range)
+                    if count == 0:
+                        with pytest.raises(ValueError, match="no instances"):
+                            verify_sweep([tid], n_range, m_range, i_range)
+                    else:
+                        assert verify_sweep([tid], n_range, m_range, i_range).total == count
 
 
 def test_summary_counts_by_theorem():
