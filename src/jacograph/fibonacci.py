@@ -7,7 +7,7 @@ large graphs go far beyond that).
 
 from __future__ import annotations
 
-__all__ = ["FibCache", "fib", "weight_of_degree", "signed_weight_of_degree"]
+__all__ = ["FibCache", "fib", "fib_pair", "weight_of_degree", "signed_weight_of_degree"]
 
 
 class FibCache:
@@ -43,6 +43,24 @@ _SHARED = FibCache()
 def fib(i: int) -> int:
     """f_i from the shared process-wide cache."""
     return _SHARED.fib(i)
+
+
+def fib_pair(i: int) -> tuple[int, int]:
+    """(f_i, f_{i+1}) by fast doubling, without the cache.
+
+    Walks the bits of i from the top, doubling the index with
+    f_2k = f_k (2 f_{k+1} - f_k) and f_2k+1 = f_k^2 + f_{k+1}^2 and stepping
+    it by one on a set bit: O(log i) multiplications of numbers no longer
+    than f_i, and O(i) bits of memory where the cache would hold O(i^2).
+    """
+    if i < 0:
+        raise ValueError(f"Fibonacci index must be non-negative, got {i}")
+    a, b = 0, 1
+    for bit in bin(i)[2:]:
+        a, b = a * (2 * b - a), a * a + b * b
+        if bit == "1":
+            a, b = b, a + b
+    return a, b
 
 
 def weight_of_degree(d: int) -> int:

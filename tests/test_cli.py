@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import jacograph
-from jacograph.cli import main
+from jacograph import pair_sum_histogram, underlying_degree_counts
+from jacograph.cli import decimal_string, main
 
 
 def run_module(*argv):
@@ -241,6 +243,45 @@ def test_big_metric_prints_in_full():
     assert proc.returncode == 0
     digits = proc.stdout.strip()
     assert digits.isdigit() and len(digits) > 2000
+
+
+@pytest.fixture
+def set_str_cap():
+    """Sets CPython's int-to-str digit cap for one test, where it has one."""
+    old = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    setter = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+    yield setter
+    setter(old)
+
+
+def test_decimal_string_equals_str(set_str_cap):
+    set_str_cap(0)  # no cap: str() is the reference at every size
+    rng = random.Random(11)
+    limit = 10**10_000  # the first value that is split
+    values = [0, 1, 9, 10, limit - 1, limit, limit + 1, 2**33_220, 10 * limit - 1, 10 * limit]
+    values += [rng.getrandbits(rng.randint(33_300, 70_000)) for _ in range(4)]
+    values.append(rng.getrandbits(664_000))  # about 200 000 digits
+    for x in values:
+        assert decimal_string(x) == str(x)
+
+
+def test_decimal_string_beyond_the_digit_cap(set_str_cap):
+    set_str_cap(4300)  # any int-to-str conversion of these values would raise
+    k = 600_000
+    assert decimal_string(10**k - 1) == "9" * k
+    assert decimal_string(10**k + 987_654_321) == "1" + "0" * (k - 9) + "987654321"
+    x = random.Random(5).getrandbits(2_100_000)
+    digits = decimal_string(x)
+    assert digits.isdigit() and digits[0] != "0"
+    assert 10 ** (len(digits) - 1) <= x < 10 ** len(digits)
+    assert digits[-20:] == f"{x % 10**20:020d}"
+
+
+def test_metric_prints_long_values_exactly(capsys):
+    rc, out, _ = run_cli(capsys, "metric", "firrpm", "jaco:100000")
+    value = pair_sum_histogram(underlying_degree_counts(100_000), "firrpm")
+    assert rc == 0 and value >= 10**10_000
+    assert out == str(value) + "\n"
 
 
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])

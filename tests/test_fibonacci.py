@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from jacograph import FibCache, fib, signed_weight_of_degree, weight_of_degree
+from jacograph.fibonacci import fib_pair
 
 
 def iterative_fib(i):
@@ -61,6 +62,26 @@ def test_fresh_cache_is_consistent_with_shared():
     assert [cache.fib(i) for i in range(50)] == [fib(i) for i in range(50)]
     # repeated calls hit the cache and stay consistent
     assert cache.fib(30) == cache.fib(30) == 832040
+
+
+def test_fib_pair_matches_cache():
+    cache = FibCache()
+    for i in range(2001):
+        assert fib_pair(i) == (cache.fib(i), cache.fib(i + 1))
+    with pytest.raises(ValueError):
+        fib_pair(-1)
+
+
+def test_fib_pair_near_a_million_mod_p():
+    p = 2**61 - 1
+    wanted = {999_999, 10**6, 10**6 + 1}
+    a, b, found = 0, 1, {}
+    for i in range(max(wanted) + 1):
+        if i in wanted:
+            found[i] = (a, b)
+        a, b = b, (a + b) % p
+    for i, (f, g) in found.items():
+        assert tuple(x % p for x in fib_pair(i)) == (f, g)
 
 
 def test_weight_of_degree():

@@ -28,8 +28,10 @@ from jacograph import (
     signed_weight_of_degree,
     star,
     star_firr_closed,
+    underlying_degree_counts,
     underlying_degrees,
 )
+from jacograph.irregularity import _LEAF
 
 degree_sequences = st.lists(st.integers(min_value=0, max_value=120), max_size=40)
 
@@ -162,6 +164,96 @@ def test_kernel_matches_naive_oracle(ds):
     padded = degree_histogram(ds) + [0, 0, 0]  # trailing zero counts change nothing
     for kind, value in expected.items():
         assert pair_sum_histogram(padded, kind) == value
+
+
+@pytest.mark.parametrize("top", [_LEAF - 1, _LEAF, _LEAF + 1, 2 * _LEAF, 2 * _LEAF + 1, 4 * _LEAF + 3])
+def test_kernel_matches_naive_oracle_across_leaves(top):
+    # Largest degree top gives a histogram of top + 1 entries: one leaf up to
+    # _LEAF - 1, split from _LEAF on.  A few dozen vertices on sparse degrees.
+    rng = random.Random(top)
+    pool = [0, 1, 2, 3, 93, 94, top // 2, top // 2 + 1, _LEAF - 1, top - 1, top]
+    pool = [d for d in pool if d <= top]
+    ds = [top] + [rng.choice(pool) for _ in range(rng.randint(20, 40))] + rng.sample(range(top + 1), 8)
+    counts = degree_histogram(ds)
+    expected = {
+        "firr": pair_sum_naive([fib(d) for d in ds]),
+        "firrpm": pair_sum_naive([signed_weight_of_degree(d) for d in ds]),
+    }
+    # trailing zeros that push the length across the next leaf boundary
+    for extra in (0, 1, _LEAF - len(counts) % _LEAF + 1, 3 * _LEAF):
+        padded = counts + [0] * extra
+        for kind, value in expected.items():
+            assert pair_sum_histogram(padded, kind) == value
+
+
+def test_small_histograms_stay_in_one_leaf(monkeypatch):
+    # Up to _LEAF entries the kernel is one Horner pass and needs no shift, so
+    # small graphs (jaco:1000 has 619 entries) run the loop the kernel ran
+    # before it had a split.
+    def refuse(*args):
+        raise AssertionError("a histogram of one leaf was split")
+
+    monkeypatch.setattr("jacograph.irregularity.fib_pair", refuse)
+    rng = random.Random(1)
+    for ds in ([_LEAF - 1], [0, _LEAF - 1, 5, 5, 700], [_LEAF - 1] + [rng.randint(0, _LEAF - 1) for _ in range(30)]):
+        counts = degree_histogram(ds)
+        assert len(counts) == _LEAF
+        assert pair_sum_histogram(counts, "firr") == pair_sum_naive([fib(d) for d in ds])
+        assert pair_sum_histogram(counts, "firrpm") == pair_sum_naive([signed_weight_of_degree(d) for d in ds])
+    ds = underlying_degrees(1000)
+    assert firr_t(ds).value == pair_sum_naive([fib(d) for d in ds])
+    with pytest.raises(AssertionError, match="was split"):
+        pair_sum_histogram(counts + [0], "firr")  # one entry more is two leaves
+
+
+P61 = 2**61 - 1
+
+
+def sorted_prefix_mod_p(counts):
+    """firr_t and firr_pm mod 2^61 - 1 from a degree histogram, in O(D).
+
+    Ranks the weights and sums w_(k) (2k - 1 - n) over ranks k, with f_d mod
+    p from the recurrence.  The weights f_d rise with d; the signed ones put
+    the odd degrees first, largest first, then the even degrees, smallest
+    first.  The c_d tied weights at ranks a + 1..a + c_d contribute
+    w_d c_d (2a + c_d - n).
+    """
+    n = sum(counts)
+    n_odd = sum(counts[1::2])
+    firr = pm = 0
+    below = odd_upto = even_below = 0
+    f, f_next = 0, 1
+    for d, c in enumerate(counts):
+        if c:
+            firr += f * c * (2 * below + c - n)
+            if d % 2:
+                odd_upto += c
+                pm -= f * c * (2 * (n_odd - odd_upto) + c - n)
+            else:
+                pm += f * c * (2 * (n_odd + even_below) + c - n)
+                even_below += c
+        below += c
+        f, f_next = f_next, (f + f_next) % P61
+    return firr % P61, pm % P61
+
+
+def test_sorted_prefix_mod_p_matches_naive():
+    rng = random.Random(3)
+    for _ in range(50):
+        ds = [rng.randint(0, 60) for _ in range(rng.randint(0, 25))]
+        expected = (
+            pair_sum_naive([fib(d) for d in ds]) % P61,
+            pair_sum_naive([signed_weight_of_degree(d) for d in ds]) % P61,
+        )
+        assert sorted_prefix_mod_p(degree_histogram(ds)) == expected
+
+
+def test_kernel_matches_mod_p_sum_at_a_million_vertices():
+    counts = underlying_degree_counts(10**6)
+    assert len(counts) > 600 * _LEAF
+    firr, pm = sorted_prefix_mod_p(counts)
+    assert pair_sum_histogram(counts, "firr") % P61 == firr
+    assert pair_sum_histogram(counts, "firrpm") % P61 == pm
 
 
 @given(kernel_sequences, kernel_sequences, st.integers(min_value=0, max_value=3))
