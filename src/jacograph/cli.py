@@ -241,14 +241,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     m_range = _parse_range(args.m, "m")
     i_range = _parse_range(args.i, "i") if args.i is not None else None
     report = verify_sweep(args.theorems, n_range, m_range, i_range)
-    if args.out is not None:
+    # The JSON report goes to --out, else to stdout with --format json; the
+    # summary goes to stdout whenever the report does not.
+    if args.out is not None or args.format == "json":
         rc = _write_output(json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n", args.out)
         if rc != 0:
             return rc
-        sys.stdout.write(report.summary_text())
-    elif args.format == "json":
-        sys.stdout.write(json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n")
-    else:
+    if args.out is not None or args.format == "text":
         sys.stdout.write(report.summary_text())
     return 0 if report.all_matched else 1
 

@@ -134,11 +134,14 @@ def complete_bipartite(n: int, m: int) -> SimpleGraph:
     """Complete bipartite graph with sides of n and m vertices, n >= m >= 1.
 
     Side vertices 1..n each have degree m; side vertices n+1..n+m each have
-    degree n.
+    degree n.  Every vertex of a side shares one neighbor tuple, so the graph
+    takes O(n + m) memory.
     """
     if not n >= m >= 1:
         raise ValueError(f"complete bipartite needs n >= m >= 1, got ({n}, {m})")
-    return SimpleGraph(n + m, ((a, b) for a in range(1, n + 1) for b in range(n + 1, n + m + 1)))
+    side_a = tuple(range(1, n + 1))
+    side_b = tuple(range(n + 1, n + m + 1))
+    return SimpleGraph._from_sorted_adjacency([()] + [side_b] * n + [side_a] * m)
 
 
 def degree_sequence(g: SimpleGraph) -> tuple[int, ...]:

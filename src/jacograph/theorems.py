@@ -19,9 +19,10 @@ Check ids
              the exact recomputation, which is the ground truth
 
 For ``thm32``/``cor31`` with n > m the cut parameter of the correction sum
-is evaluated under two documented readings, the maximum degree of J*_m and
-its prime Jaconian index, and the record keeps both; the instance counts as
-matched when at least one reading upholds the bound.
+has two documented readings, the maximum degree of J*_m and its prime
+Jaconian index.  Both are k = G(m+1) - 1 (proved in the ``jaco`` docstring),
+so the cut is evaluated once; the record still carries both readings, with
+the index fields ``None`` for m = 1, where J*_1 has no index.
 
 The correction sum runs over every pair of a vertex beyond the cut in J*_n
 and one beyond the cut in J*_m.  For any weights, the pair sum over a union
@@ -31,12 +32,18 @@ three calls to the histogram kernel, O(D) per instance with no per-pair
 weight lookup.  The left side is the kernel on the union's histogram, built
 afresh for every instance; only the formula side keeps per-graph data
 (degrees and metric) for the length of one sweep.
+
+A sweep walks one generator of parameter tuples per check id, which also
+answers whether a check has any instance at all: every loop in it starts at
+its first value with an instance, so the first tuple, or the end, comes in
+O(1) steps however wide the ranges are.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any
 
 from .fibonacci import fib
@@ -63,6 +70,8 @@ __all__ = [
     "VerifyReport",
     "thm21_rhs",
     "thm31_rhs",
+    "thm21_check",
+    "thm31_check",
     "thm32_check",
     "cor31_check",
     "lemma31_check",
@@ -184,18 +193,15 @@ def thm21_rhs(n: int) -> int:
     n - k and bumps the degrees of exactly v_{k+1}..v_n by one.  Each bumped
     vertex shifts its pair differences against the untouched block v_1..v_k
     by +1 (old degree at most its own) or -1 (strictly larger), and the new
-    vertex contributes its own pair sum against the updated degrees.
+    vertex contributes its own pair sum against the updated degrees.  The
+    block's degrees are exactly 1..k, so min(d, k) of them are at most d.
     """
     if n < 2:
         raise ValueError(f"thm21_rhs needs n >= 2, got {n}")
     old = underlying_degrees(n)
     new = underlying_degrees(n + 1)
     k = prime_jaconian_index(n)
-    head = sorted(old[:k])
-    count_term = 0
-    for j in range(k, n):
-        at_most = bisect_right(head, old[j])
-        count_term += at_most - (k - at_most)
+    count_term = sum(2 * min(d, k) - k for d in old[k:])
     arrival = n - k
     new_vertex = sum(abs(arrival - d) for d in new[:n])
     return irr_t(old).value + count_term + new_vertex
@@ -221,14 +227,28 @@ def thm31_rhs(n: int) -> int:
     k = prime_jaconian_index(n)
     arrival_weight = fib(n - k)
     new_vertex = sum(abs(arrival_weight - fib(d)) for d in new[:n])
-    head = sorted(old[:k])
-    cross = 0
-    for i in range(k, n):
-        below = bisect_left(head, new[i])  # head degrees strictly under the bumped degree
-        gap = fib(old[i] + 1) - fib(old[i])
-        cross += (below - (k - below)) * gap
+    # min(d, k) of the head degrees 1..k lie strictly under the bumped d + 1
+    cross = sum((2 * min(d, k) - k) * (fib(d + 1) - fib(d)) for d in old[k:])
     bumped_pairs = pair_sum_histogram(degree_histogram(d - 1 for d in old[k:n]), "firr")
     return firr_t(old).value + new_vertex + cross + bumped_pairs
+
+
+def _equality(theorem: str, params: dict[str, int], lhs: int, rhs: int) -> CheckRecord:
+    return CheckRecord(theorem, params, RELATION_EQUALITY, lhs, rhs, lhs == rhs)
+
+
+def thm21_check(n: int) -> CheckRecord:
+    """Growth recursion for irr_t: the pairwise oracle on J*_{n+1} against
+    :func:`thm21_rhs`."""
+    lhs = pair_sum_naive(list(underlying_degrees(n + 1)))
+    return _equality("thm21", {"n": n}, lhs, thm21_rhs(n))
+
+
+def thm31_check(n: int) -> CheckRecord:
+    """Growth recursion for firr_t: the pairwise oracle on the weights of
+    J*_{n+1} against :func:`thm31_rhs`."""
+    lhs = pair_sum_naive([fib(d) for d in underlying_degrees(n + 1)])
+    return _equality("thm31", {"n": n}, lhs, thm31_rhs(n))
 
 
 def _jaco_side(x: int, kind: str, memo: dict) -> tuple[tuple[int, ...], int]:
@@ -260,51 +280,23 @@ def _union_check(
     )
     if memo is None:
         memo = {}
+    params = {"n": n, "m": m}
     dn, metric_n = _jaco_side(n, kind, memo)
     if n == m:
-        rhs = 4 * metric_n
-        return CheckRecord(
-            theorem=theorem,
-            params={"n": n, "m": m},
-            relation=RELATION_EQUALITY,
-            lhs=lhs,
-            rhs=rhs,
-            matched=lhs == rhs,
-        )
+        return _equality(theorem, params, lhs, 4 * metric_n)
     dm, metric_m = _jaco_side(m, kind, memo)
-    base = 2 * (metric_n + metric_m)
-    cuts: dict[str, int | None] = {"degree": max(dm)}
-    cuts["index"] = prime_jaconian_index(m) if m >= 2 else None
-    corr_by_cut: dict[int, int] = {}
-    detail: dict[str, Any] = {}
-    holds_any = False
-    rhs_primary = 0
-    for reading in ("degree", "index"):
-        cut = cuts[reading]
-        if cut is None:
-            detail[f"rhs_{reading}_reading"] = None
-            detail[f"holds_{reading}_reading"] = None
-            continue
-        if cut not in corr_by_cut:
-            corr_by_cut[cut] = cross_pair_sum(
-                degree_histogram(dn[cut:]), degree_histogram(dm[cut:]), kind
-            )
-        rhs_reading = base + corr_by_cut[cut]
-        holds = lhs <= rhs_reading
-        detail[f"rhs_{reading}_reading"] = rhs_reading
-        detail[f"holds_{reading}_reading"] = holds
-        holds_any = holds_any or holds
-        if reading == "degree":
-            rhs_primary = rhs_reading
-    return CheckRecord(
-        theorem=theorem,
-        params={"n": n, "m": m},
-        relation=RELATION_UPPER_BOUND,
-        lhs=lhs,
-        rhs=rhs_primary,
-        matched=holds_any,
-        detail=detail,
+    cut = max(dm)  # = prime_jaconian_index(m) for m >= 2: both readings are one cut
+    rhs = 2 * (metric_n + metric_m) + cross_pair_sum(
+        degree_histogram(dn[cut:]), degree_histogram(dm[cut:]), kind
     )
+    holds = lhs <= rhs
+    detail = {
+        "rhs_degree_reading": rhs,
+        "holds_degree_reading": holds,
+        "rhs_index_reading": rhs if m >= 2 else None,
+        "holds_index_reading": holds if m >= 2 else None,
+    }
+    return CheckRecord(theorem, params, RELATION_UPPER_BOUND, lhs, rhs, holds, detail)
 
 
 def thm32_check(n: int, m: int, *, _memo: dict | None = None) -> CheckRecord:
@@ -336,14 +328,7 @@ def lemma31_check(n: int, m: int) -> CheckRecord:
     gm = underlying_graph(m)
     lhs = firr_t(degree_sequence(disjoint_union(gn, gm))).value
     rhs = firr_t(degree_sequence(edge_joint(gn, 1, gm, 1))).value
-    return CheckRecord(
-        theorem="lemma31",
-        params={"n": n, "m": m},
-        relation=RELATION_EQUALITY,
-        lhs=lhs,
-        rhs=rhs,
-        matched=lhs == rhs,
-    )
+    return _equality("lemma31", {"n": n, "m": m}, lhs, rhs)
 
 
 def _check_thm33_args(n: int, m: int, i: int) -> None:
@@ -380,28 +365,16 @@ def thm33_literal(n: int, m: int, i: int) -> int:
     for wa in wn:
         for wb in wm:
             cross += abs(wa - wb)
-    side_sum = 0
-    for idx, w in enumerate(wn):
-        if idx == i - 1:
-            continue
-        side_sum += pivot - w if w <= pivot else -(w - pivot)
-    for w in wm:
-        side_sum += pivot - w if w <= pivot else -(w - pivot)
+    # Each side weight w adds +|pivot - w| when w <= pivot and -|w - pivot|
+    # when w > pivot; both arms are pivot - w.
+    side_sum = pivot * (n - 1 + m) - (sum(wn) - pivot) - sum(wm)
     return base + cross + side_sum
 
 
 def thm33_check(n: int, m: int, i: int) -> CheckRecord:
     """Record whether the literal formula agrees with the exact recomputation."""
     lhs = thm33_exact(n, m, i)
-    rhs = thm33_literal(n, m, i)
-    return CheckRecord(
-        theorem="thm33",
-        params={"n": n, "m": m, "i": i},
-        relation=RELATION_EQUALITY,
-        lhs=lhs,
-        rhs=rhs,
-        matched=lhs == rhs,
-    )
+    return _equality("thm33", {"n": n, "m": m, "i": i}, lhs, thm33_literal(n, m, i))
 
 
 def _check_range(rng: tuple[int, int], name: str) -> tuple[int, int]:
@@ -411,38 +384,41 @@ def _check_range(rng: tuple[int, int], name: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _span(lo: int, hi: int) -> int:
-    """Number of integers in lo..hi."""
-    return max(0, hi - lo + 1)
-
-
-def _staircase(n_lo: int, n_hi: int, lo: int, hi: int) -> int:
-    """Sum over n in n_lo..n_hi of the number of integers in lo..min(hi, n).
-
-    The term is 0 for n < lo, rises by one per n up to n = hi (an arithmetic
-    series), and stays at hi - lo + 1 beyond.
-    """
-    a, b = max(n_lo, lo), min(n_hi, hi)
-    rising = _span(a, b) * (a + b - 2 * lo + 2) // 2
-    return rising + _span(max(n_lo, hi + 1), n_hi) * _span(lo, hi)
-
-
-def _instance_count(
+def _instances(
     tid: str,
     n_range: tuple[int, int],
     m_range: tuple[int, int],
     i_range: tuple[int, int] | None,
-) -> int:
-    """Instances of check ``tid`` in the ranges, as :func:`verify_sweep` clips them."""
+    memo: dict,
+) -> Iterator[tuple[int, ...]]:
+    """Parameter tuples of check ``tid`` in the ranges, in sweep order.
+
+    Each loop starts at its first value with an instance, and a range that
+    leaves none stops the generator at once, so asking for the first tuple
+    costs O(1) steps.  The union branch drops ``memo``'s entry of an n above
+    the m range once its last instance is out.
+    """
     (n_lo, n_hi), (m_lo, m_hi) = n_range, m_range
     if tid in ("thm21", "thm31"):
-        return _span(max(2, n_lo), n_hi)
-    if tid in ("thm32", "cor31"):
-        return _staircase(n_lo, n_hi, m_lo, m_hi)
-    if tid == "lemma31":
-        return _span(max(2, n_lo), n_hi) * _span(max(2, m_lo), m_hi)
-    i_lo, i_hi = (2, n_hi) if i_range is None else i_range
-    return _staircase(max(3, n_lo), n_hi, max(2, i_lo), i_hi) * _span(m_lo, m_hi)
+        for n in range(max(2, n_lo), n_hi + 1):
+            yield (n,)
+    elif tid in ("thm32", "cor31"):
+        for n in range(max(n_lo, m_lo), n_hi + 1):
+            for m in range(m_lo, min(m_hi, n) + 1):
+                yield n, m
+            if n > m_hi:
+                memo.pop(n, None)  # no later instance has n as its m
+    elif tid == "lemma31":
+        ms = range(max(2, m_lo), m_hi + 1)
+        for n in range(max(2, n_lo), n_hi + 1) if ms else ():
+            for m in ms:
+                yield n, m
+    else:
+        i_lo, i_hi = (2, n_hi) if i_range is None else (max(2, i_range[0]), i_range[1])
+        for n in range(max(3, n_lo, i_lo), n_hi + 1) if i_lo <= i_hi else ():
+            for m in range(m_lo, m_hi + 1):
+                for i in range(i_lo, min(n, i_hi) + 1):
+                    yield n, m, i
 
 
 def verify_sweep(
@@ -468,49 +444,28 @@ def verify_sweep(
             ids.append(tid)
     if not ids:
         raise ValueError("no check ids given")
-    n_lo, n_hi = _check_range(n_range, "n")
-    m_lo, m_hi = _check_range(m_range if m_range is not None else n_range, "m")
+    n_range = _check_range(n_range, "n")
+    m_range = _check_range(m_range if m_range is not None else n_range, "m")
     if i_range is not None:
         _check_range(i_range, "i")
+    # Formula-side data per Jaco graph, shared by the union instances.
+    memo: dict = {}
     # A check that runs on nothing verifies nothing; it is not a pass.
-    empty = [t for t in ids if _instance_count(t, (n_lo, n_hi), (m_lo, m_hi), i_range) == 0]
+    empty = [t for t in ids if next(_instances(t, n_range, m_range, i_range, memo), None) is None]
     if empty:
         raise ValueError(f"no instances of {', '.join(empty)} in the given ranges")
 
+    # Built per call, so a check replaced on the module is the one that runs.
+    checks = {
+        "thm21": thm21_check,
+        "thm31": thm31_check,
+        "thm32": partial(thm32_check, _memo=memo),
+        "cor31": partial(cor31_check, _memo=memo),
+        "lemma31": lemma31_check,
+        "thm33": thm33_check,
+    }
     report = VerifyReport()
-    # Formula-side data per Jaco graph, shared by the union instances below.
-    memo: dict = {}
     for tid in ids:
-        if tid == "thm21":
-            for n in range(max(2, n_lo), n_hi + 1):
-                lhs = pair_sum_naive(list(underlying_degrees(n + 1)))
-                rhs = thm21_rhs(n)
-                report.add(
-                    CheckRecord("thm21", {"n": n}, RELATION_EQUALITY, lhs, rhs, lhs == rhs)
-                )
-        elif tid == "thm31":
-            for n in range(max(2, n_lo), n_hi + 1):
-                lhs = pair_sum_naive([fib(d) for d in underlying_degrees(n + 1)])
-                rhs = thm31_rhs(n)
-                report.add(
-                    CheckRecord("thm31", {"n": n}, RELATION_EQUALITY, lhs, rhs, lhs == rhs)
-                )
-        elif tid in ("thm32", "cor31"):
-            check = thm32_check if tid == "thm32" else cor31_check
-            for n in range(n_lo, n_hi + 1):
-                for m in range(m_lo, min(m_hi, n) + 1):
-                    report.add(check(n, m, _memo=memo))
-                if n > m_hi:
-                    memo.pop(n, None)  # no later instance has n as its m
-        elif tid == "lemma31":
-            for n in range(max(2, n_lo), n_hi + 1):
-                for m in range(max(2, m_lo), m_hi + 1):
-                    report.add(lemma31_check(n, m))
-        elif tid == "thm33":
-            for n in range(max(3, n_lo), n_hi + 1):
-                i_lo, i_hi = (2, n) if i_range is None else i_range
-                i_lo, i_hi = max(2, i_lo), min(n, i_hi)
-                for m in range(max(1, m_lo), m_hi + 1):
-                    for i in range(i_lo, i_hi + 1):
-                        report.add(thm33_check(n, m, i))
+        for params in _instances(tid, n_range, m_range, i_range, memo):
+            report.add(checks[tid](*params))
     return report.finalize()

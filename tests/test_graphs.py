@@ -1,5 +1,7 @@
 """Graph model, families, union, edge-joint, serialization."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -51,6 +53,28 @@ def test_family_range_validation():
         complete_bipartite(2, 3)
     with pytest.raises(ValueError):
         complete_bipartite(1, 0)
+
+
+def test_biclique_matches_the_validating_constructor():
+    for n in range(1, 12):
+        for m in range(1, n + 1):
+            g = complete_bipartite(n, m)
+            edges = [(a, b) for a in range(1, n + 1) for b in range(n + 1, n + m + 1)]
+            assert g == SimpleGraph(n + m, edges)
+            g.validate()
+
+
+def test_biclique_takes_memory_linear_in_its_vertices():
+    # 6 144 000 edges, held as one shared neighbor tuple per side
+    tracemalloc.start()
+    try:
+        g = complete_bipartite(3000, 2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.edge_count == 3000 * 2048
+    assert degree_sequence(g) == (2048,) * 3000 + (3000,) * 2048
+    assert peak < 2**20
 
 
 def test_constructor_validation():

@@ -1,6 +1,8 @@
 """Identity evaluators and verification sweeps against brute-force oracles."""
 
 import json
+import signal
+import time
 from itertools import combinations
 
 import pytest
@@ -19,7 +21,9 @@ from jacograph import (
     pair_sum_histogram,
     pair_sum_naive,
     prime_jaconian_index,
+    thm21_check,
     thm21_rhs,
+    thm31_check,
     thm31_rhs,
     thm32_check,
     thm33_check,
@@ -62,6 +66,15 @@ def test_thm21_term_decomposition_at_11():
 def test_thm21_matches_oracle_up_to_60():
     for n in range(2, 61):
         assert thm21_rhs(n) == brute(underlying_degrees(n + 1))
+
+
+def test_growth_checks_pit_the_oracle_against_the_recursion():
+    rec = thm21_check(11)
+    assert (rec.theorem, rec.params, rec.relation) == ("thm21", {"n": 11}, "equality")
+    assert (rec.lhs, rec.rhs, rec.matched) == (148, 148, True)
+    rec = thm31_check(11)
+    assert (rec.theorem, rec.params, rec.relation) == ("thm31", {"n": 11}, "equality")
+    assert (rec.lhs, rec.rhs, rec.matched) == (322, 322, True)
 
 
 def test_thm21_validation():
@@ -378,6 +391,20 @@ def test_empty_sweep_fails_before_any_check(monkeypatch):
         verify_sweep(["thm21", "thm32"], (1, 1))
 
 
+def domain_count(tid, n_range, m_range, i_range):
+    """Instances of ``tid`` in the ranges, counted one by one from its domain."""
+    ns = range(n_range[0], n_range[1] + 1)
+    ms = range(m_range[0], m_range[1] + 1)
+    if tid == "thm21":
+        return sum(1 for n in ns if n >= 2)
+    if tid == "thm32":
+        return sum(1 for n in ns for m in ms if m <= n)
+    if tid == "lemma31":
+        return sum(1 for n in ns for m in ms if n >= 2 and m >= 2)
+    i_lo, i_hi = i_range or (2, n_range[1])
+    return sum(1 for n in ns if n >= 3 for m in ms for i in range(2, n + 1) if i_lo <= i <= i_hi)
+
+
 def test_instance_counts_match_the_sweep(monkeypatch):
     def stub(tid):
         return lambda *args, **kwargs: CheckRecord(tid, {}, "equality", 0, 0, True)
@@ -389,12 +416,36 @@ def test_instance_counts_match_the_sweep(monkeypatch):
         for n_range in ranges:
             for m_range in ranges:
                 for i_range in [None] + (ranges if tid == "thm33" else []):
-                    count = theorems._instance_count(tid, n_range, m_range, i_range)
+                    count = domain_count(tid, n_range, m_range, i_range)
                     if count == 0:
                         with pytest.raises(ValueError, match="no instances"):
                             verify_sweep([tid], n_range, m_range, i_range)
                     else:
                         assert verify_sweep([tid], n_range, m_range, i_range).total == count
+
+
+def test_empty_sweeps_are_found_in_constant_time():
+    def walked(signum, frame):
+        raise TimeoutError("the empty-sweep check walked the ranges")
+
+    wide = (1, 10**12)
+    cases = (
+        ("thm32", (10**12 + 1, 2 * 10**12), None),  # m above every n
+        ("lemma31", (1, 1), None),
+        ("thm33", wide, (1, 1)),
+        ("thm33", wide, (10**12 + 1, 10**12 + 1)),  # join vertex above every n
+    )
+    previous = signal.signal(signal.SIGALRM, walked)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        for tid, m_range, i_range in cases:
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match=f"no instances of {tid} in"):
+                verify_sweep([tid], wide, m_range, i_range)
+            assert time.perf_counter() - start < 0.1, tid
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_summary_counts_by_theorem():
