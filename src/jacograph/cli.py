@@ -3,13 +3,21 @@
 Exit codes: 0 success (all checks matched, for ``verify``), 1 at least one
 mismatched check, 2 usage, I/O or resource error (a request too large to
 allocate).  Identical invocations produce byte-identical output.
+
+``table`` writes each row as soon as it is made, in memory of one row, so a
+run ended by an error (exit 2) may leave a prefix of the table on stdout or
+in ``--out``.  A reader that closes stdout early, as ``| head`` does, ends
+the run with exit 2 and no message.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import operator
+import os
 import sys
+from collections.abc import Iterable, Iterator, Sequence
 
 from .fibonacci import fib
 from .graphs import (
@@ -23,7 +31,7 @@ from .graphs import (
     to_dot,
     to_edge_list,
 )
-from .irregularity import degree_histogram, firr_t, irr_t, pair_sum_histogram
+from .irregularity import degree_histogram, pair_sum_histogram
 from .jaco import out_degree, underlying_degree_counts, underlying_degrees, underlying_graph
 from .theorems import THEOREM_IDS, verify_sweep
 
@@ -114,72 +122,91 @@ def counts_for_spec(spec: str) -> list[int]:
     return degree_histogram(degree_sequence(graph_for_spec(spec)))
 
 
-def _table_rows(kind: str, n_max: int) -> list[dict]:
-    """One dict per row i = 1..n_max; its keys are the JSON row keys."""
+def _table_rows(kind: str, n_max: int, values: Sequence[int] | None = None) -> Iterator[dict]:
+    """One dict per row i = 1..n_max, made when it is asked for; its keys are the JSON row keys.
+
+    ``values[i-1]``, when given, is row i's metric value from an earlier pass.
+    """
     reported = REPORTED_IRR if kind == "irr" else REPORTED_FIRR
-    rows = []
     for i in range(1, n_max + 1):
         degrees = underlying_degrees(i)
-        if kind == "irr":
-            sequence = degrees
-            value = irr_t(degrees).value
-        else:
-            sequence = tuple(fib(d) for d in degrees)
-            value = firr_t(degrees).value
+        value = pair_sum_histogram(degree_histogram(degrees), kind) if values is None else values[i - 1]
         g = out_degree(i)
         ref = reported.get(i)
-        rows.append(
-            {
-                "i": i,
-                "in_degree": i - g,
-                "out_degree": g,
-                "sequence": sequence,
-                "value": value,
-                "reported": ref,
-                "matches_reported": None if ref is None else ref == value,
-            }
-        )
-    return rows
+        yield {
+            "i": i,
+            "in_degree": i - g,
+            "out_degree": g,
+            "sequence": degrees if kind == "irr" else tuple(fib(d) for d in degrees),
+            "value": value,
+            "reported": ref,
+            "matches_reported": None if ref is None else ref == value,
+        }
 
 
-def _format_table_text(kind: str, rows: list[dict]) -> str:
+def _table_text(kind: str, n_max: int) -> Iterator[str]:
+    # The column widths are needed before the first line.  A first pass over
+    # each row's degree histogram gives them: the sequence "(w, w, ...)" of
+    # row i is 2i characters plus the digits of its i weights.  It keeps the
+    # values, so the second pass only builds and prints the sequences.
     header = ("i", "d-", "d+", "sequence", kind)
-    cells = []
-    for row in rows:
-        seq = "(" + ", ".join(str(x) for x in row["sequence"]) + ")"
+    widths = [len(h) for h in header]
+    digits: list[int] = []  # digits[d]: decimal digits of the weight of degree d
+    values = []
+    for i in range(1, n_max + 1):
+        counts = underlying_degree_counts(i)
+        for d in range(len(digits), len(counts)):
+            digits.append(len(str(d if kind == "irr" else fib(d))))
+        g = out_degree(i)
+        value = pair_sum_histogram(counts, kind)
+        values.append(value)
+        for c, cell in ((0, i), (1, i - g), (2, g), (4, value)):
+            widths[c] = max(widths[c], len(str(cell)))
+        widths[3] = max(widths[3], 2 * i + sum(map(operator.mul, counts, digits)))
+
+    def line(cells: tuple[str, ...]) -> str:
+        return "  ".join(x.ljust(widths[c]) if c == 3 else x.rjust(widths[c]) for c, x in enumerate(cells))
+
+    yield line(header) + "\n"
+    for row in _table_rows(kind, n_max, values):
+        seq = "(" + ", ".join(map(str, row["sequence"])) + ")"
         note = f"  *differs from reported {row['reported']}" if row["matches_reported"] is False else ""
-        cells.append((str(row["i"]), str(row["in_degree"]), str(row["out_degree"]), seq, str(row["value"]), note))
-    widths = [max(len(header[c]), max(len(r[c]) for r in cells)) for c in range(5)]
-    lines = [
-        "  ".join(header[c].rjust(widths[c]) if c != 3 else header[c].ljust(widths[c]) for c in range(5))
-    ]
-    for r in cells:
-        line = "  ".join(r[c].rjust(widths[c]) if c != 3 else r[c].ljust(widths[c]) for c in range(5))
-        lines.append(line + r[5])
-    return "\n".join(lines) + "\n"
+        cells = (str(row["i"]), str(row["in_degree"]), str(row["out_degree"]), seq, str(row["value"]))
+        yield line(cells) + note + "\n"
 
 
-def _format_table_csv(kind: str, rows: list[dict]) -> str:
-    lines = [f"i,in_degree,out_degree,sequence,{kind},note"]
-    for row in rows:
-        seq = "(" + ",".join(str(x) for x in row["sequence"]) + ")"
+def _table_csv(kind: str, n_max: int) -> Iterator[str]:
+    yield f"i,in_degree,out_degree,sequence,{kind},note\n"
+    for row in _table_rows(kind, n_max):
+        seq = "(" + ",".join(map(str, row["sequence"])) + ")"
         note = f"reported={row['reported']}" if row["matches_reported"] is False else ""
-        lines.append(f"{row['i']},{row['in_degree']},{row['out_degree']},{seq},{row['value']},{note}")
-    return "\n".join(lines) + "\n"
+        yield f"{row['i']},{row['in_degree']},{row['out_degree']},{seq},{row['value']},{note}\n"
 
 
-def _format_table_json(kind: str, rows: list[dict]) -> str:
-    # json writes the sequence tuples as arrays
-    return json.dumps({"kind": kind, "rows": rows}, indent=2, sort_keys=True) + "\n"
+def _table_json(kind: str, n_max: int) -> Iterator[str]:
+    # Byte-equal to json.dumps({"kind": kind, "rows": rows}, indent=2,
+    # sort_keys=True) + "\n": each row is dumped alone and indented the two
+    # levels it sits at; json writes the sequence tuples as arrays.
+    sep = f'{{\n  "kind": {json.dumps(kind)},\n  "rows": [\n'
+    for row in _table_rows(kind, n_max):
+        yield sep + "    " + json.dumps(row, indent=2, sort_keys=True).replace("\n", "\n    ")
+        sep = ",\n"
+    yield "\n  ]\n}\n"
 
 
-def _write_output(text: str, out: str | None) -> int:
+def _write_output(chunks: Iterable[str], out: str | None) -> int:
+    """Write the chunks in order to ``out``, else to stdout.
+
+    ``out`` is opened before the first chunk is asked for, so a generator
+    does no work for a path that cannot be written.  An error that stops a
+    generator leaves the chunks written before it in place.
+    """
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return 0
     try:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     except OSError as exc:
         print(f"error: cannot write {out}: {exc}", file=sys.stderr)
         return 2
@@ -190,13 +217,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
     if args.n < 1:
         print("error: table size must be >= 1", file=sys.stderr)
         return 2
-    rows = _table_rows(args.kind, args.n)
-    formatter = {
-        "text": _format_table_text,
-        "csv": _format_table_csv,
-        "json": _format_table_json,
-    }[args.format]
-    return _write_output(formatter(args.kind, rows), args.out)
+    formatter = {"text": _table_text, "csv": _table_csv, "json": _table_json}[args.format]
+    return _write_output(formatter(args.kind, args.n), args.out)
 
 
 def decimal_string(value: int) -> str:
@@ -233,7 +255,7 @@ def decimal_string(value: int) -> str:
 
 def _cmd_metric(args: argparse.Namespace) -> int:
     value = pair_sum_histogram(counts_for_spec(args.spec), args.kind)
-    return _write_output(decimal_string(value) + "\n", args.out)
+    return _write_output([decimal_string(value), "\n"], args.out)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -244,7 +266,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     # The JSON report goes to --out, else to stdout with --format json; the
     # summary goes to stdout whenever the report does not.
     if args.out is not None or args.format == "json":
-        rc = _write_output(json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n", args.out)
+        rc = _write_output([json.dumps(report.to_json_dict(), indent=2, sort_keys=True), "\n"], args.out)
         if rc != 0:
             return rc
     if args.out is not None or args.format == "text":
@@ -260,7 +282,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
         text = to_edge_list(g)
     else:
         text = json.dumps({"n": g.n, "edges": [list(e) for e in g.edges()]}, sort_keys=True) + "\n"
-    return _write_output(text, args.out)
+    return _write_output([text], args.out)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -350,7 +372,16 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        rc = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return rc
+    except BrokenPipeError:
+        # The reader closed stdout (as `| head` does): an I/O error, not a
+        # verdict.  Stdout now writes to devnull, so the flush at exit is silent.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 2
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

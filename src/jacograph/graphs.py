@@ -111,23 +111,28 @@ def path(n: int) -> SimpleGraph:
     """Path v_1 - v_2 - ... - v_n; a single vertex for n = 1."""
     if n < 1:
         raise ValueError(f"path needs n >= 1, got {n}")
-    return SimpleGraph(n, ((i, i + 1) for i in range(1, n)))
+    if n == 1:
+        return SimpleGraph._from_sorted_adjacency([(), ()])
+    inner = zip(range(1, n - 1), range(3, n + 1))  # v_i has i - 1 and i + 1, for 1 < i < n
+    return SimpleGraph._from_sorted_adjacency([(), (2,), *inner, (n - 1,)])
 
 
 def cycle(n: int) -> SimpleGraph:
     """Cycle on n >= 3 vertices."""
     if n < 3:
         raise ValueError(f"cycle needs n >= 3, got {n}")
-    edges = [(i, i + 1) for i in range(1, n)]
-    edges.append((1, n))
-    return SimpleGraph(n, edges)
+    inner = zip(range(1, n - 1), range(3, n + 1))
+    return SimpleGraph._from_sorted_adjacency([(), (2, n), *inner, (1, n - 1)])
 
 
 def star(n: int) -> SimpleGraph:
-    """Star with center 1 and n >= 1 leaves (n + 1 vertices total)."""
+    """Star with center 1 and n >= 1 leaves (n + 1 vertices total).
+
+    The leaves share one neighbor tuple, so the graph takes O(n) memory.
+    """
     if n < 1:
         raise ValueError(f"star needs n >= 1 leaves, got {n}")
-    return SimpleGraph(n + 1, ((1, leaf) for leaf in range(2, n + 2)))
+    return SimpleGraph._from_sorted_adjacency([(), tuple(range(2, n + 2))] + [(1,)] * n)
 
 
 def complete_bipartite(n: int, m: int) -> SimpleGraph:

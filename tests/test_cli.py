@@ -5,25 +5,36 @@ import os
 import random
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import jacograph
-from jacograph import pair_sum_histogram, underlying_degree_counts
-from jacograph.cli import decimal_string, main
+from jacograph import (
+    fib,
+    firr_t,
+    irr_t,
+    out_degree,
+    pair_sum_histogram,
+    underlying_degree_counts,
+    underlying_degrees,
+)
+from jacograph.cli import REPORTED_FIRR, REPORTED_IRR, decimal_string, main
+
+
+def module_env():
+    """Environment of a child that imports the package under test, installed or not."""
+    src = str(Path(jacograph.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def run_module(*argv):
-    """``python -m jacograph`` in a child that imports the package under test,
-    installed or not."""
-    src = str(Path(jacograph.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    """``python -m jacograph`` in a child."""
     return subprocess.run(
-        [sys.executable, "-m", "jacograph", *argv],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        [sys.executable, "-m", "jacograph", *argv], capture_output=True, text=True, env=module_env()
     )
 
 
@@ -289,3 +300,106 @@ def test_table_formats_agree_on_values(fmt, capsys):
     rc, out, _ = run_cli(capsys, "table", "irr", "5", "--format", fmt)
     assert rc == 0
     assert "8" in out  # irr of the 5-vertex graph
+
+
+def reference_table(kind, n_max, fmt):
+    """The whole table as one string, rendered from rows held all at once."""
+    reported, metric = (REPORTED_IRR, irr_t) if kind == "irr" else (REPORTED_FIRR, firr_t)
+    rows = []
+    for i in range(1, n_max + 1):
+        degrees = underlying_degrees(i)
+        value = metric(degrees).value
+        ref = reported.get(i)
+        rows.append(
+            {
+                "i": i,
+                "in_degree": i - out_degree(i),
+                "out_degree": out_degree(i),
+                "sequence": list(degrees) if kind == "irr" else [fib(d) for d in degrees],
+                "value": value,
+                "reported": ref,
+                "matches_reported": None if ref is None else ref == value,
+            }
+        )
+    if fmt == "json":
+        return json.dumps({"kind": kind, "rows": rows}, indent=2, sort_keys=True) + "\n"
+    if fmt == "csv":
+        lines = [f"i,in_degree,out_degree,sequence,{kind},note"]
+        for r in rows:
+            seq = "(" + ",".join(str(x) for x in r["sequence"]) + ")"
+            note = f"reported={r['reported']}" if r["matches_reported"] is False else ""
+            lines.append(f"{r['i']},{r['in_degree']},{r['out_degree']},{seq},{r['value']},{note}")
+        return "\n".join(lines) + "\n"
+    header = ("i", "d-", "d+", "sequence", kind)
+    cells = [header]
+    for r in rows:
+        seq = "(" + ", ".join(str(x) for x in r["sequence"]) + ")"
+        cells.append((str(r["i"]), str(r["in_degree"]), str(r["out_degree"]), seq, str(r["value"])))
+    widths = [max(len(c[col]) for c in cells) for col in range(5)]
+    lines = []
+    for c, r in zip(cells, [None] + rows):
+        line = "  ".join(c[k].ljust(widths[k]) if k == 3 else c[k].rjust(widths[k]) for k in range(5))
+        if r is not None and r["matches_reported"] is False:
+            line += f"  *differs from reported {r['reported']}"
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("kind", ["irr", "firr"])
+def test_streamed_table_equals_the_whole_string_rendering(kind, fmt, tmp_path, capsys):
+    # 12 and 8 hold the annotated rows (irr i = 12, firr i = 8)
+    for n in (1, 2, 8, 12, 13, 40, 300):
+        expected = reference_table(kind, n, fmt)
+        assert run_cli(capsys, "table", kind, str(n), "--format", fmt) == (0, expected, ""), n
+        out_path = tmp_path / f"{kind}-{n}.{fmt}"
+        rc, out, err = run_cli(capsys, "table", kind, str(n), "--format", fmt, "--out", str(out_path))
+        assert (rc, out, err) == (0, "", "")
+        assert out_path.read_bytes() == expected.encode(), n
+
+
+@pytest.mark.parametrize("argv", [("irr", "2000", "--format", "csv"), ("firr", "1000", "--format", "json")])
+def test_table_streams_in_memory_of_one_row(argv, monkeypatch):
+    # Rows are written as they are made: each run peaked at 0.4 MiB
+    # (CPython 3.11).  Holding every row and rendering one string took
+    # 85 MiB (csv) and 94 MiB (json).
+    with open(os.devnull, "w", encoding="utf-8") as sink:
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            rc = main(["table", *argv])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert rc == 0
+    assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("n, read", [("2000", 100), ("3", 0)])
+def test_closed_stdout_exits_2_without_a_traceback(n, read):
+    # With stdout block-buffered, as it is by default on a pipe, a large
+    # table meets the closed pipe while it writes, a small one only when its
+    # buffered output is flushed.
+    env = module_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "jacograph", "table", "irr", n, "--format", "csv"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    head = proc.stdout.read(read)
+    proc.stdout.close()  # as `| head -c 100` does
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert b"i,in_degree,out_degree,sequence,irr,note\n".startswith(head[:41])
+    assert err == b""
+
+
+def test_table_unwritable_out_fails_before_any_row(tmp_path, capsys):
+    start = time.perf_counter()
+    rc, out, err = run_cli(capsys, "table", "irr", "1000000", "--out", str(tmp_path / "missing" / "x.csv"))
+    assert time.perf_counter() - start < 1
+    assert rc == 2 and out == ""
+    assert err.startswith("error: cannot write") and len(err.splitlines()) == 1
