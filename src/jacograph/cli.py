@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import operator
 import os
 import sys
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 
 from .fibonacci import fib
 from .graphs import (
@@ -111,26 +110,42 @@ def graph_for_spec(spec: str) -> SimpleGraph:
         raise SpecError(f"graph spec {spec!r}: {exc}") from exc
 
 
+def _family_counts(kind: str, args: list[int]) -> list[int] | None:
+    """Degree histogram of a named family, or None where its builder refuses the arguments."""
+    n = args[0]
+    if kind == "path" and n >= 1:
+        return [1] if n == 1 else [0, 2] if n == 2 else [0, 2, n - 2]
+    if kind == "cycle" and n >= 3:
+        return [0, 0, n]
+    m = args[1] if kind == "biclique" else 1  # a star with n leaves has the degrees of biclique n, 1
+    if kind in ("star", "biclique") and n >= m >= 1:
+        counts = [0] * (n + 1)
+        counts[m] += n
+        counts[n] += m
+        return counts
+    return None
+
+
 def counts_for_spec(spec: str) -> list[int]:
-    """Degree histogram for a spec; Jaco graphs skip per-vertex data entirely."""
+    """Degree histogram for a spec; only an edge-list file builds its graph."""
     kind, args = _parse_spec(spec)
     if kind == "jaco":
         try:
             return underlying_degree_counts(args[0])
         except ValueError as exc:
             raise SpecError(f"graph spec {spec!r}: {exc}") from exc
-    return degree_histogram(degree_sequence(graph_for_spec(spec)))
+    counts = None if kind == "file" else _family_counts(kind, args)
+    if counts is None:  # a file, or arguments the builder refuses with its own message
+        counts = degree_histogram(degree_sequence(graph_for_spec(spec)))
+    return counts
 
 
-def _table_rows(kind: str, n_max: int, values: Sequence[int] | None = None) -> Iterator[dict]:
-    """One dict per row i = 1..n_max, made when it is asked for; its keys are the JSON row keys.
-
-    ``values[i-1]``, when given, is row i's metric value from an earlier pass.
-    """
+def _table_rows(kind: str, first: int, last: int) -> Iterator[dict]:
+    """One dict per row i = first..last, made when it is asked for; its keys are the JSON row keys."""
     reported = REPORTED_IRR if kind == "irr" else REPORTED_FIRR
-    for i in range(1, n_max + 1):
+    for i in range(first, last + 1):
         degrees = underlying_degrees(i)
-        value = pair_sum_histogram(degree_histogram(degrees), kind) if values is None else values[i - 1]
+        value = pair_sum_histogram(degree_histogram(degrees), kind)
         g = out_degree(i)
         ref = reported.get(i)
         yield {
@@ -145,39 +160,38 @@ def _table_rows(kind: str, n_max: int, values: Sequence[int] | None = None) -> I
 
 
 def _table_text(kind: str, n_max: int) -> Iterator[str]:
-    # The column widths are needed before the first line.  A first pass over
-    # each row's degree histogram gives them: the sequence "(w, w, ...)" of
-    # row i is 2i characters plus the digits of its i weights.  It keeps the
-    # values, so the second pass only builds and prints the sequences.
+    # The column widths are needed before the first line.  Those of the last
+    # row are the widest, as every column is non-decreasing in i; row i is
+    # the graph on i vertices.  i - G(i) and G(i) never fall, since G steps
+    # by 0 or 1.  Vertex v has degree min(v, i - G(v)), which never falls as
+    # i grows, and the weights d and f_d never fall as d grows, so each
+    # entry of the sequence keeps or gains digits, and row i + 1 adds one.
+    # The value never falls: in the thm21 and thm31 decompositions of row
+    # i + 1 (see jacograph.theorems) every term is >= 0 once each bumped
+    # tail degree, at least i - G(i), is at least half the cut
+    # k = G(i + 1) - 1 <= G(i).  So 2i >= 3G(i) suffices, which holds for
+    # i >= 13 as G(i) <= (i + 1)/phi, and below 13 fails only at i = 1 and
+    # i = 4, where irr goes 0 -> 0 and 4 -> 8, firr 0 -> 0 and 0 -> 4.
     header = ("i", "d-", "d+", "sequence", kind)
-    widths = [len(h) for h in header]
-    digits: list[int] = []  # digits[d]: decimal digits of the weight of degree d
-    values = []
-    for i in range(1, n_max + 1):
-        counts = underlying_degree_counts(i)
-        for d in range(len(digits), len(counts)):
-            digits.append(len(str(d if kind == "irr" else fib(d))))
-        g = out_degree(i)
-        value = pair_sum_histogram(counts, kind)
-        values.append(value)
-        for c, cell in ((0, i), (1, i - g), (2, g), (4, value)):
-            widths[c] = max(widths[c], len(str(cell)))
-        widths[3] = max(widths[3], 2 * i + sum(map(operator.mul, counts, digits)))
 
-    def line(cells: tuple[str, ...]) -> str:
-        return "  ".join(x.ljust(widths[c]) if c == 3 else x.rjust(widths[c]) for c, x in enumerate(cells))
+    def cells(row: dict) -> tuple[str, ...]:
+        seq = "(" + ", ".join(map(str, row["sequence"])) + ")"
+        return str(row["i"]), str(row["in_degree"]), str(row["out_degree"]), seq, str(row["value"])
+
+    widths = [max(len(h), len(x)) for h, x in zip(header, cells(next(_table_rows(kind, n_max, n_max))))]
+
+    def line(xs: tuple[str, ...]) -> str:
+        return "  ".join(x.ljust(widths[c]) if c == 3 else x.rjust(widths[c]) for c, x in enumerate(xs))
 
     yield line(header) + "\n"
-    for row in _table_rows(kind, n_max, values):
-        seq = "(" + ", ".join(map(str, row["sequence"])) + ")"
+    for row in _table_rows(kind, 1, n_max):
         note = f"  *differs from reported {row['reported']}" if row["matches_reported"] is False else ""
-        cells = (str(row["i"]), str(row["in_degree"]), str(row["out_degree"]), seq, str(row["value"]))
-        yield line(cells) + note + "\n"
+        yield line(cells(row)) + note + "\n"
 
 
 def _table_csv(kind: str, n_max: int) -> Iterator[str]:
     yield f"i,in_degree,out_degree,sequence,{kind},note\n"
-    for row in _table_rows(kind, n_max):
+    for row in _table_rows(kind, 1, n_max):
         seq = "(" + ",".join(map(str, row["sequence"])) + ")"
         note = f"reported={row['reported']}" if row["matches_reported"] is False else ""
         yield f"{row['i']},{row['in_degree']},{row['out_degree']},{seq},{row['value']},{note}\n"
@@ -188,7 +202,7 @@ def _table_json(kind: str, n_max: int) -> Iterator[str]:
     # sort_keys=True) + "\n": each row is dumped alone and indented the two
     # levels it sits at; json writes the sequence tuples as arrays.
     sep = f'{{\n  "kind": {json.dumps(kind)},\n  "rows": [\n'
-    for row in _table_rows(kind, n_max):
+    for row in _table_rows(kind, 1, n_max):
         yield sep + "    " + json.dumps(row, indent=2, sort_keys=True).replace("\n", "\n    ")
         sep = ",\n"
     yield "\n  ]\n}\n"
@@ -381,9 +395,6 @@ def main(argv: list[str] | None = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        return 2
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

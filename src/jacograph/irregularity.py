@@ -41,13 +41,19 @@ lo + s, merge by f_{x+s} = f_{s-1} f_x + f_s f_{x+1}:
 So the work goes into a few products of balanced size, O(M(bits) log D) in
 all with M the cost of one multiplication, where D additions on numbers as
 long as the result cost O(D bits).  The f_s come from the fast-doubling
-:func:`~jacograph.fibonacci.fib_pair`, once per segment length.  A leaf of
-at most ``_LEAF`` degrees is Horner's rule from its top down, a step
-(p, q) -> (q + g_d, p + q) of big-integer additions, and a histogram of one
-leaf runs only that loop.  The leaves run from the top down and pass the
-prefix counts on, so no list of coefficients is built and memory stays O(D)
-words plus the result.  The kernel never reads or fills the shared cache
-of :mod:`jacograph.fibonacci`.
+:func:`~jacograph.fibonacci.fib_pair`, once per segment length.
+
+The kernel is split in two.  What a metric contributes is a stream of its
+coefficients from the top degree down, a generator that carries the prefix
+counts from each degree to the next: the straddle counts L_d (n - L_d),
+which irr_t sums and firr_t weights (one stream serves both), or the
+firr_pm terms c_d m_d + Y_d (m_d - Y_d).  One binary splitting routine takes
+either stream.  Its leaf, at most ``_LEAF`` degrees, is Horner's rule over
+the stream's next terms, a step (p, q) -> (q + g_d, p + q) of big-integer
+additions, and a histogram of one leaf runs only that loop.  The leaves
+draw their terms in order, top down, so no list of coefficients is built
+and memory stays O(D) words plus the result.  The kernel never reads or
+fills the shared cache of :mod:`jacograph.fibonacci`.
 
 The pair sum over a union A + B is the pair sum inside A, plus the one
 inside B, plus the cross sum over a in A, b in B of |w_a - w_b|, for any
@@ -57,7 +63,7 @@ weights.  So three kernel calls give that cross sum exactly
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import islice
 
@@ -135,67 +141,61 @@ def pair_sum_histogram(counts: Sequence[int], kind: str) -> int:
     the largest degree, not with the number of vertices; the Fibonacci kinds
     split histograms longer than one leaf, as the module docstring says.
     """
-    n = sum(counts)
-    above = 0  # degrees > d, so L_d = n - above
     if kind == "irr":
-        total = 0
-        for c in reversed(counts):
-            total += above * (n - above)
-            above += c
-        return total
-    rest = reversed(counts)  # the leaves take their counts from here, top down
-    # Each leaf is a Horner pass over its next ``size`` degrees, from the
-    # state the leaf above left: p = sum g_e f_{e-d-1}, q = sum g_e f_{e-d}
-    # over the leaf's e >= d, so its (A, B) is (q, p + q).
+        return sum(_straddles(counts))
     if kind == "firr":
-
-        def leaf(size: int) -> tuple[int, int]:
-            nonlocal above
-            p = q = 0
-            for c in islice(rest, size):
-                p, q = q + above * (n - above), p + q
-                above += c
-            return q, p + q
-
-        a, b = _fibonacci_split(leaf, len(counts), {})
+        a, b = _fibonacci_split(_straddles(counts), len(counts), {})
         return b - a  # f_{d+1} - f_d = f_{d-1}
     if kind == "firrpm":
-        # "this" is the parity class of the current d, "that" the other one;
-        # they swap at every step.
-        n_odd = sum(islice(counts, 1, None, 2))
-        this_n, that_n = (n_odd, n - n_odd) if len(counts) % 2 == 0 else (n - n_odd, n_odd)
-        this_above = that_above = 0
-
-        def leaf(size: int) -> tuple[int, int]:
-            nonlocal this_n, that_n, this_above, that_above
-            p = q = 0
-            for c in islice(rest, size):
-                p, q = q + c * that_n + that_above * (that_n - that_above), p + q
-                this_above, that_above = that_above, this_above + c
-                this_n, that_n = that_n, this_n
-            return q, p + q
-
-        return _fibonacci_split(leaf, len(counts), {})[0]
+        return _fibonacci_split(_parity_terms(counts), len(counts), {})[0]
     raise ValueError(f"unknown metric kind {kind!r}")
 
 
+def _straddles(counts: Sequence[int]) -> Iterator[int]:
+    """L_d (n - L_d) for d = D, D - 1, ..., 0: the pairs straddling d -> d + 1."""
+    n = sum(counts)
+    above = 0  # degrees > d, so L_d = n - above
+    for c in reversed(counts):
+        yield above * (n - above)
+        above += c
+
+
+def _parity_terms(counts: Sequence[int]) -> Iterator[int]:
+    """c_d m_d + Y_d (m_d - Y_d) for d = D, D - 1, ..., 0: the firr_pm coefficients."""
+    n = sum(counts)
+    n_odd = sum(islice(counts, 1, None, 2))
+    # "this" is the parity class of the current d, "that" the other one; they
+    # swap at every step.  that_above = m_d - Y_d, the other class above d.
+    this_n, that_n = (n_odd, n - n_odd) if len(counts) % 2 == 0 else (n - n_odd, n_odd)
+    this_above = that_above = 0
+    for c in reversed(counts):
+        yield c * that_n + that_above * (that_n - that_above)
+        this_above, that_above = that_above, this_above + c
+        this_n, that_n = that_n, this_n
+
+
 def _fibonacci_split(
-    leaf: Callable[[int], tuple[int, int]], size: int, shifts: dict[int, tuple[int, int, int]]
+    terms: Iterator[int], size: int, shifts: dict[int, tuple[int, int, int]]
 ) -> tuple[int, int]:
     """(A, B) = (sum g_d f_{d-lo}, sum g_d f_{d-lo+1}) over d in [lo, lo + size).
 
-    ``leaf(k)`` returns that pair for the next k degrees below those already
-    visited, so the upper half goes first.  The halves [lo, lo + s) and
-    [lo + s, lo + size) merge by f_{x+s} = f_{s-1} f_x + f_s f_{x+1}, in
+    ``terms`` yields the coefficients g_d from the top down, so the upper
+    half goes first.  A leaf is Horner's rule over its next ``size`` terms:
+    after the step for d, p = sum g_e f_{e-d-1} and q = sum g_e f_{e-d} over
+    the leaf's e >= d, so its (A, B) is (q, p + q).  The halves [lo, lo + s)
+    and [lo + s, lo + size) merge by f_{x+s} = f_{s-1} f_x + f_s f_{x+1}, in
     three products: with X = f_s (A_up + B_up),
     A = A_low + X - f_{s-2} A_up and B = B_low + X + f_{s-1} B_up.
     ``shifts`` memoizes (f_{s-2}, f_{s-1}, f_s) per s for one kernel call.
     """
     if size <= _LEAF:
-        return leaf(size)
+        p = q = 0
+        for g in islice(terms, size):
+            p, q = q + g, p + q
+        return q, p + q
     s = size // 2
-    a_up, b_up = _fibonacci_split(leaf, size - s, shifts)
-    a_low, b_low = _fibonacci_split(leaf, s, shifts)
+    a_up, b_up = _fibonacci_split(terms, size - s, shifts)
+    a_low, b_low = _fibonacci_split(terms, s, shifts)
     if s not in shifts:
         f, g = fib_pair(s)
         shifts[s] = (2 * f - g, g - f, f)
@@ -227,9 +227,13 @@ def cross_pair_sum(counts_a: Sequence[int], counts_b: Sequence[int], kind: str) 
     )
 
 
-def _check_method(method: str) -> None:
-    if method not in (METHOD_NAIVE, METHOD_SORTED):
-        raise ValueError(f"unknown method {method!r}")
+def _metric(degrees: Iterable[int], method: str, kind: str, weight: Callable[[int], int]) -> IrrValue:
+    """Metric ``kind`` of a degree sequence: the pairwise oracle over ``weight``, or the kernel."""
+    if method == METHOD_NAIVE:
+        return IrrValue(pair_sum_naive([weight(d) for d in _checked_degrees(degrees)]), METHOD_NAIVE)
+    if method == METHOD_SORTED:
+        return IrrValue(pair_sum_histogram(degree_histogram(degrees), kind), METHOD_SORTED)
+    raise ValueError(f"unknown method {method!r}")
 
 
 def irr_t(degrees: Iterable[int], method: str = METHOD_SORTED) -> IrrValue:
@@ -237,18 +241,12 @@ def irr_t(degrees: Iterable[int], method: str = METHOD_SORTED) -> IrrValue:
 
     Empty and single-entry sequences give 0.
     """
-    _check_method(method)
-    if method == METHOD_NAIVE:
-        return IrrValue(pair_sum_naive(_checked_degrees(degrees)), METHOD_NAIVE)
-    return IrrValue(pair_sum_histogram(degree_histogram(degrees), "irr"), METHOD_SORTED)
+    return _metric(degrees, method, "irr", int)
 
 
 def firr_t(degrees: Iterable[int], method: str = METHOD_SORTED) -> IrrValue:
     """Total fibonaccian irregularity: pair sum over the weights f_d."""
-    _check_method(method)
-    if method == METHOD_NAIVE:
-        return IrrValue(pair_sum_naive([fib(d) for d in _checked_degrees(degrees)]), METHOD_NAIVE)
-    return IrrValue(pair_sum_histogram(degree_histogram(degrees), "firr"), METHOD_SORTED)
+    return _metric(degrees, method, "firr", fib)
 
 
 def firr_pm(degrees: Iterable[int], method: str = METHOD_SORTED) -> IrrValue:
@@ -256,11 +254,7 @@ def firr_pm(degrees: Iterable[int], method: str = METHOD_SORTED) -> IrrValue:
 
     The result is a non-negative integer.
     """
-    _check_method(method)
-    if method == METHOD_NAIVE:
-        weights = [signed_weight_of_degree(d) for d in _checked_degrees(degrees)]
-        return IrrValue(pair_sum_naive(weights), METHOD_NAIVE)
-    return IrrValue(pair_sum_histogram(degree_histogram(degrees), "firrpm"), METHOD_SORTED)
+    return _metric(degrees, method, "firrpm", signed_weight_of_degree)
 
 
 def star_firr_closed(n: int) -> IrrValue:

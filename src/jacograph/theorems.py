@@ -113,23 +113,14 @@ class CheckRecord:
         return out
 
 
-def _record_sort_key(rec: CheckRecord) -> tuple:
-    p = rec.params
-    return (rec.theorem, p.get("n", 0), p.get("m", -1), p.get("i", -1))
-
-
 @dataclass
 class VerifyReport:
-    """Accumulated check records plus summary counts, sorted by parameters."""
+    """Accumulated check records plus summary counts, in the order they were added."""
 
     records: list[CheckRecord] = field(default_factory=list)
 
     def add(self, record: CheckRecord) -> None:
         self.records.append(record)
-
-    def finalize(self) -> "VerifyReport":
-        self.records.sort(key=_record_sort_key)
-        return self
 
     @property
     def total(self) -> int:
@@ -391,7 +382,7 @@ def _instances(
     i_range: tuple[int, int] | None,
     memo: dict,
 ) -> Iterator[tuple[int, ...]]:
-    """Parameter tuples of check ``tid`` in the ranges, in sweep order.
+    """Parameter tuples of check ``tid`` in the ranges, in ascending (n, m, i) order.
 
     Each loop starts at its first value with an instance, and a range that
     leaves none stops the generator at once, so asking for the first tuple
@@ -464,8 +455,10 @@ def verify_sweep(
         "lemma31": lemma31_check,
         "thm33": thm33_check,
     }
+    # Ids in sorted order, each with its tuples in ascending (n, m, i) order:
+    # the records come out sorted by (theorem, n, m, i) with no sort after.
     report = VerifyReport()
-    for tid in ids:
+    for tid in sorted(ids):
         for params in _instances(tid, n_range, m_range, i_range, memo):
             report.add(checks[tid](*params))
-    return report.finalize()
+    return report

@@ -1,27 +1,33 @@
 """Command-line surface: formats, exit codes, determinism."""
 
 import json
+import operator
 import os
 import random
 import subprocess
 import sys
 import time
-import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import jacograph
 from jacograph import (
+    complete_bipartite,
+    cycle,
+    degree_histogram,
+    degree_sequence,
     fib,
     firr_t,
     irr_t,
     out_degree,
     pair_sum_histogram,
+    path,
+    star,
     underlying_degree_counts,
     underlying_degrees,
 )
-from jacograph.cli import REPORTED_FIRR, REPORTED_IRR, decimal_string, main
+from jacograph.cli import REPORTED_FIRR, REPORTED_IRR, counts_for_spec, decimal_string, main
 
 
 def module_env():
@@ -120,6 +126,35 @@ def test_metric_bad_specs(capsys):
         rc, _, err = run_cli(capsys, "metric", "irr", spec)
         assert rc == 2, spec
         assert "error" in err
+
+
+def test_family_histograms_are_those_of_the_built_graphs(monkeypatch):
+    built = {}
+    for n in range(1, 13):
+        built[f"path:{n}"] = path(n)
+        built[f"star:{n}"] = star(n)
+        if n >= 3:
+            built[f"cycle:{n}"] = cycle(n)
+        for m in range(1, n + 1):
+            built[f"biclique:{n}:{m}"] = complete_bipartite(n, m)
+
+    def refuse(spec):
+        raise AssertionError(f"{spec} built its graph")
+
+    monkeypatch.setattr("jacograph.cli.graph_for_spec", refuse)
+    for spec, g in built.items():
+        assert counts_for_spec(spec) == degree_histogram(degree_sequence(g)), spec
+
+
+def test_family_bad_arguments_keep_the_builders_messages(capsys):
+    for spec, message in (
+        ("path:0", "path needs n >= 1, got 0"),
+        ("cycle:2", "cycle needs n >= 3, got 2"),
+        ("star:-1", "star needs n >= 1 leaves, got -1"),
+        ("biclique:2:3", "complete bipartite needs n >= m >= 1, got (2, 3)"),
+        ("biclique:2:0", "complete bipartite needs n >= m >= 1, got (2, 0)"),
+    ):
+        assert run_cli(capsys, "metric", "irr", spec) == (2, "", f"error: graph spec {spec!r}: {message}\n")
 
 
 def test_metric_too_large_exits_2(capsys):
@@ -358,21 +393,63 @@ def test_streamed_table_equals_the_whole_string_rendering(kind, fmt, tmp_path, c
         assert out_path.read_bytes() == expected.encode(), n
 
 
+@pytest.mark.parametrize("kind, n_max", [("irr", 2000), ("firr", 1000)])
+def test_table_text_widths_of_the_last_row_are_the_widest(kind, n_max):
+    # The text table takes its column widths from its last row alone.  For
+    # every table size up to n_max, the cell lengths of its last row must be
+    # the largest of any of its rows.
+    weight = (lambda d: d) if kind == "irr" else fib
+    digits = []  # digits[d]: decimal digits of the weight of degree d
+    widest = (0,) * 5
+    for i in range(1, n_max + 1):
+        counts = underlying_degree_counts(i)
+        digits.extend(len(str(weight(d))) for d in range(len(digits), len(counts)))
+        g = out_degree(i)
+        # the sequence "(w, w, ...)" of row i is 2i characters plus the digits of its weights
+        seq = 2 * i + sum(map(operator.mul, counts, digits))
+        lengths = (len(str(i)), len(str(i - g)), len(str(g)), seq, len(str(pair_sum_histogram(counts, kind))))
+        widest = tuple(map(max, widest, lengths))
+        assert lengths == widest, i
+
+
+# Runs ``python -m jacograph ARGV...`` as the child of this small
+# interpreter, stdout to /dev/null, reaps it with os.wait4 and prints
+# "exit_code maxrss_kb".  A child's ru_maxrss starts from the peak RSS of
+# the process it was forked from, so the test process itself, far larger
+# than the runs it measures, must not be the parent.
+REAPER = """
+import os, sys
+pid = os.fork()
+if pid == 0:
+    try:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+        os.execv(sys.executable, [sys.executable, "-m", "jacograph", *sys.argv[1:]])
+    finally:
+        os._exit(127)
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def peak_rss_kb(*argv):
+    """Exit code and peak RSS (KiB) of one CLI run in a fresh process."""
+    cmd = [sys.executable, "-S", "-c", REAPER, *argv]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=module_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rc, maxrss_kb = map(int, proc.stdout.split())
+    return rc, maxrss_kb
+
+
 @pytest.mark.parametrize("argv", [("irr", "2000", "--format", "csv"), ("firr", "1000", "--format", "json")])
-def test_table_streams_in_memory_of_one_row(argv, monkeypatch):
-    # Rows are written as they are made: each run peaked at 0.4 MiB
-    # (CPython 3.11).  Holding every row and rendering one string took
-    # 85 MiB (csv) and 94 MiB (json).
-    with open(os.devnull, "w", encoding="utf-8") as sink:
-        monkeypatch.setattr(sys, "stdout", sink)
-        tracemalloc.start()
-        try:
-            rc = main(["table", *argv])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert rc == 0
-    assert peak < 4 * 2**20
+def test_table_streams_in_memory_of_one_row(argv):
+    # Rows are written as they are made: each run peaked within 0.5 MiB of
+    # the interpreter's own floor, a run of `metric irr jaco:1` (about
+    # 16 MiB, CPython 3.11).  Holding every row and rendering one string
+    # peaked at 103 MB (csv) and 115 MB (json).
+    floor = peak_rss_kb("metric", "irr", "jaco:1")
+    rc, peak = peak_rss_kb("table", *argv)
+    assert floor[0] == rc == 0
+    assert peak - floor[1] < 4 * 1024
 
 
 @pytest.mark.parametrize("n, read", [("2000", 100), ("3", 0)])

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import jacograph.theorems as theorems
 from jacograph import (
+    THEOREM_IDS,
     CheckRecord,
     cor31_check,
     degree_histogram,
@@ -359,6 +360,16 @@ def test_sweep_orders_records_and_serializes():
     assert back["all_matched"] is True
     assert back["checks"][0]["params"] == {"n": 2}
     assert {c["theorem"] for c in back["checks"]} == {"thm21", "thm31"}
+
+
+def test_sweep_output_does_not_depend_on_the_order_of_the_ids():
+    outputs = []
+    for ids in (list(THEOREM_IDS), [*reversed(THEOREM_IDS), "thm32", "thm21", "thm33"]):
+        report = verify_sweep(ids, (2, 7), (1, 4))
+        outputs.append((report.summary_text(), json.dumps(report.to_json_dict(), indent=2, sort_keys=True)))
+    assert outputs[0] == outputs[1]
+    keys = [(r.theorem, *r.params.values()) for r in report.records]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
 
 
 def test_sweep_validation():
