@@ -34,7 +34,7 @@ from .irregularity import degree_histogram, pair_sum_histogram
 from .jaco import out_degree, underlying_degree_counts, underlying_degrees, underlying_graph
 from .theorems import THEOREM_IDS, verify_sweep
 
-__all__ = ["main", "decimal_string"]
+__all__ = ["main"]
 
 # Previously reported reference values for the first twelve Jaco graphs.
 # Exact recomputation disagrees with two of them (irr of J*_12 is 148, firr
@@ -44,12 +44,6 @@ REPORTED_IRR = {1: 0, 2: 0, 3: 2, 4: 4, 5: 8, 6: 14, 7: 26, 8: 42, 9: 60, 10: 86
 REPORTED_FIRR = {1: 0, 2: 0, 3: 0, 4: 0, 5: 4, 6: 9, 7: 20, 8: 54, 9: 70, 10: 133, 11: 224, 12: 322}
 
 _FAMILIES = ("jaco", "path", "cycle", "star", "biclique")
-
-# Values below this (up to 10 000 digits) print through str().  Before
-# CPython 3.12 str() takes time quadratic in the digits, and on CPython 3.11
-# it is as fast as the split near 10 000 digits, twice as slow at 30 000.
-_STR_LIMIT = 10**10_000
-_SPLIT_BITS = 1024  # the pieces small enough to convert directly
 
 
 class SpecError(ValueError):
@@ -235,41 +229,21 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return _write_output(formatter(args.kind, args.n), args.out)
 
 
-def decimal_string(value: int) -> str:
-    """Decimal digits of ``value``, byte-equal to ``str(value)``.
-
-    Values of more than 10 000 digits are converted divide and conquer, the
-    technique of CPython 3.12's ``Lib/_pylong.py``: split the bits in halves
-    by shifts, convert the halves, and join them as high * 2^k + low in the
-    stdlib ``decimal`` module, whose products of long numbers are fast.  No
-    int-to-str conversion happens on that path, so
-    ``sys.set_int_max_str_digits`` does not limit it.
-    """
-    if value < _STR_LIMIT:
-        return str(value)
-    import decimal  # only here: importing it costs every start-up about 2.5 ms
-
-    with decimal.localcontext() as ctx:
-        ctx.prec = decimal.MAX_PREC
-        ctx.Emax = decimal.MAX_EMAX
-        ctx.traps[decimal.Inexact] = True  # never round
-        powers: dict[int, decimal.Decimal] = {}
-
-        def convert(x: int, bits: int) -> decimal.Decimal:  # 0 <= x < 2^bits
-            if bits <= _SPLIT_BITS:
-                return decimal.Decimal(x)
-            half = bits // 2
-            high = x >> half
-            if half not in powers:
-                powers[half] = decimal.Decimal(2) ** half
-            return convert(high, bits - half) * powers[half] + convert(x - (high << half), half)
-
-        return str(convert(value, value.bit_length()))
-
-
 def _cmd_metric(args: argparse.Namespace) -> int:
-    value = pair_sum_histogram(counts_for_spec(args.spec), args.kind)
-    return _write_output([decimal_string(value), "\n"], args.out)
+    counts = counts_for_spec(args.spec)  # a bad spec fails here, before --out is opened
+
+    def chunks() -> Iterator[str]:  # the kernel runs once --out is open
+        # In decimal the long products are fast and the value prints with no
+        # int-to-str conversion; this context raises rather than rounds.
+        # Imported here, as it costs every start-up about 1.5 ms.
+        import decimal
+
+        exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
+        with decimal.localcontext(exact):
+            value = pair_sum_histogram(counts, args.kind, decimal.Decimal(1))
+        yield str(value) + "\n"
+
+    return _write_output(chunks(), args.out)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -375,9 +349,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # Values print through str() up to decimal_string's split threshold,
-    # and table and verify values always do; lift CPython's int-to-str
-    # conversion cap (4300 digits by default) so they print in full.
+    # table and verify values and irr values print through str(); lift
+    # CPython's int-to-str conversion cap (4300 digits by default) so they
+    # print in full.  firr and firrpm values of metric are Decimals, which
+    # the cap does not limit.
     if hasattr(sys, "set_int_max_str_digits") and sys.get_int_max_str_digits() < 500_000:
         sys.set_int_max_str_digits(500_000)
     parser = _build_parser()

@@ -2,10 +2,13 @@
 
 Everything here is a Python int, so weights stay exact no matter how large a
 degree gets (f_d outgrows 64-bit words near d = 93, and degree sequences of
-large graphs go far beyond that).
+large graphs go far beyond that).  Only :func:`fib_pair` also runs in another
+ring, given its unit.
 """
 
 from __future__ import annotations
+
+from typing import Any
 
 __all__ = ["FibCache", "fib", "fib_pair", "weight_of_degree", "signed_weight_of_degree"]
 
@@ -45,17 +48,19 @@ def fib(i: int) -> int:
     return _SHARED.fib(i)
 
 
-def fib_pair(i: int) -> tuple[int, int]:
+def fib_pair(i: int, one: Any = 1) -> tuple[Any, Any]:
     """(f_i, f_{i+1}) by fast doubling, without the cache.
 
     Walks the bits of i from the top, doubling the index with
     f_2k = f_k (2 f_{k+1} - f_k) and f_2k+1 = f_k^2 + f_{k+1}^2 and stepping
     it by one on a set bit: O(log i) multiplications of numbers no longer
     than f_i, and O(i) bits of memory where the cache would hold O(i^2).
+    The doubling runs in the ring whose unit is ``one``: ints by default, or
+    for instance ``decimal.Decimal(1)``, exact in a context that cannot round.
     """
     if i < 0:
         raise ValueError(f"Fibonacci index must be non-negative, got {i}")
-    a, b = 0, 1
+    a, b = 0 * one, one
     for bit in bin(i)[2:]:
         a, b = a * (2 * b - a), a * a + b * b
         if bit == "1":

@@ -55,6 +55,19 @@ draw their terms in order, top down, so no list of coefficients is built
 and memory stays O(D) words plus the result.  The kernel never reads or
 fills the shared cache of :mod:`jacograph.fibonacci`.
 
+Binary splitting only adds and multiplies, so it runs unchanged in any ring
+that holds the integers; the Fibonacci kinds take its unit ``one``.  Each
+leaf's Horner loop stays in int and ``one *`` lifts its (A, B); the merges,
+and the f_s from ``fib_pair(s, one)``, run in the ring.  The command line
+passes ``decimal.Decimal(1)`` in a context of maximal precision and exponent
+with ``Inexact`` trapped, so no result can be rounded without an error.
+There libmpdec multiplies numbers of a million digits several times faster
+than CPython's Karatsuba method, and the value prints with no base
+conversion.  The library keeps int, the default: converting such a Decimal
+to int takes time quadratic in its digits (85.6 s for the 1 291 623 digits
+of firr_t of J*_{10^7}, CPython 3.11), and so does converting an int to
+Decimal, which is why the doublings themselves run in the ring.
+
 The pair sum over a union A + B is the pair sum inside A, plus the one
 inside B, plus the cross sum over a in A, b in B of |w_a - w_b|, for any
 weights.  So three kernel calls give that cross sum exactly
@@ -66,6 +79,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import islice
+from typing import Any
 
 from .fibonacci import fib, fib_pair, signed_weight_of_degree
 
@@ -133,21 +147,24 @@ def degree_histogram(degrees: Iterable[int]) -> list[int]:
     return counts
 
 
-def pair_sum_histogram(counts: Sequence[int], kind: str) -> int:
+def pair_sum_histogram(counts: Sequence[int], kind: str, one: Any = 1) -> Any:
     """Metric ``kind`` ("irr", "firr" or "firrpm") of a degree histogram.
 
     ``counts[d]`` is the number of vertices of degree d; trailing zeros are
     allowed.  One pass over ``counts`` from the top, so the cost grows with
     the largest degree, not with the number of vertices; the Fibonacci kinds
     split histograms longer than one leaf, as the module docstring says.
+    They are evaluated in the ring whose unit is ``one``: the default 1 gives
+    an int, ``decimal.Decimal(1)`` a Decimal, exact only in a context that
+    cannot round (see the module docstring).  irr is always an int.
     """
     if kind == "irr":
         return sum(_straddles(counts))
     if kind == "firr":
-        a, b = _fibonacci_split(_straddles(counts), len(counts), {})
+        a, b = _fibonacci_split(_straddles(counts), len(counts), {}, one)
         return b - a  # f_{d+1} - f_d = f_{d-1}
     if kind == "firrpm":
-        return _fibonacci_split(_parity_terms(counts), len(counts), {})[0]
+        return _fibonacci_split(_parity_terms(counts), len(counts), {}, one)[0]
     raise ValueError(f"unknown metric kind {kind!r}")
 
 
@@ -175,8 +192,8 @@ def _parity_terms(counts: Sequence[int]) -> Iterator[int]:
 
 
 def _fibonacci_split(
-    terms: Iterator[int], size: int, shifts: dict[int, tuple[int, int, int]]
-) -> tuple[int, int]:
+    terms: Iterator[int], size: int, shifts: dict[int, tuple[Any, Any, Any]], one: Any
+) -> tuple[Any, Any]:
     """(A, B) = (sum g_d f_{d-lo}, sum g_d f_{d-lo+1}) over d in [lo, lo + size).
 
     ``terms`` yields the coefficients g_d from the top down, so the upper
@@ -187,17 +204,19 @@ def _fibonacci_split(
     three products: with X = f_s (A_up + B_up),
     A = A_low + X - f_{s-2} A_up and B = B_low + X + f_{s-1} B_up.
     ``shifts`` memoizes (f_{s-2}, f_{s-1}, f_s) per s for one kernel call.
+    The leaf's loop runs in int and its (A, B) is lifted to the ring by
+    ``one *``; the merges and the f_s are in the ring of ``one``.
     """
     if size <= _LEAF:
         p = q = 0
         for g in islice(terms, size):
             p, q = q + g, p + q
-        return q, p + q
+        return one * q, one * (p + q)
     s = size // 2
-    a_up, b_up = _fibonacci_split(terms, size - s, shifts)
-    a_low, b_low = _fibonacci_split(terms, s, shifts)
+    a_up, b_up = _fibonacci_split(terms, size - s, shifts, one)
+    a_low, b_low = _fibonacci_split(terms, s, shifts, one)
     if s not in shifts:
-        f, g = fib_pair(s)
+        f, g = fib_pair(s, one)
         shifts[s] = (2 * f - g, g - f, f)
     f2, f1, f0 = shifts[s]
     x = f0 * (a_up + b_up)

@@ -3,7 +3,6 @@
 import json
 import operator
 import os
-import random
 import subprocess
 import sys
 import time
@@ -27,7 +26,7 @@ from jacograph import (
     underlying_degree_counts,
     underlying_degrees,
 )
-from jacograph.cli import REPORTED_FIRR, REPORTED_IRR, counts_for_spec, decimal_string, main
+from jacograph.cli import REPORTED_FIRR, REPORTED_IRR, counts_for_spec, main
 
 
 def module_env():
@@ -300,27 +299,17 @@ def set_str_cap():
     setter(old)
 
 
-def test_decimal_string_equals_str(set_str_cap):
-    set_str_cap(0)  # no cap: str() is the reference at every size
-    rng = random.Random(11)
-    limit = 10**10_000  # the first value that is split
-    values = [0, 1, 9, 10, limit - 1, limit, limit + 1, 2**33_220, 10 * limit - 1, 10 * limit]
-    values += [rng.getrandbits(rng.randint(33_300, 70_000)) for _ in range(4)]
-    values.append(rng.getrandbits(664_000))  # about 200 000 digits
-    for x in values:
-        assert decimal_string(x) == str(x)
-
-
-def test_decimal_string_beyond_the_digit_cap(set_str_cap):
-    set_str_cap(4300)  # any int-to-str conversion of these values would raise
-    k = 600_000
-    assert decimal_string(10**k - 1) == "9" * k
-    assert decimal_string(10**k + 987_654_321) == "1" + "0" * (k - 9) + "987654321"
-    x = random.Random(5).getrandbits(2_100_000)
-    digits = decimal_string(x)
-    assert digits.isdigit() and digits[0] != "0"
-    assert 10 ** (len(digits) - 1) <= x < 10 ** len(digits)
-    assert digits[-20:] == f"{x % 10**20:020d}"
+def test_metric_prints_fibonacci_values_with_no_int_to_str_conversion(set_str_cap, monkeypatch, capsys):
+    # With the cap left at 4300 digits, any int-to-str conversion of the
+    # 12 923-digit value would raise.
+    set_str_cap(4300)
+    monkeypatch.setattr(sys, "set_int_max_str_digits", lambda digits: None, raising=False)
+    rc, out, err = run_cli(capsys, "metric", "firr", "jaco:100000")
+    assert (rc, err) == (0, "")
+    digits = out.removesuffix("\n")
+    value = pair_sum_histogram(underlying_degree_counts(100_000), "firr")
+    assert digits.isdigit() and 10 ** (len(digits) - 1) <= value < 10 ** len(digits)
+    assert digits[-20:] == f"{value % 10**20:020d}"
 
 
 def test_metric_prints_long_values_exactly(capsys):
@@ -412,42 +401,14 @@ def test_table_text_widths_of_the_last_row_are_the_widest(kind, n_max):
         assert lengths == widest, i
 
 
-# Runs ``python -m jacograph ARGV...`` as the child of this small
-# interpreter, stdout to /dev/null, reaps it with os.wait4 and prints
-# "exit_code maxrss_kb".  A child's ru_maxrss starts from the peak RSS of
-# the process it was forked from, so the test process itself, far larger
-# than the runs it measures, must not be the parent.
-REAPER = """
-import os, sys
-pid = os.fork()
-if pid == 0:
-    try:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
-        os.execv(sys.executable, [sys.executable, "-m", "jacograph", *sys.argv[1:]])
-    finally:
-        os._exit(127)
-_, status, usage = os.wait4(pid, 0)
-print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
-"""
-
-
-def peak_rss_kb(*argv):
-    """Exit code and peak RSS (KiB) of one CLI run in a fresh process."""
-    cmd = [sys.executable, "-S", "-c", REAPER, *argv]
-    proc = subprocess.run(cmd, capture_output=True, text=True, env=module_env(), timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    rc, maxrss_kb = map(int, proc.stdout.split())
-    return rc, maxrss_kb
-
-
 @pytest.mark.parametrize("argv", [("irr", "2000", "--format", "csv"), ("firr", "1000", "--format", "json")])
-def test_table_streams_in_memory_of_one_row(argv):
+def test_table_streams_in_memory_of_one_row(argv, peak_rss_kb):
     # Rows are written as they are made: each run peaked within 0.5 MiB of
     # the interpreter's own floor, a run of `metric irr jaco:1` (about
     # 16 MiB, CPython 3.11).  Holding every row and rendering one string
     # peaked at 103 MB (csv) and 115 MB (json).
-    floor = peak_rss_kb("metric", "irr", "jaco:1")
-    rc, peak = peak_rss_kb("table", *argv)
+    floor = peak_rss_kb("-m", "jacograph", "metric", "irr", "jaco:1")
+    rc, peak = peak_rss_kb("-m", "jacograph", "table", *argv)
     assert floor[0] == rc == 0
     assert peak - floor[1] < 4 * 1024
 
@@ -480,3 +441,22 @@ def test_table_unwritable_out_fails_before_any_row(tmp_path, capsys):
     assert time.perf_counter() - start < 1
     assert rc == 2 and out == ""
     assert err.startswith("error: cannot write") and len(err.splitlines()) == 1
+
+
+def test_metric_unwritable_out_fails_before_the_kernel(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the kernel ran for a path that cannot be written")
+
+    monkeypatch.setattr("jacograph.cli.pair_sum_histogram", refuse)
+    out_path = tmp_path / "missing" / "x"
+    rc, out, err = run_cli(capsys, "metric", "firr", "jaco:1000", "--out", str(out_path))
+    assert rc == 2 and out == ""
+    assert err.startswith(f"error: cannot write {out_path}: ") and len(err.splitlines()) == 1
+
+
+def test_metric_bad_spec_creates_no_out_file(tmp_path, capsys):
+    out_path = tmp_path / "x"
+    rc, out, err = run_cli(capsys, "metric", "firr", "jaco:0", "--out", str(out_path))
+    assert (rc, out) == (2, "")
+    assert err == "error: graph spec 'jaco:0': n must be >= 1, got 0\n"
+    assert not out_path.exists()

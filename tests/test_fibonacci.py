@@ -1,5 +1,7 @@
 """Fibonacci cache and weight maps."""
 
+import decimal
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -66,8 +68,13 @@ def test_fresh_cache_is_consistent_with_shared():
 
 def test_fib_pair_matches_cache():
     cache = FibCache()
+    exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
     for i in range(2001):
         assert fib_pair(i) == (cache.fib(i), cache.fib(i + 1))
+        with decimal.localcontext(exact):  # the same doubling in the decimal ring
+            in_decimal = fib_pair(i, decimal.Decimal(1))
+        assert all(type(x) is decimal.Decimal for x in in_decimal)
+        assert tuple(map(str, in_decimal)) == (str(cache.fib(i)), str(cache.fib(i + 1)))
     with pytest.raises(ValueError):
         fib_pair(-1)
 

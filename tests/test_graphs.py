@@ -90,18 +90,22 @@ def test_path_cycle_star_match_the_validating_constructor():
             g.validate()
 
 
-def test_star_takes_memory_linear_in_its_leaves():
-    # Measured 162.5 MiB (CPython 3.11): the center's tuple and its 3 M int
-    # objects are 108 MB of it, the leaves share one (1,) tuple.  Through the
-    # validating constructor the same star took about 900 MB.
-    tracemalloc.start()
-    try:
-        g = star(3_000_000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert g.n == 3_000_001 and g.degree(1) == 3_000_000 and g.neighbors(3_000_001) == (1,)
-    assert peak < 192 * 2**20
+STAR = (
+    "from jacograph import star; g = star({n})\n"
+    "assert g.n == {n} + 1 and g.degree(1) == {n} and g.neighbors(g.n) == (1,)"
+)
+
+
+def test_star_takes_memory_linear_in_its_leaves(peak_rss_kb):
+    # Peak RSS of a fresh process that builds the star, above that of one
+    # that builds star(1) (about 15.5 MiB, CPython 3.11).  Measured 183 MiB:
+    # the center's tuple and its 3 M int objects are most of it, the leaves
+    # share one (1,) tuple.  With a fresh (1,) per leaf it was 321 MiB, and
+    # through the validating constructor about 900 MB.
+    floor = peak_rss_kb("-c", STAR.format(n=1))
+    rc, peak = peak_rss_kb("-c", STAR.format(n=3_000_000))
+    assert floor[0] == rc == 0
+    assert peak - floor[1] < 240 * 1024
 
 
 def test_constructor_validation():

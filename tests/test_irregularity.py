@@ -1,5 +1,6 @@
 """Irregularity metrics: oracle vs histogram kernel, closed forms, characterizations."""
 
+import decimal
 import random
 from itertools import combinations
 
@@ -44,6 +45,11 @@ kernel_sequences = st.one_of(
     st.lists(st.integers(min_value=90, max_value=130), max_size=12),
     st.lists(st.sampled_from([0, 1, 2, 93, 94, 699, 700]), max_size=8),
 )
+
+
+# The ring of the command line: maximal precision and exponent, and an error
+# on any rounding.
+EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
 
 
 def brute(ws):
@@ -179,11 +185,42 @@ def test_kernel_matches_naive_oracle_across_leaves(top):
         "firr": pair_sum_naive([fib(d) for d in ds]),
         "firrpm": pair_sum_naive([signed_weight_of_degree(d) for d in ds]),
     }
-    # trailing zeros that push the length across the next leaf boundary
+    # trailing zeros that push the length across the next leaf boundary, in
+    # the int ring and in the exact decimal one
     for extra in (0, 1, _LEAF - len(counts) % _LEAF + 1, 3 * _LEAF):
         padded = counts + [0] * extra
         for kind, value in expected.items():
             assert pair_sum_histogram(padded, kind) == value
+            with decimal.localcontext(EXACT):
+                in_decimal = pair_sum_histogram(padded, kind, decimal.Decimal(1))
+            assert type(in_decimal) is decimal.Decimal and in_decimal == value
+
+
+@st.composite
+def sparse_histograms(draw):
+    """A histogram of 1 to 4 _LEAF + 3 entries, almost all of them zero."""
+    size = draw(st.integers(min_value=1, max_value=4 * _LEAF + 3))
+    degrees = st.integers(min_value=0, max_value=size - 1)
+    occupied = draw(st.dictionaries(degrees, st.integers(min_value=1, max_value=50), max_size=12))
+    return [occupied.get(d, 0) for d in range(size)]
+
+
+@given(sparse_histograms())
+@example([1])
+@example([0] * _LEAF + [3])
+@example([2] + [0] * (4 * _LEAF + 1) + [1])
+def test_decimal_ring_equals_int_ring(counts):
+    for kind in ("firr", "firrpm"):
+        with decimal.localcontext(EXACT):
+            in_decimal = pair_sum_histogram(counts, kind, decimal.Decimal(1))
+        assert str(in_decimal) == str(pair_sum_histogram(counts, kind))
+
+
+def test_decimal_ring_raises_rather_than_rounds():
+    # The leaves of jaco:20000 already hold numbers of more than 50 digits.
+    with decimal.localcontext(decimal.Context(prec=50, traps=[decimal.Inexact])):
+        with pytest.raises(decimal.Inexact):
+            pair_sum_histogram(underlying_degree_counts(20000), "firr", decimal.Decimal(1))
 
 
 def test_small_histograms_stay_in_one_leaf(monkeypatch):
