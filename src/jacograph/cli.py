@@ -17,6 +17,7 @@ import json
 import os
 import sys
 from collections.abc import Iterable, Iterator
+from functools import partial
 
 from .fibonacci import fib
 from .graphs import (
@@ -31,8 +32,14 @@ from .graphs import (
     to_edge_list,
 )
 from .irregularity import degree_histogram, pair_sum_histogram
-from .jaco import out_degree, underlying_degree_counts, underlying_degrees, underlying_graph
-from .theorems import THEOREM_IDS, verify_sweep
+from .jaco import (
+    out_degree,
+    underlying_degree_counts,
+    underlying_degrees,
+    underlying_graph,
+    underlying_metric,
+)
+from .theorems import THEOREM_IDS, VerifyReport, verify_sweep
 
 __all__ = ["main"]
 
@@ -230,9 +237,16 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_metric(args: argparse.Namespace) -> int:
-    counts = counts_for_spec(args.spec)  # a bad spec fails here, before --out is opened
+    kind, spec_args = _parse_spec(args.spec)
+    if kind == "jaco" and spec_args[0] >= 1:
+        value = partial(underlying_metric, spec_args[0], args.kind)  # no histogram
+    else:  # a bad spec fails here, before --out is opened
+        value = partial(pair_sum_histogram, counts_for_spec(args.spec), args.kind)
 
     def chunks() -> Iterator[str]:  # the kernel runs once --out is open
+        if args.kind == "irr":  # an int, printed under the str() cap
+            yield f"{value()}\n"
+            return
         # In decimal the long products are fast and the value prints with no
         # int-to-str conversion; this context raises rather than rounds.
         # Imported here, as it costs every start-up about 1.5 ms.
@@ -240,10 +254,23 @@ def _cmd_metric(args: argparse.Namespace) -> int:
 
         exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
         with decimal.localcontext(exact):
-            value = pair_sum_histogram(counts, args.kind, decimal.Decimal(1))
-        yield str(value) + "\n"
+            result = value(decimal.Decimal(1))
+        yield str(result) + "\n"
 
     return _write_output(chunks(), args.out)
+
+
+def _verify_json(report: VerifyReport) -> Iterator[str]:
+    # Byte-equal to json.dumps(report.to_json_dict(), indent=2,
+    # sort_keys=True) + "\n", with its keys in sorted order: each record is
+    # dumped alone and indented the two levels it sits at.
+    yield f'{{\n  "all_matched": {json.dumps(report.all_matched)},\n  "checks": ['
+    sep = "\n    "
+    for rec in report.records:
+        yield sep + json.dumps(rec.as_dict(), indent=2, sort_keys=True).replace("\n", "\n    ")
+        sep = ",\n    "
+    summary = json.dumps(report.summary_dict(), indent=2, sort_keys=True).replace("\n", "\n  ")
+    yield ("\n  ]" if report.records else "]") + f',\n  "summary": {summary}\n}}\n'
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -254,7 +281,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     # The JSON report goes to --out, else to stdout with --format json; the
     # summary goes to stdout whenever the report does not.
     if args.out is not None or args.format == "json":
-        rc = _write_output([json.dumps(report.to_json_dict(), indent=2, sort_keys=True), "\n"], args.out)
+        rc = _write_output(_verify_json(report), args.out)
         if rc != 0:
             return rc
     if args.out is not None or args.format == "text":

@@ -68,6 +68,16 @@ to int takes time quadratic in its digits (85.6 s for the 1 291 623 digits
 of firr_t of J*_{10^7}, CPython 3.11), and so does converting an int to
 Decimal, which is why the doublings themselves run in the ring.
 
+The Jaco graphs leave the kernel below their band (see :mod:`jacograph.jaco`):
+their histogram is 1 on every degree below lo, so L_d = d there and the
+coefficients are polynomials in d: d (n - d) for firr_t, and
+M + Y (M - Y) with Y = floor(d/2) and M the other class's count for
+firr_pm.  :func:`pair_sum_unit_head` sums those in closed form, one parity
+class at a time, from u_{e+2} = 3 u_{e+1} - u_e for u_e = f_{a+2e}, and
+takes f_lo from one ``fib_pair``; only the band runs the split, and its
+(A, B) is shifted to its place by the merge's identity.  irr_t of a Jaco
+graph needs neither: it is a floor sum in O(log n).
+
 The pair sum over a union A + B is the pair sum inside A, plus the one
 inside B, plus the cross sum over a in A, b in B of |w_a - w_b|, for any
 weights.  So three kernel calls give that cross sum exactly
@@ -91,6 +101,7 @@ __all__ = [
     "pair_sum_naive",
     "degree_histogram",
     "pair_sum_histogram",
+    "pair_sum_unit_head",
     "add_histograms",
     "cross_pair_sum",
     "irr_t",
@@ -158,34 +169,108 @@ def pair_sum_histogram(counts: Sequence[int], kind: str, one: Any = 1) -> Any:
     an int, ``decimal.Decimal(1)`` a Decimal, exact only in a context that
     cannot round (see the module docstring).  irr is always an int.
     """
+    n = sum(counts)
     if kind == "irr":
-        return sum(_straddles(counts))
+        return sum(_straddles(reversed(counts), n))
     if kind == "firr":
-        a, b = _fibonacci_split(_straddles(counts), len(counts), {}, one)
+        a, b = _fibonacci_split(_straddles(reversed(counts), n), len(counts), {}, one)
         return b - a  # f_{d+1} - f_d = f_{d-1}
     if kind == "firrpm":
-        return _fibonacci_split(_parity_terms(counts), len(counts), {}, one)[0]
+        terms = _parity_terms(reversed(counts), len(counts) - 1, n, sum(islice(counts, 1, None, 2)))
+        return _fibonacci_split(terms, len(counts), {}, one)[0]
     raise ValueError(f"unknown metric kind {kind!r}")
 
 
-def _straddles(counts: Sequence[int]) -> Iterator[int]:
-    """L_d (n - L_d) for d = D, D - 1, ..., 0: the pairs straddling d -> d + 1."""
-    n = sum(counts)
+def pair_sum_unit_head(lo: int, band: Sequence[int], kind: str, one: Any = 1) -> Any:
+    """Metric ``kind`` ("firr" or "firrpm") of a histogram that is 1 on each degree below ``lo``.
+
+    The histogram is 0 at degree 0, 1 on degrees 1..lo-1 and ``band[i]`` on
+    degree top - i for i = 0..len(band)-1, with top = lo + len(band) - 1:
+    the same value as ``pair_sum_histogram([0] + [1] * (lo - 1) +
+    band[::-1], kind, one)``.  Degrees below ``lo`` cost O(1) ring
+    operations, closed forms from one ``fib_pair``; only the band runs
+    through the kernel (see the module docstring).
+    """
+    if lo < 1 or not band:
+        raise ValueError(f"need lo >= 1 and a non-empty band, got lo={lo}, {len(band)} band entries")
+    n = lo - 1 + sum(band)
+    if kind not in ("firr", "firrpm"):
+        raise ValueError(f"unknown metric kind {kind!r}")
+    f = list(fib_pair(lo - 1, one))  # f_{lo-1}, f_lo, then f_{lo+1}, f_{lo+2}
+    f += [f[0] + f[1], f[0] + 2 * f[1]]
+
+    def pair(i: int) -> tuple[Any, Any]:
+        return (f[i - lo + 1], f[i - lo + 2]) if i >= lo - 1 else fib_pair(i, one)
+
+    if kind == "firr":
+        # Below lo, L_d = d: the terms f_{d-1} d (n - d), with x = d - 1 = r + 2e.
+        head = sum(
+            _fib_poly_sum(lambda e, r=r: (r + 1 + 2 * e) * (n - r - 1 - 2 * e), r, (lo - r) // 2, pair)
+            for r in (0, 1)
+        )
+        a, b = _fibonacci_split(_straddles(band, n), len(band), {}, one)
+        return head + (f[1] - f[0]) * a + f[0] * b  # shifted by lo - 1: f_{lo-2} A + f_{lo-1} B
+    # Below lo, c_d = 1 and Y_d = floor(d/2), the other class's degrees 1..d-1.
+    top = lo + len(band) - 1
+    n_odd = lo // 2 + sum(band[1 - top % 2 :: 2])
+    n_even = n - n_odd
+    head = _fib_poly_sum(lambda e: n_even + e * (n_even - e), 1, lo // 2, pair) + _fib_poly_sum(
+        lambda e: n_odd + (e + 1) * (n_odd - e - 1), 2, (lo - 1) // 2, pair
+    )
+    a, b = _fibonacci_split(_parity_terms(band, top, n, n_odd), len(band), {}, one)
+    return head + f[0] * a + f[1] * b  # shifted by lo: f_{lo-1} A + f_lo B
+
+
+def _fib_poly_sum(poly: Callable[[int], int], a: int, count: int, pair: Callable[[int], Any]) -> Any:
+    """Sum of poly(e) f_{a+2e} over e = 0..count-1, for a polynomial of degree <= 2.
+
+    ``pair(i)`` gives (f_i, f_{i+1}), at i = a and i = a + 2 count.  With
+    u_e = f_{a+2e}, so that u_{e+2} = 3 u_{e+1} - u_e, the sum telescopes:
+    T(e) = U(e) u_e + V(e) u_{e+1} has T(e+1) - T(e) = poly(e) u_e when
+    U(e) = -V(e+1) - poly(e) and V(e+2) - 3 V(e+1) + V(e) = -poly(e+1).  The
+    left side maps v2 e^2 + v1 e + v0 to -v2 e^2 - (2 v2 + v1) e + v2 - v1 - v0,
+    so V's coefficients follow from those of poly(e+1) = c2 e^2 + c1 e + c0,
+    read off its values at e = 0, 1, 2.
+    """
+    c0, q1, q2 = poly(1), poly(2), poly(3)
+    c2 = (q2 - 2 * q1 + c0) // 2
+    c1 = q1 - c0 - c2
+    v2, v1 = c2, c1 - 2 * c2
+    v0 = c0 + v2 - v1
+
+    def v(e: int) -> int:
+        return (v2 * e + v1) * e + v0
+
+    def t(e: int) -> Any:
+        u0, u1 = pair(a + 2 * e)
+        return v(e) * (u0 + u1) - (v(e + 1) + poly(e)) * u0
+
+    return t(count) - t(0)
+
+
+def _straddles(desc: Iterable[int], n: int) -> Iterator[int]:
+    """L_d (n - L_d) for d = top, top - 1, ...: the pairs straddling d -> d + 1.
+
+    ``desc`` gives the counts from the top degree down, and n is the number
+    of vertices, those below the last count included.
+    """
     above = 0  # degrees > d, so L_d = n - above
-    for c in reversed(counts):
+    for c in desc:
         yield above * (n - above)
         above += c
 
 
-def _parity_terms(counts: Sequence[int]) -> Iterator[int]:
-    """c_d m_d + Y_d (m_d - Y_d) for d = D, D - 1, ..., 0: the firr_pm coefficients."""
-    n = sum(counts)
-    n_odd = sum(islice(counts, 1, None, 2))
+def _parity_terms(desc: Iterable[int], top: int, n: int, n_odd: int) -> Iterator[int]:
+    """c_d m_d + Y_d (m_d - Y_d) for d = top, top - 1, ...: the firr_pm coefficients.
+
+    ``desc`` gives the counts from degree ``top`` down; n and n_odd count all
+    vertices and those of odd degree, below the last count included.
+    """
     # "this" is the parity class of the current d, "that" the other one; they
     # swap at every step.  that_above = m_d - Y_d, the other class above d.
-    this_n, that_n = (n_odd, n - n_odd) if len(counts) % 2 == 0 else (n - n_odd, n_odd)
+    this_n, that_n = (n_odd, n - n_odd) if top % 2 else (n - n_odd, n_odd)
     this_above = that_above = 0
-    for c in reversed(counts):
+    for c in desc:
         yield c * that_n + that_above * (that_n - that_above)
         this_above, that_above = that_above, this_above + c
         this_n, that_n = that_n, this_n

@@ -30,14 +30,55 @@ Every degree query therefore comes straight from n with no stored data.
 :func:`build_profile` still runs the construction itself, as an O(n)
 interval sweep; it is the definition the closed form is tested against.
 Adjacency is materialized only by :func:`underlying_graph`.
+
+The band and the Fibonacci word
+-------------------------------
+By the same Beatty count, #{i >= 1 : G(i) <= j} = floor((j+1) phi) - 1, so
+exactly s_j = floor((j+1) phi) - floor(j phi), 1 or 2, vertices have
+G(i) = j.  The sequence s_1 s_2 ... = 2 1 2 2 1 2 1 2 ... is the Fibonacci
+word: its prefixes S_t of length F_{t+1} obey S_{t+1} = S_t S_{t-1}.  The
+tail values G(i), i = k+1..n, run from j0 = G(k+1) to j1 = G(n), so with
+lo = n - j1 and hi = n - j0 the histogram is 1 on the head degrees
+1..lo-1, 1 + s_{n-d} on the band lo..hi (the two end values trimmed to
+i in k+1..n) and 1 on hi+1..k; hi is k - 1 or k.  The band holds about
+0.236 n degrees and the head about 0.382 n.  :func:`underlying_degree_counts`
+joins the head to a reversed slice of the word, made at C speed, and
+:func:`underlying_metric` passes the band alone to the kernel.
+
+irr in O(log n)
+---------------
+irr is sum_d L_d (n - L_d) with L_d = #{degrees <= d}.  A tail degree
+n - G(i) is <= d exactly when G(i) >= m = n - d, so with the count above
+L_d = d + n + 1 - floor(m phi) on the band lo <= d < hi, L_d = d on the
+head and L_d = d + n - k on hi <= d < k.  With c = 2n + 1 - m and
+F = floor(m phi) the band term is c (n - c) + F (3n + 2 - 2m) - F^2, so
+besides power sums in m it needs sum F, sum m F and sum F^2 over an
+interval of m.  Those are floor sums of floor(m p / q), by the Euclid-like
+recursion of :func:`_floor_sums`, once p / q = F_{t+1} / F_t with F_t > m:
+
+    floor(m phi) = floor(m F_{t+1} / F_t) for 0 <= m < F_t.
+
+Proof.  From Binet's formula F_{t+1} - phi F_t = psi^t with |psi| = 1/phi,
+so |phi - p/q| = phi^-t / q.  Let 0 < m < q (m = 0 is trivial) and suppose
+an integer r lies between m phi and m p / q, so that the floors differ.
+Then |r/m - p/q| <= |phi - p/q| = phi^-t / q.  Also r/m != p/q, since
+gcd(p, q) = 1 and q does not divide m, so |r q - m p| >= 1 and
+|r/m - p/q| >= 1 / (m q).  Together m >= phi^t > F_t = q, a contradiction.
+(F_t < phi^t as F_t = (phi^t - psi^t) / sqrt 5 and |psi^t| < 1 < phi^t.)
+
+The Euclid steps on (F_{t+1}, F_t) are t = O(log n), each O(1) integer
+operations, so irr of J*_{10^18} takes about a millisecond and no list.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from math import isqrt
+from typing import Any
 
 from .graphs import SimpleGraph
+from .irregularity import pair_sum_unit_head
 
 __all__ = [
     "JacoProfile",
@@ -45,6 +86,7 @@ __all__ = [
     "out_degree",
     "underlying_degrees",
     "underlying_degree_counts",
+    "underlying_metric",
     "underlying_graph",
     "prime_jaconian_index",
 ]
@@ -142,17 +184,154 @@ def underlying_degree_counts(n: int) -> list[int]:
     """Degree histogram of the underlying graph on n vertices.
 
     Entry d counts the vertices of degree d, for d = 0 up to the largest
-    degree k = G(n+1) - 1.  The head 1..k adds one vertex to each degree
-    1..k; only the tail degrees are counted one by one, and no per-vertex
-    data is kept.
+    degree k = G(n+1) - 1: 1 on the head degrees below lo, then the band
+    lo..k read off the Fibonacci word (see the module docstring), with no
+    per-vertex pass.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if n == 1:
+        return [1]  # one vertex of degree 0
+    lo, band = _band(n)
+    return list(b"\x00" + b"\x01" * (lo - 1) + band[::-1])
+
+
+def underlying_metric(n: int, kind: str, one: Any = 1) -> Any:
+    """Metric ``kind`` ("irr", "firr" or "firrpm") of the underlying graph on n vertices.
+
+    Equal to ``pair_sum_histogram(underlying_degree_counts(n), kind, one)``
+    with no histogram: irr in O(log n) integer operations by floor sums,
+    firr and firrpm in closed form below lo and by the kernel on the band
+    alone, in the ring whose unit is ``one`` (see the module docstring).
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if kind == "irr":
+        return _irr(n)
+    if kind not in ("firr", "firrpm"):
+        raise ValueError(f"unknown metric kind {kind!r}")
+    if n == 1:
+        return 0 * one
+    return pair_sum_unit_head(*_band(n), kind, one)
+
+
+def _floor_phi(x: int) -> int:
+    """floor(x phi) for x >= 0, exactly."""
+    return (x + isqrt(5 * x * x)) // 2
+
+
+# s_j = floor((j+1) phi) - floor(j phi) for j = 1, 2, ... at index j - 1 (the
+# Fibonacci word over {2, 1}).  Shared by every caller: _fibonacci_word only
+# replaces it, once a longer word is complete, and nothing writes to it, so
+# its content never depends on the calls before.
+_WORD = bytearray(b"\x02\x01")
+_PLUS_ONE = bytes(range(1, 256)) + b"\x00"  # translate table: byte c -> c + 1
+
+
+def _fibonacci_word(length: int) -> bytearray:
+    """The first ``length`` or more bytes s_1 s_2 ... of the Fibonacci word.
+
+    The prefixes S_t of lengths F_{t+1} obey S_{t+1} = S_t S_{t-1}, and
+    S_{t-1} is a prefix of S_t, so each step copies the buffer's own prefix
+    into one buffer of the final size: peak memory is the word, and an
+    impossible size fails at its one allocation.
+    """
+    global _WORD
+    word = _WORD
+    if len(word) < length:
+        word = bytearray(max(length, 2 * len(word)))
+        word[:2] = b"\x02\x01"
+        size, prev = 2, 1
+        view = memoryview(word)
+        while size < len(word):
+            step = min(prev, len(word) - size)
+            view[size : size + step] = view[:step]
+            size, prev = size + prev, size
+        view.release()
+        _WORD = word
+    return word
+
+
+def _band(n: int) -> tuple[int, bytes]:
+    """(lo, counts of the degrees k, k - 1, ..., lo) of the graph on n >= 2 vertices.
+
+    Tail vertex i has degree n - G(i), G(i) = j from j0 = G(k+1) to
+    j1 = G(n), and s_j vertices i >= 1 have G(i) = j; only the two ends
+    lose the vertices outside k+1..n.  The head adds 1 on every degree.
+    """
     k = out_degree(n + 1) - 1
-    counts = [0] + [1] * k  # tail degrees are at most k (0 only when n = 1)
-    for a in range(k + 2, n + 2):
-        counts[n - (isqrt(5 * a * a) - a) // 2] += 1
-    return counts
+    j0, j1 = out_degree(k + 1), out_degree(n)
+    tail = _fibonacci_word(j1)[j0 - 1 : j1]  # s_j for j = j0..j1, a copy
+    # #{i >= 1 : G(i) <= j} = floor((j+1) phi) - 1; trim the first end, then the last.
+    tail[0] = min(n, _floor_phi(j0 + 1) - 1) - k
+    tail[-1] = n - max(k, _floor_phi(j1) - 1)
+    return n - j1, b"\x01" * (k - n + j0) + tail.translate(_PLUS_ONE)
+
+
+def _poly_sum(p: Callable[[int], int], lo: int, hi: int) -> int:
+    """Sum of p(x) over x = lo..hi for a polynomial of degree <= 2, by forward differences."""
+    terms = hi - lo + 1
+    if terms <= 0:
+        return 0
+    p0, p1, p2 = p(lo), p(lo + 1), p(lo + 2)
+    return terms * p0 + terms * (terms - 1) // 2 * (p1 - p0) + terms * (terms - 1) * (terms - 2) // 6 * (
+        p2 - 2 * p1 + p0
+    )
+
+
+def _floor_sums(a: int, b: int, c: int, n: int) -> tuple[int, int, int]:
+    """(sum q, sum x q, sum q^2) over x = 0..n with q = floor((a x + b) / c).
+
+    For a, b, n >= 0 and c >= 1.  The Euclid-like recursion of the AtCoder
+    Library's floor_sum, carried to the two higher sums: reduce a and b
+    mod c, then swap the roles of x and q; run with an explicit stack, so
+    its O(log) depth meets no recursion limit.
+    """
+    steps = []
+    while True:
+        if a >= c or b >= c:
+            steps.append((True, a // c, b // c, n))
+            a, b = a % c, b % c
+            continue
+        m = (a * n + b) // c
+        if m == 0:
+            break
+        steps.append((False, m, 0, n))
+        a, b, c, n = c, c - b - 1, a, m - 1
+    f = g = h = 0
+    for reduced, qa, qb, n in reversed(steps):
+        if reduced:  # q = qa x + qb + q' with q' the reduced floor
+            s1, s2 = n * (n + 1) // 2, n * (n + 1) * (2 * n + 1) // 6
+            f, g, h = (
+                f + qa * s1 + qb * (n + 1),
+                g + qa * s2 + qb * s1,
+                h + 2 * qb * f + 2 * qa * g + qa * qa * s2 + 2 * qa * qb * s1 + qb * qb * (n + 1),
+            )
+        else:  # count the lattice points under the line by rows instead of columns
+            m = qa
+            f, g, h = n * m - f, (m * n * (n + 1) - h - f) // 2, n * m * (m + 1) - 2 * g - f - (n * m)
+    return f, g, h
+
+
+def _irr(n: int) -> int:
+    """irr_t of the graph on n vertices from sum_d L_d (n - L_d), in O(log n) steps."""
+    if n == 1:
+        return 0
+    k = out_degree(n + 1) - 1
+    j0, j1 = out_degree(k + 1), out_degree(n)
+    lo, hi = n - j1, n - j0
+    head = _poly_sum(lambda d: d * (n - d), 1, lo - 1)  # L_d = d
+    top = _poly_sum(lambda d: (d + n - k) * (k - d), hi, k - 1)  # L_d = d + n - k
+    # The band, by m = n - d: L = c - F with c = 2n + 1 - m and F = floor(m phi),
+    # so L (n - L) = c (n - c) + F (3n + 2 - 2m) - F^2.
+    q, p = 1, 1
+    while q <= j1:  # floor(m phi) = floor(m p / q) for m < q = F_t, p = F_{t+1}
+        q, p = p, p + q
+    f1, g1, h1 = _floor_sums(p, 0, q, j1)
+    f0, g0, h0 = _floor_sums(p, 0, q, j0)
+    band = _poly_sum(lambda m: (2 * n + 1 - m) * (m - n - 1), j0 + 1, j1)
+    band += (3 * n + 2) * (f1 - f0) - 2 * (g1 - g0) - (h1 - h0)
+    return head + top + band
 
 
 def underlying_graph(n: int, max_edges: int = DEFAULT_EDGE_GUARD) -> SimpleGraph:

@@ -141,17 +141,20 @@ class VerifyReport:
             out[rec.theorem] = (total + 1, bad + (0 if rec.matched else 1))
         return out
 
+    def summary_dict(self) -> dict[str, Any]:
+        """The counts of the JSON report: totals and mismatches, overall and per check id."""
+        return {
+            "total": self.total,
+            "mismatched": self.mismatch_count,
+            "by_theorem": {
+                tid: {"total": tot, "mismatched": bad} for tid, (tot, bad) in sorted(self.by_theorem().items())
+            },
+        }
+
     def to_json_dict(self) -> dict[str, Any]:
         return {
             "checks": [rec.as_dict() for rec in self.records],
-            "summary": {
-                "total": self.total,
-                "mismatched": self.mismatch_count,
-                "by_theorem": {
-                    tid: {"total": tot, "mismatched": bad}
-                    for tid, (tot, bad) in sorted(self.by_theorem().items())
-                },
-            },
+            "summary": self.summary_dict(),
             "all_matched": self.all_matched,
         }
 

@@ -27,6 +27,8 @@ from jacograph import (
     underlying_degrees,
 )
 from jacograph.cli import REPORTED_FIRR, REPORTED_IRR, counts_for_spec, main
+from jacograph.jaco import underlying_metric
+from jacograph.theorems import verify_sweep
 
 
 def module_env():
@@ -157,13 +159,63 @@ def test_family_bad_arguments_keep_the_builders_messages(capsys):
 
 
 def test_metric_too_large_exits_2(capsys):
-    # The count list for 10^15 vertices (and the index for 10^20) cannot be
-    # allocated at all, so each request fails at once without using memory.
-    for spec in ("jaco:1000000000000000", "jaco:100000000000000000000"):
-        rc, out, err = run_cli(capsys, "metric", "irr", spec)
-        assert rc == 2, spec
-        assert out == ""
-        assert err.startswith("error:") and len(err.splitlines()) == 1
+    # The Fibonacci word of the band of 10^15 vertices (and its index for
+    # 10^20) cannot be allocated at all, so each request fails at once
+    # without using memory.  irr needs no word and answers (see below).
+    for kind in ("firr", "firrpm"):
+        for spec in ("jaco:1000000000000000", "jaco:100000000000000000000"):
+            rc, out, err = run_cli(capsys, "metric", kind, spec)
+            assert rc == 2, (kind, spec)
+            assert out == ""
+            assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("n, seconds", [(10**8, 2), (10**18, 1)])
+def test_metric_irr_of_huge_jaco_graphs(n, seconds, peak_rss_kb):
+    # irr by floor sums: O(log n) steps and no list.  The histogram kernel
+    # took 26.5 s and 959 MB at 10^8, and could not allocate 10^18.
+    start = time.perf_counter()
+    rc, peak = peak_rss_kb("-m", "jacograph", "metric", "irr", f"jaco:{n}")
+    assert rc == 0
+    assert time.perf_counter() - start < seconds
+    assert peak < 40 * 1024
+    assert underlying_metric(n, "irr") == {
+        10**8: 97265354480994426980004,
+        10**18: 97265355833543636788904748977845736329035461647634376,
+    }[n]
+
+
+def test_metric_of_a_jaco_spec_builds_no_histogram(monkeypatch, capsys):
+    expected = {
+        (kind, n): str(pair_sum_histogram(underlying_degree_counts(n), kind)) + "\n"
+        for kind in ("irr", "firr", "firrpm")
+        for n in (*range(1, 40), 1656, 1657, 5000)
+    }
+
+    def refuse(*args):
+        raise AssertionError("built a histogram")
+
+    for name in ("jacograph.cli.underlying_degree_counts", "jacograph.cli.pair_sum_histogram"):
+        monkeypatch.setattr(name, refuse)
+    for (kind, n), out in expected.items():
+        if kind == "irr":  # no list at all: not even the band
+            monkeypatch.setattr("jacograph.jaco._band", refuse)
+        assert run_cli(capsys, "metric", kind, f"jaco:{n}") == (0, out, ""), (kind, n)
+        monkeypatch.undo()
+        for name in ("jacograph.cli.underlying_degree_counts", "jacograph.cli.pair_sum_histogram"):
+            monkeypatch.setattr(name, refuse)
+
+
+def test_metric_irr_leaves_decimal_unimported():
+    # irr is an int: the decimal ring, and its import, serve firr and firrpm only.
+    script = (
+        "import sys\n"
+        "from jacograph.cli import main\n"
+        "assert main(['metric', 'irr', 'jaco:5']) == 0 and 'decimal' not in sys.modules\n"
+        "assert main(['metric', 'firr', 'jaco:5']) == 0 and 'decimal' in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=module_env())
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "8\n4\n", "")
 
 
 def test_verify_passing_sweep(capsys):
@@ -197,6 +249,39 @@ def test_verify_writes_report_even_on_mismatch(tmp_path, capsys):
     payload = json.loads(out_path.read_text())
     assert payload["all_matched"] is False
     assert "overall: FAIL" in out  # summary still printed
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("thm32", "cor31", "--n", "2..30", "--m", "1..30"),
+        ("thm21", "thm31", "lemma31", "--n", "2..25", "--m", "2..6"),
+        ("thm33", "--n", "3..12", "--m", "1..6"),  # mismatches: exit 1
+    ],
+)
+def test_verify_json_streams_the_report_of_one_dumps(argv, tmp_path, capsys):
+    ranges = dict(zip(argv[-4::2], argv[-3::2]))
+    ids = argv[: len(argv) - 2 * len(ranges)]
+    n_range = tuple(map(int, ranges["--n"].split("..")))
+    m_range = tuple(map(int, ranges["--m"].split(".."))) if "--m" in ranges else (1, 12)
+    report = verify_sweep(ids, n_range, m_range)
+    whole = json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
+    rc = 0 if report.all_matched else 1
+    assert run_cli(capsys, "verify", *argv, "--format", "json") == (rc, whole, "")
+    out_path = tmp_path / "report.json"
+    assert run_cli(capsys, "verify", *argv, "--out", str(out_path)) == (rc, report.summary_text(), "")
+    assert out_path.read_text() == whole
+
+
+def test_verify_json_streams_in_memory_of_the_text_summary(peak_rss_kb):
+    # The records are written one at a time, so the JSON report costs little
+    # more than the text summary of the same sweep.  One json.dumps of the
+    # whole report peaked at 52.2 MB against the summary's 21.7 MB.
+    argv = ("-m", "jacograph", "verify", "thm32", "cor31", "--n", "2..100", "--m", "1..100")
+    text = peak_rss_kb(*argv)
+    as_json = peak_rss_kb(*argv, "--format", "json")
+    assert text[0] == as_json[0] == 0
+    assert as_json[1] - text[1] < 4 * 1024
 
 
 def test_verify_single_value_range(capsys):
@@ -448,10 +533,12 @@ def test_metric_unwritable_out_fails_before_the_kernel(tmp_path, capsys, monkeyp
         raise AssertionError("the kernel ran for a path that cannot be written")
 
     monkeypatch.setattr("jacograph.cli.pair_sum_histogram", refuse)
+    monkeypatch.setattr("jacograph.cli.underlying_metric", refuse)
     out_path = tmp_path / "missing" / "x"
-    rc, out, err = run_cli(capsys, "metric", "firr", "jaco:1000", "--out", str(out_path))
-    assert rc == 2 and out == ""
-    assert err.startswith(f"error: cannot write {out_path}: ") and len(err.splitlines()) == 1
+    for spec in ("jaco:1000", "path:1000"):
+        rc, out, err = run_cli(capsys, "metric", "firr", spec, "--out", str(out_path))
+        assert rc == 2 and out == ""
+        assert err.startswith(f"error: cannot write {out_path}: ") and len(err.splitlines()) == 1
 
 
 def test_metric_bad_spec_creates_no_out_file(tmp_path, capsys):

@@ -5,7 +5,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jacograph import (
@@ -32,7 +32,9 @@ from jacograph import (
     underlying_degree_counts,
     underlying_degrees,
 )
-from jacograph.irregularity import _LEAF
+from jacograph.fibonacci import fib_pair
+from jacograph.irregularity import _LEAF, _fib_poly_sum, pair_sum_unit_head
+from jacograph.jaco import underlying_metric
 
 degree_sequences = st.lists(st.integers(min_value=0, max_value=120), max_size=40)
 
@@ -216,6 +218,56 @@ def test_decimal_ring_equals_int_ring(counts):
         assert str(in_decimal) == str(pair_sum_histogram(counts, kind))
 
 
+@st.composite
+def unit_head_histograms(draw):
+    """(lo, band): 1 on degrees 1..lo-1, then a band of small counts, top degree first."""
+    lo = draw(st.integers(min_value=1, max_value=3 * _LEAF))
+    band = draw(st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=80))
+    return lo, band * draw(st.sampled_from([1, 1, 30]))  # a repeated band crosses leaves
+
+
+@settings(deadline=None)
+@given(unit_head_histograms())
+@example((1, [1]))
+@example((1, [0]))
+@example((2, [3, 0, 2]))
+@example((_LEAF + 1, [1] * (2 * _LEAF + 1)))
+def test_unit_head_kernel_matches_the_histogram_kernel(shape):
+    lo, band = shape
+    counts = [0] + [1] * (lo - 1) + band[::-1]
+    for kind in ("firr", "firrpm"):
+        assert pair_sum_unit_head(lo, band, kind) == pair_sum_histogram(counts, kind), kind
+        assert pair_sum_unit_head(lo, bytes(band), kind) == pair_sum_histogram(counts, kind), kind
+    with decimal.localcontext(EXACT):
+        in_decimal = pair_sum_unit_head(lo, band, "firrpm", decimal.Decimal(1))
+    assert str(in_decimal) == str(pair_sum_histogram(counts, "firrpm"))
+
+
+def test_unit_head_kernel_rejects_bad_shapes():
+    for lo, band, kind in ((0, [1], "firr"), (3, [], "firrpm"), (3, [1], "irr")):
+        with pytest.raises(ValueError):
+            pair_sum_unit_head(lo, band, kind)
+
+
+@given(
+    st.tuples(*[st.integers(min_value=-(10**9), max_value=10**9)] * 3),
+    st.integers(min_value=0, max_value=200),
+    st.integers(min_value=0, max_value=60),
+)
+@example((0, 0, 1), 0, 5)  # f_0 + f_2 + ... + f_8 = f_9 - 1
+def test_polynomial_times_fibonacci_sums_match_direct_summation(coeffs, a, count):
+    c2, c1, c0 = coeffs
+
+    def poly(e):
+        return (c2 * e + c1) * e + c0
+
+    expected = sum(poly(e) * fib(a + 2 * e) for e in range(count))
+    assert _fib_poly_sum(poly, a, count, fib_pair) == expected
+    with decimal.localcontext(EXACT):
+        in_decimal = _fib_poly_sum(poly, a, count, lambda i: fib_pair(i, decimal.Decimal(1)))
+    assert str(in_decimal) == str(expected)
+
+
 def test_decimal_ring_raises_rather_than_rounds():
     # The leaves of jaco:20000 already hold numbers of more than 50 digits.
     with decimal.localcontext(decimal.Context(prec=50, traps=[decimal.Inexact])):
@@ -291,6 +343,8 @@ def test_kernel_matches_mod_p_sum_at_a_million_vertices():
     firr, pm = sorted_prefix_mod_p(counts)
     assert pair_sum_histogram(counts, "firr") % P61 == firr
     assert pair_sum_histogram(counts, "firrpm") % P61 == pm
+    assert underlying_metric(10**6, "firr") % P61 == firr
+    assert underlying_metric(10**6, "firrpm") % P61 == pm
 
 
 @given(kernel_sequences, kernel_sequences, st.integers(min_value=0, max_value=3))

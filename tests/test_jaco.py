@@ -5,17 +5,25 @@ import tracemalloc
 import warnings
 from collections import Counter
 
+import decimal
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from jacograph import (
     build_profile,
+    degree_histogram,
     degree_sequence,
+    fib,
     out_degree,
+    pair_sum_histogram,
     prime_jaconian_index,
     underlying_degree_counts,
     underlying_degrees,
     underlying_graph,
 )
+from jacograph.jaco import _floor_phi, _floor_sums, _poly_sum, _fibonacci_word, underlying_metric
 
 # First twelve rows of the construction table.
 EXPECTED_IN_DEGREES = (0, 1, 1, 1, 2, 2, 3, 3, 3, 4, 4, 4)
@@ -107,11 +115,18 @@ def sweep_degrees(n, prof):
 
 
 def test_underlying_degree_counts_match_degree_sequences():
+    # The word-built histogram against the per-vertex formula up to 5000
+    # vertices, and the formula against the definitional sweep up to 2000.
     prof = build_profile(2000)
-    for n in range(1, 2001):
-        expected = sweep_degrees(n, prof)
-        assert underlying_degrees(n) == expected, n
-        assert underlying_degree_counts(n) == histogram(expected), n
+    for n in range(1, 5001):
+        degrees = underlying_degrees(n)
+        if n <= 2000:
+            assert degrees == sweep_degrees(n, prof), n
+        counts = underlying_degree_counts(n)
+        assert counts == degree_histogram(degrees), n
+        if n >= 2:  # 1 below lo = n - G(n), and at most one degree above hi = n - G(k + 1)
+            k, lo, hi = len(counts) - 1, n - out_degree(n), n - out_degree(len(counts))
+            assert counts[1:lo] == [1] * (lo - 1) and k - hi in (0, 1), n
     for n in (0, -3):
         with pytest.raises(ValueError):
             underlying_degree_counts(n)
@@ -121,6 +136,86 @@ def test_underlying_degree_counts_match_graphs():
     for n in range(1, 201):
         g = underlying_graph(n)
         assert underlying_degree_counts(n) == histogram(degree_sequence(g)), n
+
+
+def test_fibonacci_word_is_the_floor_difference_sequence():
+    word = _fibonacci_word(20_000)
+    assert all(word[j - 1] == _floor_phi(j + 1) - _floor_phi(j) for j in range(1, 20_001))
+    phi = (1 + 5**0.5) / 2
+    assert all(_floor_phi(x) == int(x * phi) for x in range(10_000))  # float is exact this far
+
+
+def test_convergents_give_floor_m_phi_below_their_denominator():
+    # floor(m phi) = floor(m F_{t+1} / F_t) for 0 <= m < F_t, as proved in
+    # the jaco docstring.
+    for t in range(1, 23):
+        p, q = fib(t + 1), fib(t)
+        assert all(_floor_phi(m) == m * p // q for m in range(q)), t
+
+
+@given(
+    st.integers(min_value=0, max_value=60),
+    st.integers(min_value=0, max_value=60),
+    st.integers(min_value=1, max_value=60),
+    st.integers(min_value=0, max_value=80),
+)
+@example(fib(91), 7, fib(90), 200)
+@example(0, 59, 60, 80)
+@example(60, 0, 1, 0)
+def test_floor_sums_match_brute_sums(a, b, c, n):
+    qs = [(a * x + b) // c for x in range(n + 1)]
+    assert _floor_sums(a, b, c, n) == (sum(qs), sum(x * q for x, q in enumerate(qs)), sum(q * q for q in qs))
+
+
+@given(
+    st.tuples(*[st.integers(min_value=-(10**6), max_value=10**6)] * 3),
+    st.integers(min_value=-50, max_value=50),
+    st.integers(min_value=-3, max_value=60),
+)
+def test_poly_sum_matches_direct_summation(coeffs, lo, terms):
+    c2, c1, c0 = coeffs
+
+    def p(x):
+        return (c2 * x + c1) * x + c0
+
+    assert _poly_sum(p, lo, lo + terms - 1) == sum(p(x) for x in range(lo, lo + terms))
+
+
+def test_closed_form_irr_matches_the_kernel():
+    for n in range(1, 3001):
+        assert underlying_metric(n, "irr") == pair_sum_histogram(underlying_degree_counts(n), "irr"), n
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=1, max_value=10**6))
+@example(10**6)
+def test_closed_form_irr_matches_the_kernel_up_to_a_million(n):
+    assert underlying_metric(n, "irr") == pair_sum_histogram(underlying_degree_counts(n), "irr")
+
+
+def test_unit_head_metrics_match_the_kernel():
+    rng = random.Random(11)
+    for n in [*range(1, 1501), *(rng.randint(1501, 200_000) for _ in range(3))]:
+        counts = underlying_degree_counts(n)
+        for kind in ("firr", "firrpm"):
+            assert underlying_metric(n, kind) == pair_sum_histogram(counts, kind), (n, kind)
+
+
+def test_unit_head_metrics_in_the_decimal_ring_equal_the_int_ring():
+    exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
+    for n in (1, 2, 3, 1656, 1657, 30_000):  # 30 000 splits its band into leaves
+        for kind in ("irr", "firr", "firrpm"):
+            with decimal.localcontext(exact):
+                in_decimal = underlying_metric(n, kind, decimal.Decimal(1))
+            assert str(in_decimal) == str(underlying_metric(n, kind)), (n, kind)
+
+
+def test_underlying_metric_rejects_bad_arguments():
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            underlying_metric(n, "irr")
+    with pytest.raises(ValueError, match="unknown metric kind"):
+        underlying_metric(5, "sigma")
 
 
 def test_underlying_graph_small():
