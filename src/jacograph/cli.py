@@ -50,7 +50,8 @@ __all__ = ["main"]
 REPORTED_IRR = {1: 0, 2: 0, 3: 2, 4: 4, 5: 8, 6: 14, 7: 26, 8: 42, 9: 60, 10: 86, 11: 116, 12: 149}
 REPORTED_FIRR = {1: 0, 2: 0, 3: 0, 4: 0, 5: 4, 6: 9, 7: 20, 8: 54, 9: 70, 10: 133, 11: 224, 12: 322}
 
-_FAMILIES = ("jaco", "path", "cycle", "star", "biclique")
+# The builder of each named family; biclique takes two arguments, the others one.
+_FAMILIES = dict(jaco=underlying_graph, path=path, cycle=cycle, star=star, biclique=complete_bipartite)
 
 
 class SpecError(ValueError):
@@ -85,9 +86,7 @@ def _parse_spec(spec: str) -> tuple[str, list[int]] | tuple[str, str]:
     head, _, rest = spec.partition(":")
     if head in _FAMILIES:
         parts = rest.split(":") if rest else []
-        if head == "biclique":
-            return head, _spec_ints(parts, spec, 2)
-        return head, _spec_ints(parts, spec, 1)
+        return head, _spec_ints(parts, spec, 2 if head == "biclique" else 1)
     return "file", spec
 
 
@@ -95,18 +94,10 @@ def graph_for_spec(spec: str) -> SimpleGraph:
     """Build the graph a spec names; raises SpecError on unusable input."""
     kind, args = _parse_spec(spec)
     try:
-        if kind == "jaco":
-            return underlying_graph(args[0])
-        if kind == "path":
-            return path(args[0])
-        if kind == "cycle":
-            return cycle(args[0])
-        if kind == "star":
-            return star(args[0])
-        if kind == "biclique":
-            return complete_bipartite(args[0], args[1])
-        with open(args, encoding="utf-8") as fh:
-            return from_edge_list(fh.read())
+        if kind == "file":
+            with open(args, encoding="utf-8") as fh:
+                return from_edge_list(fh.read())
+        return _FAMILIES[kind](*args)
     except (ValueError, OSError) as exc:
         raise SpecError(f"graph spec {spec!r}: {exc}") from exc
 
@@ -114,6 +105,8 @@ def graph_for_spec(spec: str) -> SimpleGraph:
 def _family_counts(kind: str, args: list[int]) -> list[int] | None:
     """Degree histogram of a named family, or None where its builder refuses the arguments."""
     n = args[0]
+    if kind == "jaco" and n >= 1:
+        return underlying_degree_counts(n)
     if kind == "path" and n >= 1:
         return [1] if n == 1 else [0, 2] if n == 2 else [0, 2, n - 2]
     if kind == "cycle" and n >= 3:
@@ -130,11 +123,6 @@ def _family_counts(kind: str, args: list[int]) -> list[int] | None:
 def counts_for_spec(spec: str) -> list[int]:
     """Degree histogram for a spec; only an edge-list file builds its graph."""
     kind, args = _parse_spec(spec)
-    if kind == "jaco":
-        try:
-            return underlying_degree_counts(args[0])
-        except ValueError as exc:
-            raise SpecError(f"graph spec {spec!r}: {exc}") from exc
     counts = None if kind == "file" else _family_counts(kind, args)
     if counts is None:  # a file, or arguments the builder refuses with its own message
         counts = degree_histogram(degree_sequence(graph_for_spec(spec)))
@@ -146,7 +134,7 @@ def _table_rows(kind: str, first: int, last: int) -> Iterator[dict]:
     reported = REPORTED_IRR if kind == "irr" else REPORTED_FIRR
     for i in range(first, last + 1):
         degrees = underlying_degrees(i)
-        value = pair_sum_histogram(degree_histogram(degrees), kind)
+        value = underlying_metric(i, kind)
         g = out_degree(i)
         ref = reported.get(i)
         yield {

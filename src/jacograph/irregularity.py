@@ -10,8 +10,9 @@ differences:
 All three depend only on the degree histogram: c_d vertices of degree d,
 n vertices in all, largest degree D.  Every metric can be evaluated two ways:
 the quadratic pairwise oracle (``naive``) or one pass over the histogram
-(``sorted-prefix``, a prefix count over the ascending degrees).  The two must
-agree exactly on every input; all arithmetic is integer.
+(``sorted-prefix``, which carries a running count of the degrees above d from
+the top degree down; the tag keeps the name of the first, ascending, pass).
+The two must agree exactly on every input; all arithmetic is integer.
 
 With L_d = #{degrees <= d}, exactly L_d (n - L_d) pairs straddle the step
 from d to d + 1, and f_{d+1} - f_d = f_{d-1} (with f_{-1} = 1), so

@@ -29,9 +29,16 @@ and one beyond the cut in J*_m.  For any weights, the pair sum over a union
 A + B is pair_sum(A) + pair_sum(B) + the sum of |w_a - w_b| over a in A,
 b in B, so the correction is the cross pair sum of the two tail histograms:
 three calls to the histogram kernel, O(D) per instance with no per-pair
-weight lookup.  The left side is the kernel on the union's histogram, built
-afresh for every instance; only the formula side keeps per-graph data
-(degrees and metric) for the length of one sweep.
+weight lookup.  Each tail histogram is the graph's histogram with 1
+subtracted on the degrees 1..cut.  The cut is k_m, the largest degree of
+J*_m, and k_m <= k_n, since k = G(x+1) - 1 never falls as x grows.  So for
+x = n and for x = m, vertices 1..cut of J*_x lie in its head, where vertex
+i has degree i, and removing them removes exactly one vertex of each degree
+1..cut.  For m = 1 the cut is 0 and the tails are the whole graphs.
+
+The left side is the kernel on the union's histogram, built afresh for
+every instance.  Only the formula side keeps data across the instances of
+one sweep: one metric value per graph and metric kind.
 
 A sweep walks one generator of parameter tuples per check id, which also
 answers whether a check has any instance at all: every loop in it starts at
@@ -58,10 +65,12 @@ from .irregularity import (
     pair_sum_naive,
 )
 from .jaco import (
+    out_degree,
     prime_jaconian_index,
     underlying_degree_counts,
     underlying_degrees,
     underlying_graph,
+    underlying_metric,
 )
 
 __all__ = [
@@ -244,16 +253,6 @@ def thm31_check(n: int) -> CheckRecord:
     return _equality("thm31", {"n": n}, lhs, thm31_rhs(n))
 
 
-def _jaco_side(x: int, kind: str, memo: dict) -> tuple[tuple[int, ...], int]:
-    """Formula-side data of J*_x: its degrees and its metric ``kind``, kept in ``memo``."""
-    if x not in memo:
-        memo[x] = (underlying_degrees(x), {})
-    degrees, metrics = memo[x]
-    if kind not in metrics:
-        metrics[kind] = pair_sum_histogram(degree_histogram(degrees), kind)
-    return degrees, metrics[kind]
-
-
 def _union_check(
     theorem: str,
     n: int,
@@ -261,27 +260,27 @@ def _union_check(
     kind: str,
     memo: dict | None = None,
 ) -> CheckRecord:
-    """The union statement for metric ``kind``; ``memo`` keeps the formula
-    side's per-graph data across the instances of one sweep."""
+    """The union statement for metric ``kind``; ``memo`` maps (x, kind) to the
+    metric of J*_x across the instances of one sweep."""
     if m < 1:
         raise ValueError(f"{theorem} needs m >= 1, got {m}")
     if n < m:
         raise ValueError(f"{theorem} needs n >= m; swap arguments ({n}, {m})")
-    # The oracle: the union's own histogram, built fresh, never from the memo.
-    lhs = pair_sum_histogram(
-        add_histograms(underlying_degree_counts(n), underlying_degree_counts(m)), kind
-    )
+    counts_n = underlying_degree_counts(n)
+    counts_m = underlying_degree_counts(m)
+    # The oracle: the union's own histogram, never read from the memo.
+    lhs = pair_sum_histogram(add_histograms(counts_n, counts_m), kind)
     if memo is None:
         memo = {}
+    for x in (n, m):
+        if (x, kind) not in memo:
+            memo[x, kind] = underlying_metric(x, kind)
     params = {"n": n, "m": m}
-    dn, metric_n = _jaco_side(n, kind, memo)
     if n == m:
-        return _equality(theorem, params, lhs, 4 * metric_n)
-    dm, metric_m = _jaco_side(m, kind, memo)
-    cut = max(dm)  # = prime_jaconian_index(m) for m >= 2: both readings are one cut
-    rhs = 2 * (metric_n + metric_m) + cross_pair_sum(
-        degree_histogram(dn[cut:]), degree_histogram(dm[cut:]), kind
-    )
+        return _equality(theorem, params, lhs, 4 * memo[n, kind])
+    cut = out_degree(m + 1) - 1  # the largest degree of J*_m, and its Jaconian index for m >= 2
+    tails = ([c - (0 < d <= cut) for d, c in enumerate(counts)] for counts in (counts_n, counts_m))
+    rhs = 2 * (memo[n, kind] + memo[m, kind]) + cross_pair_sum(*tails, kind)
     holds = lhs <= rhs
     detail = {
         "rhs_degree_reading": rhs,
@@ -298,7 +297,7 @@ def thm32_check(n: int, m: int, *, _memo: dict | None = None) -> CheckRecord:
     n = m asserts lhs = 4 * irr_t(J*_n); n > m asserts the upper bound with
     the correction sum over vertices beyond the cut in both copies.
     ``_memo`` is private to :func:`verify_sweep`, which shares the formula
-    side's per-graph data through it; without it every call starts afresh.
+    side's per-graph metrics through it; without it every call starts afresh.
     """
     return _union_check("thm32", n, m, "irr", _memo)
 
@@ -382,14 +381,12 @@ def _instances(
     n_range: tuple[int, int],
     m_range: tuple[int, int],
     i_range: tuple[int, int] | None,
-    memo: dict,
 ) -> Iterator[tuple[int, ...]]:
     """Parameter tuples of check ``tid`` in the ranges, in ascending (n, m, i) order.
 
     Each loop starts at its first value with an instance, and a range that
     leaves none stops the generator at once, so asking for the first tuple
-    costs O(1) steps.  The union branch drops ``memo``'s entry of an n above
-    the m range once its last instance is out.
+    costs O(1) steps.
     """
     (n_lo, n_hi), (m_lo, m_hi) = n_range, m_range
     if tid in ("thm21", "thm31"):
@@ -399,8 +396,6 @@ def _instances(
         for n in range(max(n_lo, m_lo), n_hi + 1):
             for m in range(m_lo, min(m_hi, n) + 1):
                 yield n, m
-            if n > m_hi:
-                memo.pop(n, None)  # no later instance has n as its m
     elif tid == "lemma31":
         ms = range(max(2, m_lo), m_hi + 1)
         for n in range(max(2, n_lo), n_hi + 1) if ms else ():
@@ -441,13 +436,13 @@ def verify_sweep(
     m_range = _check_range(m_range if m_range is not None else n_range, "m")
     if i_range is not None:
         _check_range(i_range, "i")
-    # Formula-side data per Jaco graph, shared by the union instances.
-    memo: dict = {}
     # A check that runs on nothing verifies nothing; it is not a pass.
-    empty = [t for t in ids if next(_instances(t, n_range, m_range, i_range, memo), None) is None]
+    empty = [t for t in ids if next(_instances(t, n_range, m_range, i_range), None) is None]
     if empty:
         raise ValueError(f"no instances of {', '.join(empty)} in the given ranges")
 
+    # Formula-side metric per Jaco graph, shared by the union instances.
+    memo: dict = {}
     # Built per call, so a check replaced on the module is the one that runs.
     checks = {
         "thm21": thm21_check,
@@ -461,6 +456,6 @@ def verify_sweep(
     # the records come out sorted by (theorem, n, m, i) with no sort after.
     report = VerifyReport()
     for tid in sorted(ids):
-        for params in _instances(tid, n_range, m_range, i_range, memo):
+        for params in _instances(tid, n_range, m_range, i_range):
             report.add(checks[tid](*params))
     return report

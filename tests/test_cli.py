@@ -25,6 +25,7 @@ from jacograph import (
     star,
     underlying_degree_counts,
     underlying_degrees,
+    underlying_graph,
 )
 from jacograph.cli import REPORTED_FIRR, REPORTED_IRR, counts_for_spec, main
 from jacograph.jaco import underlying_metric
@@ -132,6 +133,7 @@ def test_metric_bad_specs(capsys):
 def test_family_histograms_are_those_of_the_built_graphs(monkeypatch):
     built = {}
     for n in range(1, 13):
+        built[f"jaco:{n}"] = underlying_graph(n)
         built[f"path:{n}"] = path(n)
         built[f"star:{n}"] = star(n)
         if n >= 3:
@@ -465,6 +467,19 @@ def test_streamed_table_equals_the_whole_string_rendering(kind, fmt, tmp_path, c
         rc, out, err = run_cli(capsys, "table", kind, str(n), "--format", fmt, "--out", str(out_path))
         assert (rc, out, err) == (0, "", "")
         assert out_path.read_bytes() == expected.encode(), n
+
+
+@pytest.mark.parametrize("kind", ["irr", "firr"])
+def test_table_values_build_no_histogram(kind, monkeypatch, capsys):
+    # row values come from jaco.underlying_metric, not the kernel over a histogram
+    expected = reference_table(kind, 300, "text")
+
+    def refuse(*args):
+        raise AssertionError("a table row built a degree histogram")
+
+    monkeypatch.setattr("jacograph.cli.pair_sum_histogram", refuse)
+    monkeypatch.setattr("jacograph.cli.degree_histogram", refuse)
+    assert run_cli(capsys, "table", kind, "300") == (0, expected, "")
 
 
 @pytest.mark.parametrize("kind, n_max", [("irr", 2000), ("firr", 1000)])

@@ -228,14 +228,16 @@ def test_union_records_match_the_double_loop_up_to_60():
 
 
 def test_union_lhs_never_reads_the_memo():
-    # a memo whose degrees and metrics are all wrong moves only the formula side
-    for n, m in ((9, 4), (6, 6)):
+    # a memo whose metrics are all 0 moves only the formula side, by exactly
+    # the 2 (M_n + M_m) it drops for n > m, and to 0 for n = m
+    for n, m in ((9, 4), (6, 6), (7, 1)):
         for theorem, kind, weight in (("thm32", "irr", lambda d: d), ("cor31", "firr", fib)):
-            poisoned = {x: ((1,) * x, {kind: 0}) for x in (n, m)}
-            rec = theorems._union_check(theorem, n, m, kind, poisoned)
+            metric = {x: pair_sum_naive([weight(d) for d in underlying_degrees(x)]) for x in (n, m)}
+            clean = theorems._union_check(theorem, n, m, kind)
+            rec = theorems._union_check(theorem, n, m, kind, {(x, kind): 0 for x in (n, m)})
             union = underlying_degrees(n) + underlying_degrees(m)
-            assert rec.lhs == pair_sum_naive([weight(d) for d in union]) > 0
-            assert rec.rhs == 0
+            assert rec.lhs == clean.lhs == pair_sum_naive([weight(d) for d in union]) > 0
+            assert rec.rhs == (0 if n == m else clean.rhs - 2 * (metric[n] + metric[m]))
             assert not rec.matched
 
 
@@ -247,6 +249,18 @@ def test_union_sweep_looks_up_no_weight(monkeypatch):
     monkeypatch.setattr("jacograph.fibonacci.FibCache.fib", refuse)
     report = verify_sweep(["thm32", "cor31"], (2, 40), (1, 40))
     assert report.total == 2 * sum(range(2, 41))
+    assert report.all_matched
+
+
+def test_union_sweep_builds_no_degree_sequence(monkeypatch):
+    # the formula side reads word-built histograms and per-graph metrics only
+    def refuse(*args):
+        raise AssertionError("a union check built a per-vertex degree sequence")
+
+    monkeypatch.setattr("jacograph.theorems.underlying_degrees", refuse)
+    monkeypatch.setattr("jacograph.theorems.degree_histogram", refuse)
+    report = verify_sweep(["thm32", "cor31"], (1, 40), (1, 40))
+    assert report.total == 2 * sum(range(1, 41))
     assert report.all_matched
 
 
