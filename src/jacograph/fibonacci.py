@@ -4,57 +4,33 @@ Everything here is a Python int, so weights stay exact no matter how large a
 degree gets (f_d outgrows 64-bit words near d = 93, and degree sequences of
 large graphs go far beyond that).  Only :func:`fib_pair` also runs in another
 ring, given its unit.
+
+There is one Fibonacci routine, the fast doubling of :func:`fib_pair`.
+:func:`fib` is that routine behind :func:`functools.cache`, for the callers
+that ask for the same small indices over and over (the theorem formulas and
+oracles, the table's weight column, the closed forms and the naive oracle).
+The cache holds only the values asked for, each computed once, so f_i costs
+O(log i) multiplications and O(i) bits however large i is, and it is safe to
+share across threads: two threads that miss on the same index both compute
+the same value.  The histogram metric kernel calls ``fib_pair`` directly and
+makes no per-degree ``fib`` call.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Any
 
-__all__ = ["FibCache", "fib", "fib_pair", "weight_of_degree", "signed_weight_of_degree"]
-
-
-class FibCache:
-    """Append-only cache of the Fibonacci sequence f_0=0, f_1=1, f_2=1, ...
-
-    Lookups extend the cache on demand and are amortized O(1) afterwards.
-    Extension is not synchronized: warm the cache up to the largest index
-    needed (a single ``fib`` call), then it may be shared immutably across
-    threads.  Holding f_0..f_i takes about 0.347 i^2 bits, so only small
-    indices belong here: within the package the theorem formulas, the
-    table's weight column, the closed forms and the naive oracle fill it; the
-    histogram metric kernel never does.
-    """
-
-    __slots__ = ("_values",)
-
-    def __init__(self) -> None:
-        self._values = [0, 1, 1]
-
-    def fib(self, i: int) -> int:
-        """Return f_i for non-negative i."""
-        if i < 0:
-            raise ValueError(f"Fibonacci index must be non-negative, got {i}")
-        values = self._values
-        while len(values) <= i:
-            values.append(values[-1] + values[-2])
-        return values[i]
-
-
-_SHARED = FibCache()
-
-
-def fib(i: int) -> int:
-    """f_i from the shared process-wide cache."""
-    return _SHARED.fib(i)
+__all__ = ["fib", "fib_pair", "weight_of_degree", "signed_weight_of_degree"]
 
 
 def fib_pair(i: int, one: Any = 1) -> tuple[Any, Any]:
-    """(f_i, f_{i+1}) by fast doubling, without the cache.
+    """(f_i, f_{i+1}) by fast doubling.
 
     Walks the bits of i from the top, doubling the index with
     f_2k = f_k (2 f_{k+1} - f_k) and f_2k+1 = f_k^2 + f_{k+1}^2 and stepping
     it by one on a set bit: O(log i) multiplications of numbers no longer
-    than f_i, and O(i) bits of memory where the cache would hold O(i^2).
+    than f_i, and O(i) bits of memory.
     The doubling runs in the ring whose unit is ``one``: ints by default, or
     for instance ``decimal.Decimal(1)``, exact in a context that cannot round.
     """
@@ -68,12 +44,18 @@ def fib_pair(i: int, one: Any = 1) -> tuple[Any, Any]:
     return a, b
 
 
+@cache
+def fib(i: int) -> int:
+    """f_i for non-negative i (f_0 = 0, f_1 = f_2 = 1), cached per index."""
+    return fib_pair(i)[0]
+
+
 def weight_of_degree(d: int) -> int:
     """Fibonacci weight of a vertex of degree d: f_d (0 for an isolated vertex)."""
-    return _SHARED.fib(d)
+    return fib(d)
 
 
 def signed_weight_of_degree(d: int) -> int:
     """Signed Fibonacci weight: -f_d when d is odd, +f_d when d is even."""
-    w = _SHARED.fib(d)
+    w = fib(d)
     return -w if d % 2 else w

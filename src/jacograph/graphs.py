@@ -154,25 +154,27 @@ def degree_sequence(g: SimpleGraph) -> tuple[int, ...]:
     return tuple(len(g._adj[v]) for v in range(1, g.n + 1))
 
 
-def disjoint_union(g: SimpleGraph, h: SimpleGraph) -> SimpleGraph:
-    """Disjoint union; vertices of h are relabeled g.n + 1 .. g.n + h.n."""
+def _union_adjacency(g: SimpleGraph, h: SimpleGraph) -> list[list[int]]:
+    """Fresh adjacency lists of the disjoint union, h relabeled g.n + 1 .. g.n + h.n."""
     off = g.n
     adj: list[list[int]] = [[]]
     adj.extend(list(nbrs) for nbrs in g._adj[1:])
     adj.extend([w + off for w in nbrs] for nbrs in h._adj[1:])
-    return SimpleGraph._from_sorted_adjacency(adj)
+    return adj
+
+
+def disjoint_union(g: SimpleGraph, h: SimpleGraph) -> SimpleGraph:
+    """Disjoint union; vertices of h are relabeled g.n + 1 .. g.n + h.n."""
+    return SimpleGraph._from_sorted_adjacency(_union_adjacency(g, h))
 
 
 def edge_joint(g: SimpleGraph, v: int, h: SimpleGraph, u: int) -> SimpleGraph:
     """Disjoint union of g and h plus the single edge from v to (relabeled) u."""
     g._check_vertex(v)
     h._check_vertex(u)
-    off = g.n
-    adj: list[list[int]] = [[]]
-    adj.extend(list(nbrs) for nbrs in g._adj[1:])
-    adj.extend([w + off for w in nbrs] for nbrs in h._adj[1:])
-    insort(adj[v], u + off)
-    insort(adj[u + off], v)
+    adj = _union_adjacency(g, h)
+    insort(adj[v], u + g.n)
+    insort(adj[u + g.n], v)
     return SimpleGraph._from_sorted_adjacency(adj)
 
 

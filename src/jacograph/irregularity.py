@@ -53,8 +53,8 @@ either stream.  Its leaf, at most ``_LEAF`` degrees, is Horner's rule over
 the stream's next terms, a step (p, q) -> (q + g_d, p + q) of big-integer
 additions, and a histogram of one leaf runs only that loop.  The leaves
 draw their terms in order, top down, so no list of coefficients is built
-and memory stays O(D) words plus the result.  The kernel never reads or
-fills the shared cache of :mod:`jacograph.fibonacci`.
+and memory stays O(D) words plus the result.  The kernel makes no
+per-degree :func:`~jacograph.fibonacci.fib` call.
 
 Binary splitting only adds and multiplies, so it runs unchanged in any ring
 that holds the integers; the Fibonacci kinds take its unit ``one``.  Each

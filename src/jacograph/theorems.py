@@ -95,6 +95,9 @@ THEOREM_IDS = ("thm21", "thm31", "thm32", "cor31", "lemma31", "thm33")
 RELATION_EQUALITY = "equality"
 RELATION_UPPER_BOUND = "upper-bound"
 
+# Mismatches listed one by one in the text summary; the rest are counted.
+_MISMATCH_CAP = 20
+
 
 @dataclass(frozen=True)
 class CheckRecord:
@@ -167,7 +170,7 @@ class VerifyReport:
             "all_matched": self.all_matched,
         }
 
-    def summary_text(self, mismatch_cap: int = 20) -> str:
+    def summary_text(self) -> str:
         lines = []
         for tid, (total, bad) in sorted(self.by_theorem().items()):
             lines.append(f"{tid}: {total} checks, {bad} mismatches")
@@ -175,7 +178,7 @@ class VerifyReport:
         for rec in self.records:
             if rec.matched:
                 continue
-            if shown == mismatch_cap:
+            if shown == _MISMATCH_CAP:
                 lines.append(f"  ... {self.mismatch_count - shown} more mismatches")
                 break
             params = " ".join(f"{k}={v}" for k, v in rec.params.items())
@@ -347,19 +350,16 @@ def thm33_literal(n: int, m: int, i: int) -> int:
     second copy, and each side contributes |pivot - weight| with sign + for
     weights at most the pivot and - for strictly larger weights."""
     _check_thm33_args(n, m, i)
-    dn = underlying_degrees(n)
-    dm = underlying_degrees(m)
-    wn = [fib(d) for d in dn]
-    wm = [fib(d) for d in dm]
-    pivot = wn[i - 1]
-    base = firr_t(dn).value + firr_t(dm).value
-    cross = 0
-    for wa in wn:
-        for wb in wm:
-            cross += abs(wa - wb)
+    counts_n = underlying_degree_counts(n)
+    counts_m = underlying_degree_counts(m)
+    pivot = fib(min(i, n - out_degree(i)))  # the degree of v_i in J*_n
+    base = pair_sum_histogram(counts_n, "firr") + pair_sum_histogram(counts_m, "firr")
+    cross = cross_pair_sum(counts_n, counts_m, "firr")
+    weight_n = sum(c * fib(d) for d, c in enumerate(counts_n))
+    weight_m = sum(c * fib(d) for d, c in enumerate(counts_m))
     # Each side weight w adds +|pivot - w| when w <= pivot and -|w - pivot|
     # when w > pivot; both arms are pivot - w.
-    side_sum = pivot * (n - 1 + m) - (sum(wn) - pivot) - sum(wm)
+    side_sum = pivot * (n - 1 + m) - (weight_n - pivot) - weight_m
     return base + cross + side_sum
 
 

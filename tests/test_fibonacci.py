@@ -1,12 +1,14 @@
-"""Fibonacci cache and weight maps."""
+"""Fibonacci numbers and weight maps."""
 
 import decimal
+import sys
+import threading
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from jacograph import FibCache, fib, signed_weight_of_degree, weight_of_degree
+from jacograph import fib, signed_weight_of_degree, weight_of_degree
 from jacograph.fibonacci import fib_pair
 
 
@@ -59,22 +61,55 @@ def test_negative_index_rejected():
         fib(-1)
 
 
-def test_fresh_cache_is_consistent_with_shared():
-    cache = FibCache()
-    assert [cache.fib(i) for i in range(50)] == [fib(i) for i in range(50)]
-    # repeated calls hit the cache and stay consistent
-    assert cache.fib(30) == cache.fib(30) == 832040
+def test_fib_is_safe_to_share_across_threads():
+    # eight threads fill an empty cache at once, each in its own order,
+    # switching as often as the interpreter allows
+    expected = [iterative_fib(i) for i in range(1500)]
+    got = [None] * 8
+
+    def work(k):
+        got[k] = [fib(i) for i in range(1500)[:: 1 if k % 2 else -1]]
+
+    fib.cache_clear()
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    for k, values in enumerate(got):
+        assert values == (expected if k % 2 else expected[::-1])
+    assert [fib(i) for i in range(1500)] == expected
 
 
-def test_fib_pair_matches_cache():
-    cache = FibCache()
+STAR_FIRR = "from jacograph import star_firr_closed; star_firr_closed({n})"
+
+
+def test_fib_takes_memory_of_the_values_asked_for(peak_rss_kb):
+    # Peak RSS of a fresh process that asks for f_30000 once, above one that
+    # asks for f_1 (about 16 MiB, CPython 3.11).  f_30000 has about 20 800
+    # bits; a cache that held all of f_0..f_30000 peaked 40 MiB above.
+    floor = peak_rss_kb("-c", STAR_FIRR.format(n=1))
+    rc, peak = peak_rss_kb("-c", STAR_FIRR.format(n=30_000))
+    assert floor[0] == rc == 0
+    assert peak - floor[1] < 4 * 1024
+
+
+def test_fib_pair_matches_the_recurrence():
     exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
+    a, b = 0, 1  # (f_i, f_{i+1}) by the plain two-variable recurrence
     for i in range(2001):
-        assert fib_pair(i) == (cache.fib(i), cache.fib(i + 1))
+        assert fib_pair(i) == (a, b)
         with decimal.localcontext(exact):  # the same doubling in the decimal ring
             in_decimal = fib_pair(i, decimal.Decimal(1))
         assert all(type(x) is decimal.Decimal for x in in_decimal)
-        assert tuple(map(str, in_decimal)) == (str(cache.fib(i)), str(cache.fib(i + 1)))
+        assert tuple(map(str, in_decimal)) == (str(a), str(b))
+        a, b = b, a + b
     with pytest.raises(ValueError):
         fib_pair(-1)
 

@@ -246,7 +246,7 @@ def test_union_sweep_looks_up_no_weight(monkeypatch):
         raise AssertionError("a union check looked up a Fibonacci number")
 
     monkeypatch.setattr("jacograph.theorems.fib", refuse)
-    monkeypatch.setattr("jacograph.fibonacci.FibCache.fib", refuse)
+    monkeypatch.setattr("jacograph.fibonacci.fib", refuse)
     report = verify_sweep(["thm32", "cor31"], (2, 40), (1, 40))
     assert report.total == 2 * sum(range(2, 41))
     assert report.all_matched
@@ -303,6 +303,22 @@ def test_thm33_frozen_instances():
     assert thm33_literal(5, 5, 5) == 14
     assert thm33_exact(6, 4, 5) == 30
     assert thm33_literal(6, 4, 5) == 28
+
+
+def test_thm33_literal_matches_a_double_loop_over_vertices():
+    # the printed formula term by term over the weight lists of both copies
+    def literal(n, m, i):
+        wn = [fib(d) for d in underlying_degrees(n)]
+        wm = [fib(d) for d in underlying_degrees(m)]
+        pivot = wn[i - 1]
+        cross = sum(abs(wa - wb) for wa in wn for wb in wm)
+        side = sum(pivot - w for w in wn[: i - 1] + wn[i:] + wm)
+        return brute(wn) + brute(wm) + cross + side
+
+    for n in range(3, 13):
+        for m in range(1, 13):
+            for i in range(2, n + 1):
+                assert thm33_literal(n, m, i) == literal(n, m, i), (n, m, i)
 
 
 def test_thm33_agreeing_instances():
