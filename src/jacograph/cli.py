@@ -6,7 +6,10 @@ allocate).  Identical invocations produce byte-identical output.
 
 ``table`` writes each row as soon as it is made, in memory of one row, so a
 run ended by an error (exit 2) may leave a prefix of the table on stdout or
-in ``--out``.  A reader that closes stdout early, as ``| head`` does, ends
+in ``--out``.  ``verify`` keeps no record: it counts them, and for its JSON
+report spools them to a temporary file, so the report's header, which says
+whether all matched, can come first.  ``--out`` is opened before the first
+check runs.  A reader that closes stdout early, as ``| head`` does, ends
 the run with exit 2 and no message.
 """
 
@@ -16,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 from collections.abc import Iterable, Iterator
 from functools import partial
 
@@ -39,7 +43,7 @@ from .jaco import (
     underlying_graph,
     underlying_metric,
 )
-from .theorems import THEOREM_IDS, VerifyReport, verify_sweep
+from .theorems import THEOREM_IDS, CheckRecord, VerifyReport, iter_checks
 
 __all__ = ["main"]
 
@@ -248,30 +252,40 @@ def _cmd_metric(args: argparse.Namespace) -> int:
     return _write_output(chunks(), args.out)
 
 
-def _verify_json(report: VerifyReport) -> Iterator[str]:
+def _verify_json(checks: Iterator[CheckRecord], report: VerifyReport) -> Iterator[str]:
     # Byte-equal to json.dumps(report.to_json_dict(), indent=2,
-    # sort_keys=True) + "\n", with its keys in sorted order: each record is
-    # dumped alone and indented the two levels it sits at.
-    yield f'{{\n  "all_matched": {json.dumps(report.all_matched)},\n  "checks": ['
-    sep = "\n    "
-    for rec in report.records:
-        yield sep + json.dumps(rec.as_dict(), indent=2, sort_keys=True).replace("\n", "\n    ")
-        sep = ",\n    "
+    # sort_keys=True) + "\n" of the report that kept every record.  Its keys
+    # are in sorted order, so "all_matched" comes first but is known last:
+    # each record is counted, dumped alone, indented the two levels it sits
+    # at and spooled to a temporary file, which is copied after the header.
+    with tempfile.TemporaryFile("w+", encoding="utf-8") as spool:
+        sep = "\n    "
+        for rec in checks:
+            report.add(rec)
+            spool.write(sep + json.dumps(rec.as_dict(), indent=2, sort_keys=True).replace("\n", "\n    "))
+            sep = ",\n    "
+        yield f'{{\n  "all_matched": {json.dumps(report.all_matched)},\n  "checks": ['
+        spool.seek(0)
+        yield from iter(partial(spool.read, 1 << 16), "")
     summary = json.dumps(report.summary_dict(), indent=2, sort_keys=True).replace("\n", "\n  ")
-    yield ("\n  ]" if report.records else "]") + f',\n  "summary": {summary}\n}}\n'
+    yield ("\n  ]" if report.total else "]") + f',\n  "summary": {summary}\n}}\n'
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     n_range = _parse_range(args.n, "n")
     m_range = _parse_range(args.m, "m")
     i_range = _parse_range(args.i, "i") if args.i is not None else None
-    report = verify_sweep(args.theorems, n_range, m_range, i_range)
+    checks = iter_checks(args.theorems, n_range, m_range, i_range)  # bad ranges fail here
+    report = VerifyReport()  # counts only: add keeps no record
     # The JSON report goes to --out, else to stdout with --format json; the
     # summary goes to stdout whenever the report does not.
     if args.out is not None or args.format == "json":
-        rc = _write_output(_verify_json(report), args.out)
+        rc = _write_output(_verify_json(checks, report), args.out)
         if rc != 0:
             return rc
+    else:
+        for rec in checks:
+            report.add(rec)
     if args.out is not None or args.format == "text":
         sys.stdout.write(report.summary_text())
     return 0 if report.all_matched else 1

@@ -6,22 +6,24 @@ large graphs go far beyond that).  Only :func:`fib_pair` also runs in another
 ring, given its unit.
 
 There is one Fibonacci routine, the fast doubling of :func:`fib_pair`.
-:func:`fib` is that routine behind :func:`functools.cache`, for the callers
-that ask for the same small indices over and over (the theorem formulas and
-oracles, the table's weight column, the closed forms and the naive oracle).
-The cache holds only the values asked for, each computed once, so f_i costs
-O(log i) multiplications and O(i) bits however large i is, and it is safe to
-share across threads: two threads that miss on the same index both compute
-the same value.  The histogram metric kernel calls ``fib_pair`` directly and
-makes no per-degree ``fib`` call.
+:func:`fib` is a cache in front of it, for the callers that ask for the same
+small indices over and over (the theorem formulas and oracles, the table's
+weight column, the closed forms and the naive oracle).  A miss at i adds the
+cached f_{i-2} and f_{i-1} when both are there, so a sweep upwards costs one
+addition per index, and runs ``fib_pair(i)`` otherwise.  The cache holds
+only the values asked for, each computed once, so f_i costs O(log i)
+multiplications and O(i) bits however large i is.  It is safe to share
+across threads: a dict's get and set are each atomic, and two threads that
+miss on the same index both compute the same value.  ``fib.__self__`` is the
+cache itself, a dict from index to value.  The histogram metric kernel calls
+``fib_pair`` directly and makes no per-degree ``fib`` call.
 """
 
 from __future__ import annotations
 
-from functools import cache
 from typing import Any
 
-__all__ = ["fib", "fib_pair", "weight_of_degree", "signed_weight_of_degree"]
+__all__ = ["fib", "fib_pair", "signed_weight_of_degree"]
 
 
 def fib_pair(i: int, one: Any = 1) -> tuple[Any, Any]:
@@ -44,15 +46,19 @@ def fib_pair(i: int, one: Any = 1) -> tuple[Any, Any]:
     return a, b
 
 
-@cache
-def fib(i: int) -> int:
-    """f_i for non-negative i (f_0 = 0, f_1 = f_2 = 1), cached per index."""
-    return fib_pair(i)[0]
+class _FibCache(dict):
+    """Index -> f_i for the indices asked for; a miss computes and stores the value."""
+
+    def __missing__(self, i: int) -> int:
+        before, last = self.get(i - 2), self.get(i - 1)
+        value = before + last if before is not None and last is not None else fib_pair(i)[0]
+        self[i] = value
+        return value
 
 
-def weight_of_degree(d: int) -> int:
-    """Fibonacci weight of a vertex of degree d: f_d (0 for an isolated vertex)."""
-    return fib(d)
+# f_i for non-negative i (f_0 = 0, f_1 = f_2 = 1), cached per index.  A bound
+# __getitem__, so a hit is one dict lookup and runs no Python code.
+fib = _FibCache().__getitem__
 
 
 def signed_weight_of_degree(d: int) -> int:

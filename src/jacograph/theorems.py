@@ -37,20 +37,26 @@ i has degree i, and removing them removes exactly one vertex of each degree
 1..cut.  For m = 1 the cut is 0 and the tails are the whole graphs.
 
 The left side is the kernel on the union's histogram, built afresh for
-every instance.  Only the formula side keeps data across the instances of
-one sweep: one metric value per graph and metric kind.
+every instance.  Only the formula side keeps data across instances: the
+metric of each Jaco graph, per metric kind, in a process-wide cache
+(``_jaco_metric``), the same policy as :func:`fib`.  The oracle never reads
+it.
 
-A sweep walks one generator of parameter tuples per check id, which also
-answers whether a check has any instance at all: every loop in it starts at
-its first value with an instance, so the first tuple, or the end, comes in
-O(1) steps however wide the ranges are.
+A sweep is one stream of records, :func:`iter_checks`.  It walks one
+generator of parameter tuples per check id, which also answers whether a
+check has any instance at all: every loop in it starts at its first value
+with an instance, so the first tuple, or the end, comes in O(1) steps however
+wide the ranges are.  A :class:`VerifyReport` counts the records as they
+come, per check id, and keeps the first few mismatches for the summary, so
+a consumer that keeps no records, as the CLI, runs in memory of one record
+and those mismatches.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache
 from typing import Any
 
 from .fibonacci import fib
@@ -87,6 +93,7 @@ __all__ = [
     "thm33_exact",
     "thm33_literal",
     "thm33_check",
+    "iter_checks",
     "verify_sweep",
 ]
 
@@ -126,32 +133,39 @@ class CheckRecord:
 
 @dataclass
 class VerifyReport:
-    """Accumulated check records plus summary counts, in the order they were added."""
+    """Summary counts of check records, updated by :meth:`add` as they come.
+
+    ``counts`` maps each check id to [checks, mismatches], and
+    ``mismatches`` holds the first ``_MISMATCH_CAP`` mismatching records,
+    the ones the text summary lists.  ``records`` holds the records that
+    :meth:`to_json_dict` lists: :func:`verify_sweep` appends every record
+    there, while ``add`` keeps none, so a report fed by ``add`` alone, as the
+    CLI's is, holds no more than the listed mismatches.
+    """
 
     records: list[CheckRecord] = field(default_factory=list)
+    counts: dict[str, list[int]] = field(default_factory=dict, init=False)
+    mismatches: list[CheckRecord] = field(default_factory=list, init=False)
 
     def add(self, record: CheckRecord) -> None:
-        self.records.append(record)
+        tally = self.counts.setdefault(record.theorem, [0, 0])
+        tally[0] += 1
+        if not record.matched:
+            tally[1] += 1
+            if len(self.mismatches) < _MISMATCH_CAP:
+                self.mismatches.append(record)
 
     @property
     def total(self) -> int:
-        return len(self.records)
+        return sum(checks for checks, _ in self.counts.values())
 
     @property
     def mismatch_count(self) -> int:
-        return sum(1 for r in self.records if not r.matched)
+        return sum(bad for _, bad in self.counts.values())
 
     @property
     def all_matched(self) -> bool:
         return self.mismatch_count == 0
-
-    def by_theorem(self) -> dict[str, tuple[int, int]]:
-        """theorem id -> (checks, mismatches), in record order."""
-        out: dict[str, tuple[int, int]] = {}
-        for rec in self.records:
-            total, bad = out.get(rec.theorem, (0, 0))
-            out[rec.theorem] = (total + 1, bad + (0 if rec.matched else 1))
-        return out
 
     def summary_dict(self) -> dict[str, Any]:
         """The counts of the JSON report: totals and mismatches, overall and per check id."""
@@ -159,7 +173,7 @@ class VerifyReport:
             "total": self.total,
             "mismatched": self.mismatch_count,
             "by_theorem": {
-                tid: {"total": tot, "mismatched": bad} for tid, (tot, bad) in sorted(self.by_theorem().items())
+                tid: {"total": tot, "mismatched": bad} for tid, (tot, bad) in sorted(self.counts.items())
             },
         }
 
@@ -171,21 +185,12 @@ class VerifyReport:
         }
 
     def summary_text(self) -> str:
-        lines = []
-        for tid, (total, bad) in sorted(self.by_theorem().items()):
-            lines.append(f"{tid}: {total} checks, {bad} mismatches")
-        shown = 0
-        for rec in self.records:
-            if rec.matched:
-                continue
-            if shown == _MISMATCH_CAP:
-                lines.append(f"  ... {self.mismatch_count - shown} more mismatches")
-                break
+        lines = [f"{tid}: {total} checks, {bad} mismatches" for tid, (total, bad) in sorted(self.counts.items())]
+        for rec in self.mismatches:
             params = " ".join(f"{k}={v}" for k, v in rec.params.items())
-            lines.append(
-                f"  mismatch {rec.theorem} {params}: lhs={rec.lhs} rhs={rec.rhs} ({rec.relation})"
-            )
-            shown += 1
+            lines.append(f"  mismatch {rec.theorem} {params}: lhs={rec.lhs} rhs={rec.rhs} ({rec.relation})")
+        if self.mismatch_count > len(self.mismatches):
+            lines.append(f"  ... {self.mismatch_count - len(self.mismatches)} more mismatches")
         verdict = "PASS" if self.all_matched else "FAIL"
         lines.append(f"overall: {verdict} ({self.total} checks, {self.mismatch_count} mismatches)")
         return "\n".join(lines) + "\n"
@@ -256,34 +261,27 @@ def thm31_check(n: int) -> CheckRecord:
     return _equality("thm31", {"n": n}, lhs, thm31_rhs(n))
 
 
-def _union_check(
-    theorem: str,
-    n: int,
-    m: int,
-    kind: str,
-    memo: dict | None = None,
-) -> CheckRecord:
-    """The union statement for metric ``kind``; ``memo`` maps (x, kind) to the
-    metric of J*_x across the instances of one sweep."""
+# The formula side's metric of J*_x per (x, kind), kept for the process.
+_jaco_metric = cache(underlying_metric)
+
+
+def _union_check(theorem: str, n: int, m: int, kind: str) -> CheckRecord:
+    """The union statement for metric ``kind``."""
     if m < 1:
         raise ValueError(f"{theorem} needs m >= 1, got {m}")
     if n < m:
         raise ValueError(f"{theorem} needs n >= m; swap arguments ({n}, {m})")
     counts_n = underlying_degree_counts(n)
     counts_m = underlying_degree_counts(m)
-    # The oracle: the union's own histogram, never read from the memo.
+    # The oracle: the union's own histogram, never read from the cache.
     lhs = pair_sum_histogram(add_histograms(counts_n, counts_m), kind)
-    if memo is None:
-        memo = {}
-    for x in (n, m):
-        if (x, kind) not in memo:
-            memo[x, kind] = underlying_metric(x, kind)
+    metric_n, metric_m = _jaco_metric(n, kind), _jaco_metric(m, kind)
     params = {"n": n, "m": m}
     if n == m:
-        return _equality(theorem, params, lhs, 4 * memo[n, kind])
+        return _equality(theorem, params, lhs, 4 * metric_n)
     cut = out_degree(m + 1) - 1  # the largest degree of J*_m, and its Jaconian index for m >= 2
     tails = ([c - (0 < d <= cut) for d, c in enumerate(counts)] for counts in (counts_n, counts_m))
-    rhs = 2 * (memo[n, kind] + memo[m, kind]) + cross_pair_sum(*tails, kind)
+    rhs = 2 * (metric_n + metric_m) + cross_pair_sum(*tails, kind)
     holds = lhs <= rhs
     detail = {
         "rhs_degree_reading": rhs,
@@ -294,20 +292,18 @@ def _union_check(
     return CheckRecord(theorem, params, RELATION_UPPER_BOUND, lhs, rhs, holds, detail)
 
 
-def thm32_check(n: int, m: int, *, _memo: dict | None = None) -> CheckRecord:
+def thm32_check(n: int, m: int) -> CheckRecord:
     """Union statement for irr_t: lhs computed on the union degree histogram.
 
     n = m asserts lhs = 4 * irr_t(J*_n); n > m asserts the upper bound with
     the correction sum over vertices beyond the cut in both copies.
-    ``_memo`` is private to :func:`verify_sweep`, which shares the formula
-    side's per-graph metrics through it; without it every call starts afresh.
     """
-    return _union_check("thm32", n, m, "irr", _memo)
+    return _union_check("thm32", n, m, "irr")
 
 
-def cor31_check(n: int, m: int, *, _memo: dict | None = None) -> CheckRecord:
+def cor31_check(n: int, m: int) -> CheckRecord:
     """Union statement for firr_t, same shape as :func:`thm32_check`."""
-    return _union_check("cor31", n, m, "firr", _memo)
+    return _union_check("cor31", n, m, "firr")
 
 
 def lemma31_check(n: int, m: int) -> CheckRecord:
@@ -409,20 +405,20 @@ def _instances(
                     yield n, m, i
 
 
-def verify_sweep(
+def iter_checks(
     theorems: list[str] | tuple[str, ...],
     n_range: tuple[int, int],
     m_range: tuple[int, int] | None = None,
     i_range: tuple[int, int] | None = None,
-) -> VerifyReport:
-    """Run every requested check over the given inclusive ranges.
+) -> Iterator[CheckRecord]:
+    """The records of every requested check over the given inclusive ranges, made as they are asked for.
 
     Instances outside a check's domain are skipped (for example thm21 skips
     n < 2 and thm32 skips n < m); for thm33 the join vertex runs over
     ``i_range`` clipped to [2, n], the whole interval when not given.
-    Records are emitted sorted by (theorem, n, m, i).  Raises ValueError
-    naming every requested check that the ranges leave without instances,
-    before any check runs.
+    Records come sorted by (theorem, n, m, i).  The arguments are checked
+    when this is called, before any check runs: it raises ValueError naming
+    every requested check that the ranges leave without instances.
     """
     ids = []
     for tid in theorems:
@@ -441,21 +437,29 @@ def verify_sweep(
     if empty:
         raise ValueError(f"no instances of {', '.join(empty)} in the given ranges")
 
-    # Formula-side metric per Jaco graph, shared by the union instances.
-    memo: dict = {}
     # Built per call, so a check replaced on the module is the one that runs.
     checks = {
         "thm21": thm21_check,
         "thm31": thm31_check,
-        "thm32": partial(thm32_check, _memo=memo),
-        "cor31": partial(cor31_check, _memo=memo),
+        "thm32": thm32_check,
+        "cor31": cor31_check,
         "lemma31": lemma31_check,
         "thm33": thm33_check,
     }
     # Ids in sorted order, each with its tuples in ascending (n, m, i) order:
     # the records come out sorted by (theorem, n, m, i) with no sort after.
+    return (checks[tid](*params) for tid in sorted(ids) for params in _instances(tid, n_range, m_range, i_range))
+
+
+def verify_sweep(
+    theorems: list[str] | tuple[str, ...],
+    n_range: tuple[int, int],
+    m_range: tuple[int, int] | None = None,
+    i_range: tuple[int, int] | None = None,
+) -> VerifyReport:
+    """A report that keeps every record of :func:`iter_checks` with these arguments."""
     report = VerifyReport()
-    for tid in sorted(ids):
-        for params in _instances(tid, n_range, m_range, i_range):
-            report.add(checks[tid](*params))
+    for record in iter_checks(theorems, n_range, m_range, i_range):
+        report.records.append(record)
+        report.add(record)
     return report

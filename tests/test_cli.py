@@ -286,6 +286,34 @@ def test_verify_json_streams_in_memory_of_the_text_summary(peak_rss_kb):
     assert as_json[1] - text[1] < 4 * 1024
 
 
+def test_verify_summary_keeps_no_records(peak_rss_kb):
+    # The text summary counts the records as they come and keeps at most 20
+    # mismatches: 20 099 records peak where 1 080 do.  Holding every record
+    # peaked 27.3 MB against 16.5 MB.
+    argv = ("-m", "jacograph", "verify", "thm32")
+    small = peak_rss_kb(*argv, "--n", "2..46", "--m", "1..46")
+    large = peak_rss_kb(*argv, "--n", "2..200", "--m", "1..200")
+    assert small[0] == large[0] == 0
+    assert large[1] - small[1] < 2 * 1024
+
+
+def test_verify_opens_out_before_the_sweep(tmp_path, capsys):
+    # a path that cannot be written fails at once, not after a 6 s sweep
+    out_path = tmp_path / "missing" / "report.json"
+    start = time.perf_counter()
+    rc, out, err = run_cli(capsys, "verify", "cor31", "--n", "2..300", "--m", "1..300", "--out", str(out_path))
+    assert time.perf_counter() - start < 1
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: cannot write {out_path}:")
+
+
+def test_verify_without_instances_writes_no_report(tmp_path, capsys):
+    out_path = tmp_path / "report.json"
+    rc, out, err = run_cli(capsys, "verify", "thm21", "--n", "1..1", "--out", str(out_path))
+    assert (rc, out, err) == (2, "", "error: no instances of thm21 in the given ranges\n")
+    assert not out_path.exists()
+
+
 def test_verify_single_value_range(capsys):
     rc, out, _ = run_cli(capsys, "verify", "thm32", "--n", "5", "--m", "5")
     assert rc == 0

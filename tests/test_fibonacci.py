@@ -3,12 +3,13 @@
 import decimal
 import sys
 import threading
+import time
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from jacograph import fib, signed_weight_of_degree, weight_of_degree
+from jacograph import fib, signed_weight_of_degree
 from jacograph.fibonacci import fib_pair
 
 
@@ -70,7 +71,7 @@ def test_fib_is_safe_to_share_across_threads():
     def work(k):
         got[k] = [fib(i) for i in range(1500)[:: 1 if k % 2 else -1]]
 
-    fib.cache_clear()
+    fib.__self__.clear()
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -85,6 +86,28 @@ def test_fib_is_safe_to_share_across_threads():
     for k, values in enumerate(got):
         assert values == (expected if k % 2 else expected[::-1])
     assert [fib(i) for i in range(1500)] == expected
+
+
+def test_an_ascending_sweep_costs_about_the_plain_recurrence():
+    # Each miss adds the two cached values below it; a cache that ran the
+    # fast doubling on every miss took about 100 times the recurrence here.
+    def recurrence(count):
+        a, b, out = 0, 1, []
+        for _ in range(count):
+            out.append(a)
+            a, b = b, a + b
+        return out
+
+    ratios = []
+    for _ in range(3):
+        fib.__self__.clear()
+        start = time.perf_counter()
+        swept = [fib(i) for i in range(20_000)]
+        mid = time.perf_counter()
+        plain = recurrence(20_000)
+        ratios.append((mid - start) / (time.perf_counter() - mid))
+        assert swept == plain
+    assert min(ratios) < 4, ratios
 
 
 STAR_FIRR = "from jacograph import star_firr_closed; star_firr_closed({n})"
@@ -126,12 +149,6 @@ def test_fib_pair_near_a_million_mod_p():
         assert tuple(x % p for x in fib_pair(i)) == (f, g)
 
 
-def test_weight_of_degree():
-    assert weight_of_degree(0) == 0
-    assert weight_of_degree(1) == 1
-    assert weight_of_degree(6) == 8
-
-
 def test_signed_weight_of_degree():
     assert signed_weight_of_degree(0) == 0
     assert signed_weight_of_degree(1) == -1
@@ -141,5 +158,5 @@ def test_signed_weight_of_degree():
 
 @given(st.integers(min_value=0, max_value=400))
 def test_signed_weight_magnitude(d):
-    assert abs(signed_weight_of_degree(d)) == weight_of_degree(d)
+    assert abs(signed_weight_of_degree(d)) == fib(d)
     assert (signed_weight_of_degree(d) < 0) == (d % 2 == 1 and fib(d) != 0)

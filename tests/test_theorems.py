@@ -227,17 +227,21 @@ def test_union_records_match_the_double_loop_up_to_60():
                 assert got == union_reference(theorem, n, m), (theorem, n, m)
 
 
-def test_union_lhs_never_reads_the_memo():
-    # a memo whose metrics are all 0 moves only the formula side, by exactly
+def test_union_lhs_never_reads_the_memo(monkeypatch):
+    # a metric cache that answers 0 moves only the formula side, by exactly
     # the 2 (M_n + M_m) it drops for n > m, and to 0 for n = m
+    clean = {}
+    for n, m in ((9, 4), (6, 6), (7, 1)):
+        for theorem, kind in (("thm32", "irr"), ("cor31", "firr")):
+            clean[theorem, n, m] = theorems._union_check(theorem, n, m, kind)
+    monkeypatch.setattr(theorems, "_jaco_metric", lambda x, kind: 0)
     for n, m in ((9, 4), (6, 6), (7, 1)):
         for theorem, kind, weight in (("thm32", "irr", lambda d: d), ("cor31", "firr", fib)):
             metric = {x: pair_sum_naive([weight(d) for d in underlying_degrees(x)]) for x in (n, m)}
-            clean = theorems._union_check(theorem, n, m, kind)
-            rec = theorems._union_check(theorem, n, m, kind, {(x, kind): 0 for x in (n, m)})
+            rec = theorems._union_check(theorem, n, m, kind)
             union = underlying_degrees(n) + underlying_degrees(m)
-            assert rec.lhs == clean.lhs == pair_sum_naive([weight(d) for d in union]) > 0
-            assert rec.rhs == (0 if n == m else clean.rhs - 2 * (metric[n] + metric[m]))
+            assert rec.lhs == clean[theorem, n, m].lhs == pair_sum_naive([weight(d) for d in union]) > 0
+            assert rec.rhs == (0 if n == m else clean[theorem, n, m].rhs - 2 * (metric[n] + metric[m]))
             assert not rec.matched
 
 
@@ -491,7 +495,49 @@ def test_empty_sweeps_are_found_in_constant_time():
 
 def test_summary_counts_by_theorem():
     report = verify_sweep(["thm21", "lemma31"], (2, 5), (2, 3))
-    by = report.by_theorem()
-    assert by["thm21"] == (4, 0)
-    assert by["lemma31"] == (8, 0)
+    assert report.counts == {"lemma31": [8, 0], "thm21": [4, 0]}
+    assert report.summary_dict()["by_theorem"] == {
+        "lemma31": {"total": 8, "mismatched": 0},
+        "thm21": {"total": 4, "mismatched": 0},
+    }
     assert "PASS" in report.summary_text()
+
+
+def rescanned_summary_text(records):
+    # The summary as a loop over every record, kept as the reference for the
+    # counters: per-id counts, the first 20 mismatches, then how many more.
+    by = {}
+    for rec in records:
+        total, bad = by.get(rec.theorem, (0, 0))
+        by[rec.theorem] = (total + 1, bad + (not rec.matched))
+    mismatches = sum(1 for rec in records if not rec.matched)
+    lines = [f"{tid}: {total} checks, {bad} mismatches" for tid, (total, bad) in sorted(by.items())]
+    shown = 0
+    for rec in records:
+        if rec.matched:
+            continue
+        if shown == 20:
+            lines.append(f"  ... {mismatches - shown} more mismatches")
+            break
+        params = " ".join(f"{k}={v}" for k, v in rec.params.items())
+        lines.append(f"  mismatch {rec.theorem} {params}: lhs={rec.lhs} rhs={rec.rhs} ({rec.relation})")
+        shown += 1
+    verdict = "FAIL" if mismatches else "PASS"
+    lines.append(f"overall: {verdict} ({len(records)} checks, {mismatches} mismatches)")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("bad", [0, 19, 20, 21, 45])
+def test_summary_text_lists_the_first_twenty_mismatches(bad):
+    # two ids, their records interleaved, the mismatches spread over both
+    records = []
+    for k in range(60):
+        theorem = ("thm33", "lemma31")[k % 2]
+        records.append(CheckRecord(theorem, {"n": k + 2, "m": 1}, "equality", k, k + (k < bad), k >= bad))
+    report = theorems.VerifyReport()
+    for rec in records:
+        report.add(rec)
+    assert report.summary_text() == rescanned_summary_text(records)
+    assert report.mismatch_count == bad and report.total == 60
+    assert len(report.mismatches) == min(bad, 20)
+    assert ("more mismatches" in report.summary_text()) == (bad > 20)
