@@ -10,7 +10,8 @@ in ``--out``.  ``verify`` keeps no record: it counts them, and for its JSON
 report spools them to a temporary file, so the report's header, which says
 whether all matched, can come first.  ``--out`` is opened before the first
 check runs.  A reader that closes stdout early, as ``| head`` does, ends
-the run with exit 2 and no message.
+the run with exit 2 and no message; any other failed write to stdout ends it
+with exit 2 and one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -190,14 +191,25 @@ def _table_csv(kind: str, n_max: int) -> Iterator[str]:
         yield f"{row['i']},{row['in_degree']},{row['out_degree']},{seq},{row['value']},{note}\n"
 
 
+def _json_elements(items: Iterable[dict]) -> Iterator[str]:
+    """The elements of a JSON array that sits two levels deep, one chunk per item.
+
+    Each item is dumped alone with indent=2 and sort_keys, indented the two
+    levels it sits at and led by its separator, so an array that opens with
+    "[" and closes with "\n  ]" is byte-equal to the one json.dumps with
+    indent=2 writes for a non-empty list of the items.
+    """
+    sep = "\n    "
+    for item in items:
+        yield sep + json.dumps(item, indent=2, sort_keys=True).replace("\n", "\n    ")
+        sep = ",\n    "
+
+
 def _table_json(kind: str, n_max: int) -> Iterator[str]:
     # Byte-equal to json.dumps({"kind": kind, "rows": rows}, indent=2,
-    # sort_keys=True) + "\n": each row is dumped alone and indented the two
-    # levels it sits at; json writes the sequence tuples as arrays.
-    sep = f'{{\n  "kind": {json.dumps(kind)},\n  "rows": [\n'
-    for row in _table_rows(kind, 1, n_max):
-        yield sep + "    " + json.dumps(row, indent=2, sort_keys=True).replace("\n", "\n    ")
-        sep = ",\n"
+    # sort_keys=True) + "\n"; json writes the sequence tuples as arrays.
+    yield f'{{\n  "kind": {json.dumps(kind)},\n  "rows": ['
+    yield from _json_elements(_table_rows(kind, 1, n_max))
     yield "\n  ]\n}\n"
 
 
@@ -256,19 +268,21 @@ def _verify_json(checks: Iterator[CheckRecord], report: VerifyReport) -> Iterato
     # Byte-equal to json.dumps(report.to_json_dict(), indent=2,
     # sort_keys=True) + "\n" of the report that kept every record.  Its keys
     # are in sorted order, so "all_matched" comes first but is known last:
-    # each record is counted, dumped alone, indented the two levels it sits
-    # at and spooled to a temporary file, which is copied after the header.
-    with tempfile.TemporaryFile("w+", encoding="utf-8") as spool:
-        sep = "\n    "
+    # each record is counted and its element spooled to a temporary file,
+    # which is copied after the header.  iter_checks has already refused a
+    # sweep without instances, so the array holds at least one record.
+    def counted() -> Iterator[dict]:
         for rec in checks:
             report.add(rec)
-            spool.write(sep + json.dumps(rec.as_dict(), indent=2, sort_keys=True).replace("\n", "\n    "))
-            sep = ",\n    "
+            yield rec.as_dict()
+
+    with tempfile.TemporaryFile("w+", encoding="utf-8") as spool:
+        spool.writelines(_json_elements(counted()))
         yield f'{{\n  "all_matched": {json.dumps(report.all_matched)},\n  "checks": ['
         spool.seek(0)
         yield from iter(partial(spool.read, 1 << 16), "")
     summary = json.dumps(report.summary_dict(), indent=2, sort_keys=True).replace("\n", "\n  ")
-    yield ("\n  ]" if report.total else "]") + f',\n  "summary": {summary}\n}}\n'
+    yield f'\n  ],\n  "summary": {summary}\n}}\n'
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -393,9 +407,13 @@ def main(argv: list[str] | None = None) -> int:
         rc = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return rc
-    except BrokenPipeError:
-        # The reader closed stdout (as `| head` does): an I/O error, not a
-        # verdict.  Stdout now writes to devnull, so the flush at exit is silent.
+    except OSError as exc:
+        # An I/O error, not a verdict.  A reader that closed stdout (as
+        # `| head` does) ends the run silently; any other failure, as a full
+        # disk under stdout, gets one line.  Stdout now writes to devnull, so
+        # the flush at exit cannot fail again.
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: {exc}", file=sys.stderr)
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)

@@ -100,13 +100,12 @@ DEFAULT_EDGE_GUARD = 5_000_000
 class JacoProfile:
     """Immutable per-vertex data of the construction prefix 1..n_max.
 
-    ``in_degrees[i-1]`` is d-(v_i) and ``out_reaches[i-1]`` is
-    r_i = 2i - d-(v_i), the largest id that receives an arc from v_i in the
-    infinite construction.  A fully built profile may be shared freely.
+    ``in_degrees[i-1]`` is d-(v_i); the out-reach r_i = 2i - d-(v_i), the
+    largest id that receives an arc from v_i in the infinite construction,
+    follows from it.  A fully built profile may be shared freely.
     """
 
     in_degrees: tuple[int, ...]
-    out_reaches: tuple[int, ...]
 
     @property
     def n_max(self) -> int:
@@ -121,7 +120,7 @@ class JacoProfile:
         return self.in_degrees[self._check(i) - 1]
 
     def out_reach(self, i: int) -> int:
-        return self.out_reaches[self._check(i) - 1]
+        return 2 * i - self.in_degree(i)
 
     def out_degree_unbounded(self, i: int) -> int:
         """Out-degree in the infinite construction: i - d-(v_i)."""
@@ -129,7 +128,7 @@ class JacoProfile:
 
 
 def build_profile(n_max: int) -> JacoProfile:
-    """Compute in-degrees and out-reaches for vertices 1..n_max in O(n_max).
+    """Compute the in-degrees of vertices 1..n_max in O(n_max).
 
     The sweep keeps a running count of out-reach intervals covering the
     current vertex: every vertex covers its successor (r_h >= h + 1 always),
@@ -147,7 +146,7 @@ def build_profile(n_max: int) -> JacoProfile:
         r = i + i - active
         if r <= n_max:
             expiring[r] += 1
-    return JacoProfile(tuple(in_deg), tuple(i + i - d for i, d in enumerate(in_deg, 1)))
+    return JacoProfile(tuple(in_deg))
 
 
 def out_degree(i: int) -> int:

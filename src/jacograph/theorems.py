@@ -37,10 +37,14 @@ i has degree i, and removing them removes exactly one vertex of each degree
 1..cut.  For m = 1 the cut is 0 and the tails are the whole graphs.
 
 The left side is the kernel on the union's histogram, built afresh for
-every instance.  Only the formula side keeps data across instances: the
-metric of each Jaco graph, per metric kind, in a process-wide cache
-(``_jaco_metric``), the same policy as :func:`fib`.  The oracle never reads
-it.
+every instance.  Only the formula sides keep data across instances: the
+metric of each Jaco graph, per metric kind, in one process-wide cache
+(``_jaco_metric``), the same policy as :func:`fib`.  Every formula side reads
+the metric of a Jaco graph there: the growth recursions for J*_n, the union
+statements for both copies.  No oracle reads it.
+
+The growth recursions thm21 and thm31 are one recursion in weight space,
+:func:`_growth_rhs`, with weight d for irr_t and f_d for firr_t.
 
 A sweep is one stream of records, :func:`iter_checks`.  It walks one
 generator of parameter tuples per check id, which also answers whether a
@@ -66,7 +70,6 @@ from .irregularity import (
     cross_pair_sum,
     degree_histogram,
     firr_t,
-    irr_t,
     pair_sum_histogram,
     pair_sum_naive,
 )
@@ -196,73 +199,72 @@ class VerifyReport:
         return "\n".join(lines) + "\n"
 
 
-def thm21_rhs(n: int) -> int:
-    """Predicted irr_t of J*_{n+1} from the state of J*_n.
+# The formula side's metric of J*_x per (x, kind), kept for the process.
+_jaco_metric = cache(underlying_metric)
+
+
+def _growth_rhs(n: int, kind: str) -> int:
+    """Predicted metric ``kind`` ("irr" or "firr") of J*_{n+1} from the state of J*_n.
 
     With k the prime Jaconian index of J*_n, vertex n+1 arrives with degree
-    n - k and bumps the degrees of exactly v_{k+1}..v_n by one.  Each bumped
-    vertex shifts its pair differences against the untouched block v_1..v_k
-    by +1 (old degree at most its own) or -1 (strictly larger), and the new
-    vertex contributes its own pair sum against the updated degrees.  The
-    block's degrees are exactly 1..k, so min(d, k) of them are at most d.
+    n - k and bumps the degrees of exactly v_{k+1}..v_n by one.  In weight
+    space, w_d = d for irr and f_d for firr, the new vertex adds its pair sum
+    against the updated weights, and each bumped vertex of degree d shifts
+    its pairs against the untouched block v_1..v_k by +(w_{d+1} - w_d) or
+    -(w_{d+1} - w_d): the block's degrees are exactly 1..k, so min(d, k) of
+    them lie strictly under d + 1.  Pairs of two bumped vertices keep their
+    gap for irr.  For firr and degrees a >= b >= 1 the gap moves by
+    (f_{a+1} - f_{b+1}) - (f_a - f_b) = f_{a-1} - f_{b-1} >= 0, so the
+    absolute value is exact and the bumped pairs sum to the firr pair sum of
+    the bumped degrees minus one: one kernel call instead of a loop over the
+    pairs.
     """
     if n < 2:
-        raise ValueError(f"thm21_rhs needs n >= 2, got {n}")
+        raise ValueError(f"the growth recursion needs n >= 2, got {n}")
     old = underlying_degrees(n)
     new = underlying_degrees(n + 1)
     k = prime_jaconian_index(n)
-    count_term = sum(2 * min(d, k) - k for d in old[k:])
-    arrival = n - k
-    new_vertex = sum(abs(arrival - d) for d in new[:n])
-    return irr_t(old).value + count_term + new_vertex
+    # Degrees reach k + 1: the largest bumped one, and the largest of J*_{n+1}.
+    weights = list(range(k + 2)) if kind == "irr" else [fib(d) for d in range(k + 2)]
+    arrival_weight = weights[n - k]
+    new_vertex = sum(abs(arrival_weight - weights[d]) for d in new[:n])
+    cross = sum((2 * min(d, k) - k) * (weights[d + 1] - weights[d]) for d in old[k:])
+    bumped_pairs = 0 if kind == "irr" else pair_sum_histogram(degree_histogram(d - 1 for d in old[k:]), "firr")
+    return _jaco_metric(n, kind) + new_vertex + cross + bumped_pairs
+
+
+def thm21_rhs(n: int) -> int:
+    """Predicted irr_t of J*_{n+1} from the state of J*_n (see :func:`_growth_rhs`)."""
+    return _growth_rhs(n, "irr")
 
 
 def thm31_rhs(n: int) -> int:
-    """Predicted firr_t of J*_{n+1} from the state of J*_n.
-
-    Same vertex-arrival structure as :func:`thm21_rhs`, in weight space:
-    the new vertex's pair sum uses weight f_{n-k}; each bumped vertex shifts
-    pairs against the untouched block by +-(f_{d+1} - f_d); and pairs of two
-    bumped vertices move by the change between consecutive weight gaps.
-    For degrees a >= b >= 1 that change is
-    (f_{a+1} - f_{b+1}) - (f_a - f_b) = f_{a-1} - f_{b-1} >= 0, so the
-    absolute value is exact and the bumped pairs sum to the firr pair sum
-    of the bumped degrees minus one: one kernel call instead of a loop over
-    the pairs.
-    """
-    if n < 2:
-        raise ValueError(f"thm31_rhs needs n >= 2, got {n}")
-    old = underlying_degrees(n)
-    new = underlying_degrees(n + 1)
-    k = prime_jaconian_index(n)
-    arrival_weight = fib(n - k)
-    new_vertex = sum(abs(arrival_weight - fib(d)) for d in new[:n])
-    # min(d, k) of the head degrees 1..k lie strictly under the bumped d + 1
-    cross = sum((2 * min(d, k) - k) * (fib(d + 1) - fib(d)) for d in old[k:])
-    bumped_pairs = pair_sum_histogram(degree_histogram(d - 1 for d in old[k:n]), "firr")
-    return firr_t(old).value + new_vertex + cross + bumped_pairs
+    """Predicted firr_t of J*_{n+1} from the state of J*_n (see :func:`_growth_rhs`)."""
+    return _growth_rhs(n, "firr")
 
 
 def _equality(theorem: str, params: dict[str, int], lhs: int, rhs: int) -> CheckRecord:
     return CheckRecord(theorem, params, RELATION_EQUALITY, lhs, rhs, lhs == rhs)
 
 
+def _growth_check(n: int, kind: str) -> CheckRecord:
+    """The pairwise oracle on the weights of J*_{n+1} against the growth recursion for ``kind``."""
+    degrees = underlying_degrees(n + 1)
+    if kind == "irr":
+        theorem, lhs, rhs = "thm21", pair_sum_naive(list(degrees)), thm21_rhs(n)
+    else:
+        theorem, lhs, rhs = "thm31", pair_sum_naive([fib(d) for d in degrees]), thm31_rhs(n)
+    return _equality(theorem, {"n": n}, lhs, rhs)
+
+
 def thm21_check(n: int) -> CheckRecord:
-    """Growth recursion for irr_t: the pairwise oracle on J*_{n+1} against
-    :func:`thm21_rhs`."""
-    lhs = pair_sum_naive(list(underlying_degrees(n + 1)))
-    return _equality("thm21", {"n": n}, lhs, thm21_rhs(n))
+    """Growth recursion for irr_t: the oracle on J*_{n+1} against :func:`thm21_rhs`."""
+    return _growth_check(n, "irr")
 
 
 def thm31_check(n: int) -> CheckRecord:
-    """Growth recursion for firr_t: the pairwise oracle on the weights of
-    J*_{n+1} against :func:`thm31_rhs`."""
-    lhs = pair_sum_naive([fib(d) for d in underlying_degrees(n + 1)])
-    return _equality("thm31", {"n": n}, lhs, thm31_rhs(n))
-
-
-# The formula side's metric of J*_x per (x, kind), kept for the process.
-_jaco_metric = cache(underlying_metric)
+    """Growth recursion for firr_t: the oracle on J*_{n+1} against :func:`thm31_rhs`."""
+    return _growth_check(n, "firr")
 
 
 def _union_check(theorem: str, n: int, m: int, kind: str) -> CheckRecord:
@@ -344,19 +346,17 @@ def thm33_literal(n: int, m: int, i: int) -> int:
     reading: the pivot weight is taken at the pre-join degree of v_i, the
     +/- partitions run over the first copy without v_i and over the whole
     second copy, and each side contributes |pivot - weight| with sign + for
-    weights at most the pivot and - for strictly larger weights."""
+    weights at most the pivot and - for strictly larger weights.  The pair
+    sums within and across the two copies add up to the pair sum of their
+    union: one kernel call on its histogram."""
     _check_thm33_args(n, m, i)
-    counts_n = underlying_degree_counts(n)
-    counts_m = underlying_degree_counts(m)
+    union = add_histograms(underlying_degree_counts(n), underlying_degree_counts(m))
     pivot = fib(min(i, n - out_degree(i)))  # the degree of v_i in J*_n
-    base = pair_sum_histogram(counts_n, "firr") + pair_sum_histogram(counts_m, "firr")
-    cross = cross_pair_sum(counts_n, counts_m, "firr")
-    weight_n = sum(c * fib(d) for d, c in enumerate(counts_n))
-    weight_m = sum(c * fib(d) for d, c in enumerate(counts_m))
     # Each side weight w adds +|pivot - w| when w <= pivot and -|w - pivot|
-    # when w > pivot; both arms are pivot - w.
-    side_sum = pivot * (n - 1 + m) - (weight_n - pivot) - weight_m
-    return base + cross + side_sum
+    # when w > pivot; both arms are pivot - w.  v_i's own term would be 0, so
+    # the sum runs over the whole union.
+    side_sum = pivot * (n + m) - sum(c * fib(d) for d, c in enumerate(union))
+    return pair_sum_histogram(union, "firr") + side_sum
 
 
 def thm33_check(n: int, m: int, i: int) -> CheckRecord:

@@ -590,3 +590,19 @@ def test_metric_bad_spec_creates_no_out_file(tmp_path, capsys):
     assert (rc, out) == (2, "")
     assert err == "error: graph spec 'jaco:0': n must be >= 1, got 0\n"
     assert not out_path.exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, a device every write to fails")
+@pytest.mark.parametrize(
+    "argv", [("metric", "irr", "jaco:5"), ("verify", "thm21", "--n", "2..5", "--format", "json")]
+)
+def test_failed_stdout_write_exits_2_with_one_error_line(argv):
+    # A full disk under stdout is an I/O error (exit 2), not a mismatch
+    # (exit 1), and the flush at interpreter exit must not fail a second time.
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "jacograph", *argv], stdout=full, stderr=subprocess.PIPE, text=True, env=module_env()
+        )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
