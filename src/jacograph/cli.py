@@ -395,8 +395,8 @@ def main(argv: list[str] | None = None) -> int:
     # table and verify values and irr values print through str(); lift
     # CPython's int-to-str conversion cap (4300 digits by default) so they
     # print in full.  firr and firrpm values of metric are Decimals, which
-    # the cap does not limit.
-    if hasattr(sys, "set_int_max_str_digits") and sys.get_int_max_str_digits() < 500_000:
+    # the cap does not limit.  A limit of 0 is already unlimited: keep it.
+    if hasattr(sys, "set_int_max_str_digits") and 0 < sys.get_int_max_str_digits() < 500_000:
         sys.set_int_max_str_digits(500_000)
     parser = _build_parser()
     try:

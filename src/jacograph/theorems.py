@@ -281,7 +281,7 @@ def _union_check(theorem: str, n: int, m: int, kind: str) -> CheckRecord:
     params = {"n": n, "m": m}
     if n == m:
         return _equality(theorem, params, lhs, 4 * metric_n)
-    cut = out_degree(m + 1) - 1  # the largest degree of J*_m, and its Jaconian index for m >= 2
+    cut = len(counts_m) - 1  # the largest degree of J*_m, and its Jaconian index for m >= 2
     tails = ([c - (0 < d <= cut) for d, c in enumerate(counts)] for counts in (counts_n, counts_m))
     rhs = 2 * (metric_n + metric_m) + cross_pair_sum(*tails, kind)
     holds = lhs <= rhs

@@ -427,6 +427,20 @@ def test_metric_prints_fibonacci_values_with_no_int_to_str_conversion(set_str_ca
     assert digits[-20:] == f"{value % 10**20:020d}"
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str cap")
+def test_main_keeps_an_unlimited_str_cap():
+    # 0 means no cap; main must not lower it to its own 500 000 digits.
+    script = (
+        "import sys\n"
+        "from jacograph.cli import main\n"
+        "assert main(['metric', 'irr', 'jaco:5']) == 0\n"
+        "print(sys.get_int_max_str_digits(), len(str(10**600000)))\n"
+    )
+    cmd = [sys.executable, "-X", "int_max_str_digits=0", "-c", script]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=module_env())
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "8\n0 600001\n", "")
+
+
 def test_metric_prints_long_values_exactly(capsys):
     rc, out, _ = run_cli(capsys, "metric", "firrpm", "jaco:100000")
     value = pair_sum_histogram(underlying_degree_counts(100_000), "firrpm")

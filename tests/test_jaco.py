@@ -1,6 +1,7 @@
 """Jaco construction: profile sweep, closed form, truncated degrees, prime Jaconian index."""
 
 import random
+import re
 import tracemalloc
 import warnings
 from collections import Counter
@@ -23,7 +24,8 @@ from jacograph import (
     underlying_degrees,
     underlying_graph,
 )
-from jacograph.jaco import _floor_phi, _floor_sums, _poly_sum, _fibonacci_word, underlying_metric
+from jacograph.graphs import SimpleGraph
+from jacograph.jaco import _edge_count, _floor_phi, _floor_sums, _poly_sum, _fibonacci_word, underlying_metric
 
 # First twelve rows of the construction table.
 EXPECTED_IN_DEGREES = (0, 1, 1, 1, 2, 2, 3, 3, 3, 4, 4, 4)
@@ -235,16 +237,49 @@ def test_underlying_graph_is_valid():
     underlying_graph(200).validate()
 
 
+def test_underlying_graph_matches_the_construction_sweep():
+    # edges {i, j} for i < j <= min(r_i, n), r_i read off the sweep, through
+    # the validating constructor
+    prof = build_profile(200)
+    for n in range(1, 201):
+        edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, min(prof.out_reach(i), n) + 1)]
+        assert underlying_graph(n) == SimpleGraph(n, edges), n
+
+
+def test_edge_count_is_half_the_degree_sum():
+    for n in [*range(1, 2001), 10**6, 10**6 + 3]:
+        assert _edge_count(n) == sum(underlying_degrees(n)) // 2, n
+
+
+def test_edge_count_matches_the_floor_sum_form():
+    # E(n) = S(k) + T(n-k-1) with S(k) = sum_{a<=k+1} floor(a phi) - T(k+1),
+    # the floor sum taken at a Fibonacci convergent as in _irr
+    n = 10**18
+    k = prime_jaconian_index(n)
+    q, p = 1, 1
+    while q <= k + 1:
+        q, p = p, p + q
+    tri = lambda x: x * (x + 1) // 2
+    expected = _floor_sums(p, 0, q, k + 1)[0] - tri(k + 1) + tri(n - k - 1)
+    assert _edge_count(n) == expected == 190983005625052575970655599692338669
+
+
 def test_underlying_graph_memory_guard():
     with pytest.raises(ValueError):
         underlying_graph(1000, max_edges=100)
 
 
 def test_underlying_graph_refuses_in_constant_memory():
-    for n in (2_000_000, 10**9):
+    # the exact edge count, with no pass over the vertices: none could finish at 10^18
+    for n, edges in (
+        (2_000_000, 763932168399),
+        (10**9, 190983005698001592),
+        (10**18, 190983005625052575970655599692338669),
+    ):
+        message = f"underlying graph on {n} vertices has {edges} edges, above the guard of 5000000"
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="at least"):
+            with pytest.raises(ValueError, match=re.escape(message)):
                 underlying_graph(n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -253,8 +288,8 @@ def test_underlying_graph_refuses_in_constant_memory():
 
 
 def test_underlying_graph_guard_boundary():
-    # the O(1) bound k(k+1)/4 never exceeds the true edge count, so the guard
-    # still admits a graph of exactly max_edges edges and refuses one more
+    # the guard counts edges exactly, so it admits a graph of exactly
+    # max_edges edges and refuses one more; k(k+1)/4 stays a lower bound
     for n in range(1, 301):
         edges = underlying_graph(n).edge_count
         k = out_degree(n + 1) - 1
