@@ -6,12 +6,18 @@ allocate).  Identical invocations produce byte-identical output.
 
 ``table`` writes each row as soon as it is made, in memory of one row, so a
 run ended by an error (exit 2) may leave a prefix of the table on stdout or
-in ``--out``.  ``verify`` keeps no record: it counts them, and for its JSON
-report spools them to a temporary file, so the report's header, which says
-whether all matched, can come first.  ``--out`` is opened before the first
-check runs.  A reader that closes stdout early, as ``| head`` does, ends
-the run with exit 2 and no message; any other failed write to stdout ends it
-with exit 2 and one ``error:`` line.
+in ``--out``.  A row holds its degrees; every weight string, d or f_d, is
+made once per degree before the first row, and each format prints a row's
+sequence with one join over those labels.  JSON rows come from a fixed
+template, byte-equal to what ``json.dumps`` writes.  ``export`` writes a
+chunk per vertex, so its memory is that of the graph alone, and refuses a
+named family above the edge guard before building it.  ``verify`` keeps
+no record: it counts them, and for its JSON report spools them to a
+temporary file, so the report's header, which says whether all matched, can
+come first.  ``--out`` is opened before the first check runs.  A reader
+that closes stdout early, as ``| head`` does, ends the run with exit 2 and
+no message; any other failed write to stdout ends it with exit 2 and one
+``error:`` line.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import json
 import os
 import sys
 import tempfile
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from functools import partial
 
 from .fibonacci import fib
@@ -30,14 +36,16 @@ from .graphs import (
     complete_bipartite,
     cycle,
     degree_sequence,
+    dot_chunks,
+    edge_list_chunks,
     from_edge_list,
+    json_chunks,
     path,
     star,
-    to_dot,
-    to_edge_list,
 )
 from .irregularity import degree_histogram, pair_sum_histogram
 from .jaco import (
+    DEFAULT_EDGE_GUARD,
     out_degree,
     underlying_degree_counts,
     underlying_degrees,
@@ -95,13 +103,28 @@ def _parse_spec(spec: str) -> tuple[str, list[int]] | tuple[str, str]:
     return "file", spec
 
 
+def _family_edges(kind: str, args: list[int]) -> int:
+    """Edges of a named family but jaco, whose builder guards itself; 0 where the builder refuses the arguments."""
+    n = args[0]
+    if kind == "biclique":
+        return n * args[1] if n >= args[1] >= 1 else 0
+    return {"path": n - 1, "cycle": n, "star": n}.get(kind, 0)
+
+
 def graph_for_spec(spec: str) -> SimpleGraph:
-    """Build the graph a spec names; raises SpecError on unusable input."""
+    """Build the graph a spec names; raises SpecError on unusable input.
+
+    A named family with more edges than the guard is refused before any
+    work in its size, as ``underlying_graph`` refuses a Jaco graph.
+    """
     kind, args = _parse_spec(spec)
     try:
         if kind == "file":
             with open(args, encoding="utf-8") as fh:
                 return from_edge_list(fh.read())
+        edges = _family_edges(kind, args)
+        if edges > DEFAULT_EDGE_GUARD:
+            raise ValueError(f"the graph has {edges} edges, above the guard of {DEFAULT_EDGE_GUARD}")
         return _FAMILIES[kind](*args)
     except (ValueError, OSError) as exc:
         raise SpecError(f"graph spec {spec!r}: {exc}") from exc
@@ -135,10 +158,13 @@ def counts_for_spec(spec: str) -> list[int]:
 
 
 def _table_rows(kind: str, first: int, last: int) -> Iterator[dict]:
-    """One dict per row i = first..last, made when it is asked for; its keys are the JSON row keys."""
+    """One dict per row i = first..last, made when it is asked for; its keys are the JSON row keys.
+
+    The sequence is the row's degrees; a format prints each through the
+    labels of :func:`_weight_labels`.
+    """
     reported = REPORTED_IRR if kind == "irr" else REPORTED_FIRR
     for i in range(first, last + 1):
-        degrees = underlying_degrees(i)
         value = underlying_metric(i, kind)
         g = out_degree(i)
         ref = reported.get(i)
@@ -146,11 +172,21 @@ def _table_rows(kind: str, first: int, last: int) -> Iterator[dict]:
             "i": i,
             "in_degree": i - g,
             "out_degree": g,
-            "sequence": degrees if kind == "irr" else tuple(fib(d) for d in degrees),
+            "sequence": underlying_degrees(i),
             "value": value,
             "reported": ref,
             "matches_reported": None if ref is None else ref == value,
         }
+
+
+def _weight_labels(kind: str, n_max: int) -> Callable[[int], str]:
+    """Degree -> its printed weight, d (irr) or f_d (firr), each made once.
+
+    Covers the degrees 0..G(n_max + 1) - 1 of the graph on n_max vertices,
+    whose largest degree is the largest of every row up to it.
+    """
+    degrees = range(out_degree(n_max + 1))
+    return list(map(str, degrees if kind == "irr" else map(fib, degrees))).__getitem__
 
 
 def _table_text(kind: str, n_max: int) -> Iterator[str]:
@@ -166,10 +202,11 @@ def _table_text(kind: str, n_max: int) -> Iterator[str]:
     # k = G(i + 1) - 1 <= G(i).  So 2i >= 3G(i) suffices, which holds for
     # i >= 13 as G(i) <= (i + 1)/phi, and below 13 fails only at i = 1 and
     # i = 4, where irr goes 0 -> 0 and 4 -> 8, firr 0 -> 0 and 0 -> 4.
+    label = _weight_labels(kind, n_max)
     header = ("i", "d-", "d+", "sequence", kind)
 
     def cells(row: dict) -> tuple[str, ...]:
-        seq = "(" + ", ".join(map(str, row["sequence"])) + ")"
+        seq = "(" + ", ".join(map(label, row["sequence"])) + ")"
         return str(row["i"]), str(row["in_degree"]), str(row["out_degree"]), seq, str(row["value"])
 
     widths = [max(len(h), len(x)) for h, x in zip(header, cells(next(_table_rows(kind, n_max, n_max))))]
@@ -184,9 +221,10 @@ def _table_text(kind: str, n_max: int) -> Iterator[str]:
 
 
 def _table_csv(kind: str, n_max: int) -> Iterator[str]:
+    label = _weight_labels(kind, n_max)
     yield f"i,in_degree,out_degree,sequence,{kind},note\n"
     for row in _table_rows(kind, 1, n_max):
-        seq = "(" + ",".join(map(str, row["sequence"])) + ")"
+        seq = "(" + ",".join(map(label, row["sequence"])) + ")"
         note = f"reported={row['reported']}" if row["matches_reported"] is False else ""
         yield f"{row['i']},{row['in_degree']},{row['out_degree']},{seq},{row['value']},{note}\n"
 
@@ -205,11 +243,29 @@ def _json_elements(items: Iterable[dict]) -> Iterator[str]:
         sep = ",\n    "
 
 
+_JSON_LITERALS = {None: "null", True: "true", False: "false"}
+
+
 def _table_json(kind: str, n_max: int) -> Iterator[str]:
     # Byte-equal to json.dumps({"kind": kind, "rows": rows}, indent=2,
-    # sort_keys=True) + "\n"; json writes the sequence tuples as arrays.
+    # sort_keys=True) + "\n" with each sequence as the array of its weights.
+    # Each row is written from the template of what json.dumps(row,
+    # indent=2, sort_keys=True) makes of it, indented four spaces: its keys
+    # in sorted order, its sequence, never empty, one weight a line.  json's
+    # indenting encoder is pure Python, a call per weight.
+    label = _weight_labels(kind, n_max)
     yield f'{{\n  "kind": {json.dumps(kind)},\n  "rows": ['
-    yield from _json_elements(_table_rows(kind, 1, n_max))
+    sep = "\n    "
+    for row in _table_rows(kind, 1, n_max):
+        ref = row["reported"]
+        weights = ",\n        ".join(map(label, row["sequence"]))
+        yield (
+            f'{sep}{{\n      "i": {row["i"]},\n      "in_degree": {row["in_degree"]},\n'
+            f'      "matches_reported": {_JSON_LITERALS[row["matches_reported"]]},\n'
+            f'      "out_degree": {row["out_degree"]},\n      "reported": {"null" if ref is None else ref},\n'
+            f'      "sequence": [\n        {weights}\n      ],\n      "value": {row["value"]}\n    }}'
+        )
+        sep = ",\n    "
     yield "\n  ]\n}\n"
 
 
@@ -307,13 +363,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_export(args: argparse.Namespace) -> int:
     g = graph_for_spec(args.spec)
-    if args.format == "dot":
-        text = to_dot(g)
-    elif args.format == "edgelist":
-        text = to_edge_list(g)
-    else:
-        text = json.dumps({"n": g.n, "edges": [list(e) for e in g.edges()]}, sort_keys=True) + "\n"
-    return _write_output([text], args.out)
+    chunks = {"dot": dot_chunks, "edgelist": edge_list_chunks, "json": json_chunks}[args.format]
+    return _write_output(chunks(g), args.out)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -3,13 +3,14 @@
 Graphs are immutable once constructed and safe to share across threads.
 Provides the families the irregularity metrics are tested on (path, cycle,
 star, complete bipartite), the disjoint union, the edge-joint (disjoint
-union plus one bridging edge), and DOT / edge-list serialization.
+union plus one bridging edge), and DOT / edge-list / JSON serialization,
+whole or a vertex at a time.
 """
 
 from __future__ import annotations
 
-from bisect import insort
-from collections.abc import Iterable
+from bisect import bisect_right, insort
+from collections.abc import Iterable, Iterator
 
 __all__ = [
     "SimpleGraph",
@@ -23,6 +24,9 @@ __all__ = [
     "to_dot",
     "to_edge_list",
     "from_edge_list",
+    "dot_chunks",
+    "edge_list_chunks",
+    "json_chunks",
 ]
 
 
@@ -178,18 +182,53 @@ def edge_joint(g: SimpleGraph, v: int, h: SimpleGraph, u: int) -> SimpleGraph:
     return SimpleGraph._from_sorted_adjacency(adj)
 
 
+def _later_neighbors(g: SimpleGraph) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(v, the neighbors w > v of v) for each vertex v that has one, by v: the edges in lexicographic order."""
+    for v in range(1, g.n + 1):
+        nbrs = g._adj[v]
+        later = nbrs[bisect_right(nbrs, v) :]
+        if later:
+            yield v, later
+
+
+def dot_chunks(g: SimpleGraph) -> Iterator[str]:
+    """:func:`to_dot` a chunk at a time: the header, each vertex, each vertex's edges to later ones, the end."""
+    yield "graph G {\n"
+    for v in range(1, g.n + 1):
+        yield f"  {v};\n"
+    for v, later in _later_neighbors(g):
+        yield f"  {v} -- " + f";\n  {v} -- ".join(map(str, later)) + ";\n"
+    yield "}\n"
+
+
+def edge_list_chunks(g: SimpleGraph) -> Iterator[str]:
+    """:func:`to_edge_list` a chunk at a time: the lines of each vertex's edges to later ones."""
+    for v, later in _later_neighbors(g):
+        yield f"{v} " + f"\n{v} ".join(map(str, later)) + "\n"
+
+
+def json_chunks(g: SimpleGraph) -> Iterator[str]:
+    """JSON text of the graph a chunk at a time, each vertex's edges to later ones in one.
+
+    The chunks join to json.dumps({"n": g.n, "edges": [list(e) for e in
+    g.edges()]}, sort_keys=True) + "\\n".
+    """
+    yield '{"edges": ['
+    sep = "["
+    for v, later in _later_neighbors(g):
+        yield f"{sep}{v}, " + f"], [{v}, ".join(map(str, later)) + "]"
+        sep = ", ["
+    yield f'], "n": {g.n}}}\n'
+
+
 def to_dot(g: SimpleGraph) -> str:
     """DOT serialization: every vertex listed, edges in lexicographic order."""
-    lines = ["graph G {"]
-    lines.extend(f"  {v};" for v in range(1, g.n + 1))
-    lines.extend(f"  {i} -- {j};" for i, j in g.edges())
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return "".join(dot_chunks(g))
 
 
 def to_edge_list(g: SimpleGraph) -> str:
     """Plain edge-list text: one "i j" line per edge, 1-based, i < j, sorted."""
-    return "".join(f"{i} {j}\n" for i, j in g.edges())
+    return "".join(edge_list_chunks(g))
 
 
 def from_edge_list(text: str) -> SimpleGraph:

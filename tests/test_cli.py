@@ -23,6 +23,8 @@ from jacograph import (
     pair_sum_histogram,
     path,
     star,
+    to_dot,
+    to_edge_list,
     underlying_degree_counts,
     underlying_degrees,
     underlying_graph,
@@ -372,6 +374,67 @@ def test_export_unwritable_path(tmp_path, capsys):
     assert "cannot write" in err
 
 
+def test_streamed_export_is_byte_identical_to_the_whole_string(capsys):
+    graphs = {f"jaco:{n}": underlying_graph(n) for n in range(1, 41)}
+    graphs.update({f"path:{n}": path(n) for n in range(1, 7)})
+    graphs.update({f"cycle:{n}": cycle(n) for n in range(3, 7)})
+    graphs.update({f"star:{n}": star(n) for n in range(1, 7)})
+    graphs["biclique:3:2"] = complete_bipartite(3, 2)
+    for spec, g in graphs.items():
+        edges = g.edges()
+        dot = "graph G {\n" + "".join(f"  {v};\n" for v in range(1, g.n + 1))
+        expected = {
+            "edgelist": "".join(f"{i} {j}\n" for i, j in edges),
+            "dot": dot + "".join(f"  {i} -- {j};\n" for i, j in edges) + "}\n",
+            "json": json.dumps({"n": g.n, "edges": [list(e) for e in edges]}, sort_keys=True) + "\n",
+        }
+        assert to_edge_list(g) == expected["edgelist"] and to_dot(g) == expected["dot"], spec
+        for fmt, text in expected.items():
+            assert run_cli(capsys, "export", spec, "--format", fmt) == (0, text, ""), (spec, fmt)
+
+
+def test_export_refuses_a_family_above_the_edge_guard_at_once(monkeypatch, capsys, peak_rss_kb):
+    def refuse(*args):
+        raise AssertionError("built a graph above the edge guard")
+
+    for kind in ("path", "cycle", "star", "biclique"):
+        monkeypatch.setitem(jacograph.cli._FAMILIES, kind, refuse)
+    for spec, edges in (
+        ("path:100000000", 99999999),
+        ("cycle:100000000", 100000000),
+        ("star:100000000", 100000000),
+        ("biclique:10000:10000", 100000000),
+    ):
+        message = f"error: graph spec {spec!r}: the graph has {edges} edges, above the guard of 5000000\n"
+        assert run_cli(capsys, "export", spec) == (2, "", message)
+    # One edge above the guard, in the memory of a run that builds nothing;
+    # the star alone would take about 330 MB.
+    floor = peak_rss_kb("-m", "jacograph", "metric", "irr", "jaco:1")
+    start = time.perf_counter()
+    rc, peak = peak_rss_kb("-m", "jacograph", "export", "star:5000001")
+    assert time.perf_counter() - start < 5
+    assert floor[0] == 0 and rc == 2
+    assert peak - floor[1] < 2 * 1024
+
+
+def test_export_edge_guard_boundary(monkeypatch, capsys):
+    monkeypatch.setattr("jacograph.cli.DEFAULT_EDGE_GUARD", 12)
+    for at_guard, above in (
+        ("path:13", "path:14"),
+        ("cycle:12", "cycle:13"),
+        ("star:12", "star:13"),
+        ("biclique:4:3", "biclique:13:1"),
+    ):
+        assert run_cli(capsys, "export", at_guard)[0] == 0, at_guard
+        rc, out, err = run_cli(capsys, "export", above)
+        assert (rc, out) == (2, ""), above
+        assert err == f"error: graph spec {above!r}: the graph has 13 edges, above the guard of 12\n"
+    # arguments a builder refuses keep its message, and metric builds no graph
+    refused = "error: graph spec 'biclique:1:13': complete bipartite needs n >= m >= 1, got (1, 13)\n"
+    assert run_cli(capsys, "export", "biclique:1:13") == (2, "", refused)
+    assert run_cli(capsys, "metric", "irr", "path:14") == (0, "24\n", "")
+
+
 def test_determinism(capsys):
     first = run_cli(capsys, "table", "firr", "12", "--format", "json")
     second = run_cli(capsys, "table", "firr", "12", "--format", "json")
@@ -509,6 +572,28 @@ def test_streamed_table_equals_the_whole_string_rendering(kind, fmt, tmp_path, c
         rc, out, err = run_cli(capsys, "table", kind, str(n), "--format", fmt, "--out", str(out_path))
         assert (rc, out, err) == (0, "", "")
         assert out_path.read_bytes() == expected.encode(), n
+
+
+@pytest.mark.parametrize("kind", ["irr", "firr"])
+def test_table_json_is_the_json_modules_own(kind, capsys):
+    rc, out, err = run_cli(capsys, "table", kind, "1000", "--format", "json")
+    assert (rc, err) == (0, "")
+    assert json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n" == out
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_table_makes_one_weight_label_per_degree(fmt, monkeypatch, capsys):
+    # The rows of table firr 300 hold the degrees 0..G(301) - 1, one f_d
+    # lookup each; per vertex it would be about 45 000 lookups.
+    calls = []
+
+    def counted(d):
+        calls.append(d)
+        return fib(d)
+
+    monkeypatch.setattr("jacograph.cli.fib", counted)
+    assert run_cli(capsys, "table", "firr", "300", "--format", fmt)[0] == 0
+    assert len(calls) <= out_degree(301) + 1 == 187
 
 
 @pytest.mark.parametrize("kind", ["irr", "firr"])
