@@ -6,12 +6,14 @@ allocate).  Identical invocations produce byte-identical output.
 
 ``table`` writes each row as soon as it is made, in memory of one row, so a
 run ended by an error (exit 2) may leave a prefix of the table on stdout or
-in ``--out``.  A row holds its degrees; every weight string, d or f_d, is
-made once per degree before the first row, and each format prints a row's
-sequence with one join over those labels.  JSON rows come from a fixed
-template, byte-equal to what ``json.dumps`` writes.  ``export`` writes a
-chunk per vertex, so its memory is that of the graph alone, and refuses a
-named family above the edge guard before building it.  ``verify`` keeps
+in ``--out``.  A row is its printed cells: i, d-, d+, its weights joined
+by the format's separator, the value and the reported value; every weight
+string, d or f_d, is made once per degree before the first row, and text,
+csv and json only lay the cells out.  JSON rows come from a fixed template,
+byte-equal to what ``json.dumps`` writes.  ``export`` writes a chunk per
+vertex, so its memory is that of the graph alone, and refuses a named
+family above the edge guard, or an edge-list file naming a vertex id above
+it, before building the graph.  ``verify`` keeps
 no record: it counts them, and for its JSON report spools them to a
 temporary file, so the report's header, which says whether all matched, can
 come first.  ``--out`` is opened before the first check runs.  A reader
@@ -32,6 +34,7 @@ from functools import partial
 
 from .fibonacci import fib
 from .graphs import (
+    DEFAULT_EDGE_GUARD,
     SimpleGraph,
     complete_bipartite,
     cycle,
@@ -44,14 +47,7 @@ from .graphs import (
     star,
 )
 from .irregularity import degree_histogram, pair_sum_histogram
-from .jaco import (
-    DEFAULT_EDGE_GUARD,
-    out_degree,
-    underlying_degree_counts,
-    underlying_degrees,
-    underlying_graph,
-    underlying_metric,
-)
+from .jaco import out_degree, underlying_degrees, underlying_graph, underlying_metric
 from .theorems import THEOREM_IDS, CheckRecord, VerifyReport, iter_checks
 
 __all__ = ["main"]
@@ -86,21 +82,17 @@ def _parse_range(text: str, name: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _spec_ints(parts: list[str], spec: str, count: int) -> list[int]:
-    if len(parts) != count:
-        raise SpecError(f"bad graph spec {spec!r}")
-    try:
-        return [int(p) for p in parts]
-    except ValueError:
-        raise SpecError(f"bad graph spec {spec!r}") from None
-
-
 def _parse_spec(spec: str) -> tuple[str, list[int]] | tuple[str, str]:
     head, _, rest = spec.partition(":")
-    if head in _FAMILIES:
-        parts = rest.split(":") if rest else []
-        return head, _spec_ints(parts, spec, 2 if head == "biclique" else 1)
-    return "file", spec
+    if head not in _FAMILIES:
+        return "file", spec
+    try:
+        args = [int(p) for p in rest.split(":")]
+    except ValueError:
+        args = []
+    if len(args) != 1 + (head == "biclique"):
+        raise SpecError(f"bad graph spec {spec!r}")
+    return head, args
 
 
 def _family_edges(kind: str, args: list[int]) -> int:
@@ -131,10 +123,8 @@ def graph_for_spec(spec: str) -> SimpleGraph:
 
 
 def _family_counts(kind: str, args: list[int]) -> list[int] | None:
-    """Degree histogram of a named family, or None where its builder refuses the arguments."""
+    """Degree histogram of a named family but jaco, or None where its builder refuses the arguments."""
     n = args[0]
-    if kind == "jaco" and n >= 1:
-        return underlying_degree_counts(n)
     if kind == "path" and n >= 1:
         return [1] if n == 1 else [0, 2] if n == 2 else [0, 2, n - 2]
     if kind == "cycle" and n >= 3:
@@ -157,28 +147,6 @@ def counts_for_spec(spec: str) -> list[int]:
     return counts
 
 
-def _table_rows(kind: str, first: int, last: int) -> Iterator[dict]:
-    """One dict per row i = first..last, made when it is asked for; its keys are the JSON row keys.
-
-    The sequence is the row's degrees; a format prints each through the
-    labels of :func:`_weight_labels`.
-    """
-    reported = REPORTED_IRR if kind == "irr" else REPORTED_FIRR
-    for i in range(first, last + 1):
-        value = underlying_metric(i, kind)
-        g = out_degree(i)
-        ref = reported.get(i)
-        yield {
-            "i": i,
-            "in_degree": i - g,
-            "out_degree": g,
-            "sequence": underlying_degrees(i),
-            "value": value,
-            "reported": ref,
-            "matches_reported": None if ref is None else ref == value,
-        }
-
-
 def _weight_labels(kind: str, n_max: int) -> Callable[[int], str]:
     """Degree -> its printed weight, d (irr) or f_d (firr), each made once.
 
@@ -189,44 +157,65 @@ def _weight_labels(kind: str, n_max: int) -> Callable[[int], str]:
     return list(map(str, degrees if kind == "irr" else map(fib, degrees))).__getitem__
 
 
-def _table_text(kind: str, n_max: int) -> Iterator[str]:
-    # The column widths are needed before the first line.  Those of the last
-    # row are the widest, as every column is non-decreasing in i; row i is
-    # the graph on i vertices.  i - G(i) and G(i) never fall, since G steps
-    # by 0 or 1.  Vertex v has degree min(v, i - G(v)), which never falls as
-    # i grows, and the weights d and f_d never fall as d grows, so each
-    # entry of the sequence keeps or gains digits, and row i + 1 adds one.
-    # The value never falls: in the thm21 and thm31 decompositions of row
-    # i + 1 (see jacograph.theorems) every term is >= 0 once each bumped
-    # tail degree, at least i - G(i), is at least half the cut
-    # k = G(i + 1) - 1 <= G(i).  So 2i >= 3G(i) suffices, which holds for
-    # i >= 13 as G(i) <= (i + 1)/phi, and below 13 fails only at i = 1 and
-    # i = 4, where irr goes 0 -> 0 and 4 -> 8, firr 0 -> 0 and 0 -> 4.
+def _table_row(kind: str, i: int, label: Callable[[int], str], sep: str) -> tuple[str, str, str, str, str, str | None]:
+    """Row i's printed cells: i, d-, d+, its weights joined by ``sep``, the value, the reported value or None."""
+    g = out_degree(i)
+    reported = (REPORTED_IRR if kind == "irr" else REPORTED_FIRR).get(i)
+    weights = sep.join(map(label, underlying_degrees(i)))
+    value = str(underlying_metric(i, kind))
+    return str(i), str(i - g), str(g), weights, value, None if reported is None else str(reported)
+
+
+def _table_chunks(kind: str, n_max: int, fmt: str) -> Iterator[str]:
+    """The table of rows 1..n_max in format ``fmt``, a chunk per row, laid out from the cells of :func:`_table_row`."""
     label = _weight_labels(kind, n_max)
-    header = ("i", "d-", "d+", "sequence", kind)
-
-    def cells(row: dict) -> tuple[str, ...]:
-        seq = "(" + ", ".join(map(label, row["sequence"])) + ")"
-        return str(row["i"]), str(row["in_degree"]), str(row["out_degree"]), seq, str(row["value"])
-
-    widths = [max(len(h), len(x)) for h, x in zip(header, cells(next(_table_rows(kind, n_max, n_max))))]
-
-    def line(xs: tuple[str, ...]) -> str:
-        return "  ".join(x.ljust(widths[c]) if c == 3 else x.rjust(widths[c]) for c, x in enumerate(xs))
-
-    yield line(header) + "\n"
-    for row in _table_rows(kind, 1, n_max):
-        note = f"  *differs from reported {row['reported']}" if row["matches_reported"] is False else ""
-        yield line(cells(row)) + note + "\n"
-
-
-def _table_csv(kind: str, n_max: int) -> Iterator[str]:
-    label = _weight_labels(kind, n_max)
-    yield f"i,in_degree,out_degree,sequence,{kind},note\n"
-    for row in _table_rows(kind, 1, n_max):
-        seq = "(" + ",".join(map(label, row["sequence"])) + ")"
-        note = f"reported={row['reported']}" if row["matches_reported"] is False else ""
-        yield f"{row['i']},{row['in_degree']},{row['out_degree']},{seq},{row['value']},{note}\n"
+    sep = {"text": ", ", "csv": ",", "json": ",\n        "}[fmt]
+    rows = (_table_row(kind, i, label, sep) for i in range(1, n_max + 1))
+    if fmt == "csv":
+        yield f"i,in_degree,out_degree,sequence,{kind},note\n"
+        for i, d_in, d_out, weights, value, ref in rows:
+            yield f"{i},{d_in},{d_out},({weights}),{value},{'' if ref in (None, value) else 'reported=' + ref}\n"
+    elif fmt == "json":
+        # Byte-equal to json.dumps({"kind": kind, "rows": rows}, indent=2,
+        # sort_keys=True) + "\n" with each sequence as the array of its
+        # weights.  Each row is written from the template of what
+        # json.dumps(row, indent=2, sort_keys=True) makes of it, indented
+        # four spaces: its keys in sorted order, its sequence, never empty,
+        # one weight a line.  json's indenting encoder is pure Python, a
+        # call per weight.
+        yield f'{{\n  "kind": {json.dumps(kind)},\n  "rows": ['
+        lead = "\n    "
+        for i, d_in, d_out, weights, value, ref in rows:
+            matches = "null" if ref is None else "true" if ref == value else "false"
+            yield (
+                f'{lead}{{\n      "i": {i},\n      "in_degree": {d_in},\n      "matches_reported": {matches},\n'
+                f'      "out_degree": {d_out},\n      "reported": {ref or "null"},\n'
+                f'      "sequence": [\n        {weights}\n      ],\n      "value": {value}\n    }}'
+            )
+            lead = ",\n    "
+        yield "\n  ]\n}\n"
+    else:
+        # The column widths are needed before the first line.  Those of the
+        # last row are the widest, as every column is non-decreasing in i;
+        # row i is the graph on i vertices.  i - G(i) and G(i) never fall,
+        # since G steps by 0 or 1.  Vertex v has degree min(v, i - G(v)),
+        # which never falls as i grows, and the weights d and f_d never fall
+        # as d grows, so each entry of the sequence keeps or gains digits,
+        # and row i + 1 adds one.  The value never falls: in the thm21 and
+        # thm31 decompositions of row i + 1 (see jacograph.theorems) every
+        # term is >= 0 once each bumped tail degree, at least i - G(i), is at
+        # least half the cut k = G(i + 1) - 1 <= G(i).  So 2i >= 3G(i)
+        # suffices, which holds for i >= 13 as G(i) <= (i + 1)/phi, and below
+        # 13 fails only at i = 1 and i = 4, where irr goes 0 -> 0 and
+        # 4 -> 8, firr 0 -> 0 and 0 -> 4.
+        i, d_in, d_out, weights, value, _ = _table_row(kind, n_max, label, sep)
+        header = ("i", "d-", "d+", "sequence", kind)
+        w = [max(len(h), len(x)) for h, x in zip(header, (i, d_in, d_out, f"({weights})", value))]
+        line = f"{{:>{w[0]}}}  {{:>{w[1]}}}  {{:>{w[2]}}}  {{:<{w[3]}}}  {{:>{w[4]}}}".format
+        yield line(*header) + "\n"
+        for i, d_in, d_out, weights, value, ref in rows:
+            note = "" if ref in (None, value) else f"  *differs from reported {ref}"
+            yield line(i, d_in, d_out, f"({weights})", value) + note + "\n"
 
 
 def _json_elements(items: Iterable[dict]) -> Iterator[str]:
@@ -241,32 +230,6 @@ def _json_elements(items: Iterable[dict]) -> Iterator[str]:
     for item in items:
         yield sep + json.dumps(item, indent=2, sort_keys=True).replace("\n", "\n    ")
         sep = ",\n    "
-
-
-_JSON_LITERALS = {None: "null", True: "true", False: "false"}
-
-
-def _table_json(kind: str, n_max: int) -> Iterator[str]:
-    # Byte-equal to json.dumps({"kind": kind, "rows": rows}, indent=2,
-    # sort_keys=True) + "\n" with each sequence as the array of its weights.
-    # Each row is written from the template of what json.dumps(row,
-    # indent=2, sort_keys=True) makes of it, indented four spaces: its keys
-    # in sorted order, its sequence, never empty, one weight a line.  json's
-    # indenting encoder is pure Python, a call per weight.
-    label = _weight_labels(kind, n_max)
-    yield f'{{\n  "kind": {json.dumps(kind)},\n  "rows": ['
-    sep = "\n    "
-    for row in _table_rows(kind, 1, n_max):
-        ref = row["reported"]
-        weights = ",\n        ".join(map(label, row["sequence"]))
-        yield (
-            f'{sep}{{\n      "i": {row["i"]},\n      "in_degree": {row["in_degree"]},\n'
-            f'      "matches_reported": {_JSON_LITERALS[row["matches_reported"]]},\n'
-            f'      "out_degree": {row["out_degree"]},\n      "reported": {"null" if ref is None else ref},\n'
-            f'      "sequence": [\n        {weights}\n      ],\n      "value": {row["value"]}\n    }}'
-        )
-        sep = ",\n    "
-    yield "\n  ]\n}\n"
 
 
 def _write_output(chunks: Iterable[str], out: str | None) -> int:
@@ -292,8 +255,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     if args.n < 1:
         print("error: table size must be >= 1", file=sys.stderr)
         return 2
-    formatter = {"text": _table_text, "csv": _table_csv, "json": _table_json}[args.format]
-    return _write_output(formatter(args.kind, args.n), args.out)
+    return _write_output(_table_chunks(args.kind, args.n, args.format), args.out)
 
 
 def _cmd_metric(args: argparse.Namespace) -> int:

@@ -29,6 +29,10 @@ __all__ = [
     "json_chunks",
 ]
 
+# Builders refuse a graph above this many edges (an edge-list file: a vertex
+# id above it), since their memory grows with the graph, not with the input.
+DEFAULT_EDGE_GUARD = 5_000_000
+
 
 class SimpleGraph:
     """Undirected simple graph on vertices 1..n: no loops, no multi-edges."""
@@ -254,4 +258,6 @@ def from_edge_list(text: str) -> SimpleGraph:
             raise ValueError(f"line {lineno}: require 1 <= i < j, got ({i}, {j})")
         top = max(top, j)
         edges.append((i, j))
+    if top > DEFAULT_EDGE_GUARD:  # the graph holds a list per id up to top
+        raise ValueError(f"vertex id {top} is above the guard of {DEFAULT_EDGE_GUARD}")
     return SimpleGraph(top, edges)

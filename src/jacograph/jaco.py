@@ -94,7 +94,7 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Any
 
-from .graphs import SimpleGraph
+from .graphs import DEFAULT_EDGE_GUARD, SimpleGraph
 from .irregularity import pair_sum_unit_head
 
 __all__ = [
@@ -107,10 +107,6 @@ __all__ = [
     "underlying_graph",
     "prime_jaconian_index",
 ]
-
-# underlying_graph refuses to materialize adjacency beyond this many edges;
-# the edge count grows quadratically in n while degree queries stay O(n).
-DEFAULT_EDGE_GUARD = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -368,17 +364,18 @@ def _irr(n: int) -> int:
     return head + top + band
 
 
-def underlying_graph(n: int, max_edges: int = DEFAULT_EDGE_GUARD) -> SimpleGraph:
+def underlying_graph(n: int) -> SimpleGraph:
     """Materialize the underlying undirected graph: edges {i, j} for i < j <= min(r_i, n).
 
-    Raises ValueError when the edge count would exceed ``max_edges``; degree
-    based computations should use :func:`underlying_degrees` instead.
+    Raises ValueError when the edge count, which grows quadratically in n,
+    would exceed ``DEFAULT_EDGE_GUARD``; degree based computations should use
+    :func:`underlying_degrees`, which stays O(n), instead.
     """
     edges = _edge_count(n)  # exact, in O(log n): refuse before any O(n) work
-    if edges > max_edges:
+    if edges > DEFAULT_EDGE_GUARD:
         raise ValueError(
             f"underlying graph on {n} vertices has {edges} edges, above the "
-            f"guard of {max_edges}; use underlying_degrees for metric work"
+            f"guard of {DEFAULT_EDGE_GUARD}; use underlying_degrees for metric work"
         )
     adj: list[list[int]] = [[] for _ in range(n + 1)]
     for i in range(1, n + 1):

@@ -437,18 +437,12 @@ def iter_checks(
     if empty:
         raise ValueError(f"no instances of {', '.join(empty)} in the given ranges")
 
-    # Built per call, so a check replaced on the module is the one that runs.
-    checks = {
-        "thm21": thm21_check,
-        "thm31": thm31_check,
-        "thm32": thm32_check,
-        "cor31": cor31_check,
-        "lemma31": lemma31_check,
-        "thm33": thm33_check,
-    }
     # Ids in sorted order, each with its tuples in ascending (n, m, i) order:
     # the records come out sorted by (theorem, n, m, i) with no sort after.
-    return (checks[tid](*params) for tid in sorted(ids) for params in _instances(tid, n_range, m_range, i_range))
+    # Each record's check is looked up on the module by name, so a check
+    # replaced there is the one that runs.
+    named = globals()
+    return (named[f"{tid}_check"](*p) for tid in sorted(ids) for p in _instances(tid, n_range, m_range, i_range))
 
 
 def verify_sweep(

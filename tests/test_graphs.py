@@ -216,6 +216,17 @@ def test_edge_list_parse_errors():
         from_edge_list("1 2\n1 2\n")
 
 
+def test_edge_list_vertex_id_guard_boundary(monkeypatch):
+    # the graph holds a list per vertex id, so an id above the guard is
+    # refused before the graph is built, whatever the file's size
+    monkeypatch.setattr("jacograph.graphs.DEFAULT_EDGE_GUARD", 12)
+    assert from_edge_list("1 2\n2 12\n").n == 12
+    with pytest.raises(ValueError, match="^vertex id 13 is above the guard of 12$"):
+        from_edge_list("1 2\n2 13\n")
+    with pytest.raises(ValueError, match="^vertex id 13 is above the guard of 12$"):
+        from_edge_list("1 13\n2 3\n")
+
+
 def test_graph_equality_and_hash():
     assert path(3) == path(3)
     assert path(3) != cycle(3)

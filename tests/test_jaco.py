@@ -264,9 +264,10 @@ def test_edge_count_matches_the_floor_sum_form():
     assert _edge_count(n) == expected == 190983005625052575970655599692338669
 
 
-def test_underlying_graph_memory_guard():
+def test_underlying_graph_memory_guard(monkeypatch):
+    monkeypatch.setattr("jacograph.jaco.DEFAULT_EDGE_GUARD", 100)
     with pytest.raises(ValueError):
-        underlying_graph(1000, max_edges=100)
+        underlying_graph(1000)
 
 
 def test_underlying_graph_refuses_in_constant_memory():
@@ -287,17 +288,21 @@ def test_underlying_graph_refuses_in_constant_memory():
         assert peak < 2**20
 
 
-def test_underlying_graph_guard_boundary():
+def test_underlying_graph_guard_boundary(monkeypatch):
     # the guard counts edges exactly, so it admits a graph of exactly
-    # max_edges edges and refuses one more; k(k+1)/4 stays a lower bound
+    # as many edges as the guard and refuses one more; k(k+1)/4 stays a
+    # lower bound
     for n in range(1, 301):
         edges = underlying_graph(n).edge_count
         k = out_degree(n + 1) - 1
         assert 4 * edges >= k * (k + 1), n
-        assert underlying_graph(n, max_edges=edges).edge_count == edges
+        monkeypatch.setattr("jacograph.jaco.DEFAULT_EDGE_GUARD", edges)
+        assert underlying_graph(n).edge_count == edges
         if edges:
+            monkeypatch.setattr("jacograph.jaco.DEFAULT_EDGE_GUARD", edges - 1)
             with pytest.raises(ValueError):
-                underlying_graph(n, max_edges=edges - 1)
+                underlying_graph(n)
+        monkeypatch.undo()
 
 
 def test_prime_jaconian_examples():
