@@ -9,7 +9,9 @@ run ended by an error (exit 2) may leave a prefix of the table on stdout or
 in ``--out``.  A row is its printed cells: i, d-, d+, its weights joined
 by the format's separator, the value and the reported value; every weight
 string, d or f_d, is made once per degree before the first row, and text,
-csv and json only lay the cells out.  JSON rows come from a fixed template,
+csv and json only lay the cells out.  A row's weights are read off the
+graph's shape, its head a prefix of one string and its tail the band's
+counts, with no per-vertex degree.  JSON rows come from a fixed template,
 byte-equal to what ``json.dumps`` writes.  ``export`` writes a chunk per
 vertex, so its memory is that of the graph alone, and refuses a named
 family above the edge guard, or an edge-list file naming a vertex id above
@@ -31,6 +33,7 @@ import sys
 import tempfile
 from collections.abc import Callable, Iterable, Iterator
 from functools import partial
+from itertools import accumulate, chain, repeat
 
 from .fibonacci import fib
 from .graphs import (
@@ -47,7 +50,7 @@ from .graphs import (
     star,
 )
 from .irregularity import degree_histogram, pair_sum_histogram
-from .jaco import out_degree, underlying_degrees, underlying_graph, underlying_metric
+from .jaco import _band, out_degree, underlying_graph, underlying_metric
 from .theorems import THEOREM_IDS, CheckRecord, VerifyReport, iter_checks
 
 __all__ = ["main"]
@@ -147,30 +150,49 @@ def counts_for_spec(spec: str) -> list[int]:
     return counts
 
 
-def _weight_labels(kind: str, n_max: int) -> Callable[[int], str]:
-    """Degree -> its printed weight, d (irr) or f_d (firr), each made once.
+# translate table: byte c -> c - 1, for the band counts, all >= 1
+_MINUS_ONE = b"\xff" + bytes(range(255))
 
-    Covers the degrees 0..G(n_max + 1) - 1 of the graph on n_max vertices,
-    whose largest degree is the largest of every row up to it.
+
+def _row_weights(kind: str, n_max: int, sep: str) -> Callable[[int], str]:
+    """Row i -> its weights, d (irr) or f_d (firr), joined by ``sep``, for i = 1..n_max.
+
+    Each weight string is made once per degree, for the degrees
+    0..G(n_max + 1) - 1 of the graph on n_max vertices, whose largest degree
+    is the largest of every row up to it.  Row i >= 2 lists its head degrees
+    1..k, a prefix of one string of every head label, cut after the
+    separator that follows label k.  Its tail follows, the band degrees
+    from k down to lo, each repeated by its ``jaco._band`` count less the
+    head vertex of that degree, joined at C speed.
     """
     degrees = range(out_degree(n_max + 1))
-    return list(map(str, degrees if kind == "irr" else map(fib, degrees))).__getitem__
+    labels = list(map(str, degrees if kind == "irr" else map(fib, degrees)))
+    heads = sep.join(labels[1:]) + sep
+    ends = [0, *accumulate(len(label) + len(sep) for label in labels[1:])]
+
+    def weights(i: int) -> str:
+        if i == 1:
+            return labels[0]  # one vertex, of degree 0; _band needs i >= 2
+        lo, band = _band(i)
+        k = lo + len(band) - 1
+        tail = chain.from_iterable(map(repeat, labels[k : lo - 1 : -1], band.translate(_MINUS_ONE)))
+        return heads[: ends[k]] + sep.join(tail)
+
+    return weights
 
 
-def _table_row(kind: str, i: int, label: Callable[[int], str], sep: str) -> tuple[str, str, str, str, str, str | None]:
-    """Row i's printed cells: i, d-, d+, its weights joined by ``sep``, the value, the reported value or None."""
+def _table_row(kind: str, i: int, sequence: Callable[[int], str]) -> tuple[str, str, str, str, str, str | None]:
+    """Row i's printed cells: i, d-, d+, ``sequence(i)``, the value, the reported value or None."""
     g = out_degree(i)
     reported = (REPORTED_IRR if kind == "irr" else REPORTED_FIRR).get(i)
-    weights = sep.join(map(label, underlying_degrees(i)))
     value = str(underlying_metric(i, kind))
-    return str(i), str(i - g), str(g), weights, value, None if reported is None else str(reported)
+    return str(i), str(i - g), str(g), sequence(i), value, None if reported is None else str(reported)
 
 
 def _table_chunks(kind: str, n_max: int, fmt: str) -> Iterator[str]:
     """The table of rows 1..n_max in format ``fmt``, a chunk per row, laid out from the cells of :func:`_table_row`."""
-    label = _weight_labels(kind, n_max)
-    sep = {"text": ", ", "csv": ",", "json": ",\n        "}[fmt]
-    rows = (_table_row(kind, i, label, sep) for i in range(1, n_max + 1))
+    sequence = _row_weights(kind, n_max, {"text": ", ", "csv": ",", "json": ",\n        "}[fmt])
+    rows = (_table_row(kind, i, sequence) for i in range(1, n_max + 1))
     if fmt == "csv":
         yield f"i,in_degree,out_degree,sequence,{kind},note\n"
         for i, d_in, d_out, weights, value, ref in rows:
@@ -208,7 +230,7 @@ def _table_chunks(kind: str, n_max: int, fmt: str) -> Iterator[str]:
         # suffices, which holds for i >= 13 as G(i) <= (i + 1)/phi, and below
         # 13 fails only at i = 1 and i = 4, where irr goes 0 -> 0 and
         # 4 -> 8, firr 0 -> 0 and 0 -> 4.
-        i, d_in, d_out, weights, value, _ = _table_row(kind, n_max, label, sep)
+        i, d_in, d_out, weights, value, _ = _table_row(kind, n_max, sequence)
         header = ("i", "d-", "d+", "sequence", kind)
         w = [max(len(h), len(x)) for h, x in zip(header, (i, d_in, d_out, f"({weights})", value))]
         line = f"{{:>{w[0]}}}  {{:>{w[1]}}}  {{:>{w[2]}}}  {{:<{w[3]}}}  {{:>{w[4]}}}".format

@@ -14,6 +14,13 @@ the quadratic pairwise oracle (``naive``) or one pass over the histogram
 the top degree down; the tag keeps the name of the first, ascending, pass).
 The two must agree exactly on every input; all arithmetic is integer.
 
+The verify checks recompute pair sums over per-vertex weights, with no
+histogram, by :func:`pair_sum_by_rank`: sort the N weights and take
+sum_j w_(j) (2j - N + 1), in O(N log N) where :func:`pair_sum_naive`, the
+definition, takes O(N^2).  In the ascending order w_(j) is the larger member
+of j pairs and the smaller of N - 1 - j, and a tie adds 0 whichever member
+counts as larger, so the two are equal for any ints.
+
 With L_d = #{degrees <= d}, exactly L_d (n - L_d) pairs straddle the step
 from d to d + 1, and f_{d+1} - f_d = f_{d-1} (with f_{-1} = 1), so
 
@@ -100,6 +107,7 @@ __all__ = [
     "METHOD_CLOSED",
     "IrrValue",
     "pair_sum_naive",
+    "pair_sum_by_rank",
     "degree_histogram",
     "pair_sum_histogram",
     "pair_sum_unit_head",
@@ -141,6 +149,17 @@ def pair_sum_naive(weights: Sequence[int]) -> int:
         for wj in ws[idx + 1 :]:
             total += abs(wi - wj)
     return total
+
+
+def pair_sum_by_rank(weights: Iterable[int]) -> int:
+    """Oracle: the sum of |w_u - w_v| over all unordered pairs, from the sorted weights.
+
+    sum_j w_(j) (2j - N + 1) over the ascending order w_(0) <= ... <= w_(N-1),
+    equal to :func:`pair_sum_naive` for any ints (the proof is in the module
+    docstring), in O(N log N).
+    """
+    ws = sorted(weights)
+    return sum(map(int.__mul__, ws, range(1 - len(ws), len(ws), 2)))
 
 
 def _checked_degrees(degrees: Iterable[int]) -> list[int]:

@@ -1,9 +1,24 @@
 """Formula evaluators and verification sweeps for the Jaco-graph identities.
 
-Each check pits a recursive or closed formula against an independent
-recomputation on the constructed graphs and returns an exact-integer record;
-sweeps aggregate records into a machine-readable report.  All comparisons
-are exact (integer equality or <=), never approximate.
+Each check pits a recursive or closed formula against a recomputation, its
+oracle, and returns an exact-integer record; sweeps aggregate records into a
+machine-readable report.  All comparisons are exact (integer equality or
+<=), never approximate.
+
+The oracles:
+
+* ``thm21``/``thm31``: the rank sum
+  (:func:`~jacograph.irregularity.pair_sum_by_rank`) over the weights of
+  the per-vertex degrees of J*_{n+1}, ``underlying_degrees``, which come
+  from ``isqrt`` and not from the Fibonacci word.
+* ``thm33``: the rank sum over the degrees of the constructed graph joined
+  at v_i (``underlying_graph`` and ``edge_joint``).
+* ``lemma31``: firr_t of the constructed union and the constructed joint.
+* ``thm32``/``cor31``: the histogram kernel on the sum of the two
+  word-built histograms (``underlying_degree_counts``).  The formula side
+  reads the same histograms and runs the same kernel, so this oracle is not
+  independent of it: a fault in the word that moved both sides alike would
+  go unseen here.
 
 Check ids
 ---------
@@ -70,8 +85,8 @@ from .irregularity import (
     cross_pair_sum,
     degree_histogram,
     firr_t,
+    pair_sum_by_rank,
     pair_sum_histogram,
-    pair_sum_naive,
 )
 from .jaco import (
     out_degree,
@@ -248,12 +263,12 @@ def _equality(theorem: str, params: dict[str, int], lhs: int, rhs: int) -> Check
 
 
 def _growth_check(n: int, kind: str) -> CheckRecord:
-    """The pairwise oracle on the weights of J*_{n+1} against the growth recursion for ``kind``."""
+    """The rank-sum oracle on the weights of J*_{n+1} against the growth recursion for ``kind``."""
     degrees = underlying_degrees(n + 1)
     if kind == "irr":
-        theorem, lhs, rhs = "thm21", pair_sum_naive(list(degrees)), thm21_rhs(n)
+        theorem, lhs, rhs = "thm21", pair_sum_by_rank(degrees), thm21_rhs(n)
     else:
-        theorem, lhs, rhs = "thm31", pair_sum_naive([fib(d) for d in degrees]), thm31_rhs(n)
+        theorem, lhs, rhs = "thm31", pair_sum_by_rank(map(fib, degrees)), thm31_rhs(n)
     return _equality(theorem, {"n": n}, lhs, rhs)
 
 
@@ -335,10 +350,11 @@ def _check_thm33_args(n: int, m: int, i: int) -> None:
 
 def thm33_exact(n: int, m: int, i: int) -> int:
     """Ground truth: firr_t of the graph joined at v_i and the first vertex
-    of the second copy, recomputed by the pairwise oracle on the joined graph."""
+    of the second copy, recomputed by the rank-sum oracle over the degrees of
+    the built, joined graph."""
     _check_thm33_args(n, m, i)
     joined = edge_joint(underlying_graph(n), i, underlying_graph(m), 1)
-    return pair_sum_naive([fib(d) for d in degree_sequence(joined)])
+    return pair_sum_by_rank(map(fib, degree_sequence(joined)))
 
 
 def thm33_literal(n: int, m: int, i: int) -> int:

@@ -206,6 +206,15 @@ def test_metric_irr_of_huge_jaco_graphs(n, seconds, peak_rss_kb):
     }[n]
 
 
+def test_verify_growth_checks_to_a_thousand_run_in_seconds(peak_rss_kb):
+    # The oracle is a rank sum, O(n log n) per instance.  On a shared 2-core
+    # VM this sweep took 35 s with the pairwise loop and 1.1 s with it.
+    start = time.perf_counter()
+    rc, _ = peak_rss_kb("-m", "jacograph", "verify", "thm21", "thm31", "--n", "2..1000")
+    assert rc == 0
+    assert time.perf_counter() - start < 10
+
+
 def test_metric_of_a_jaco_spec_builds_no_histogram(monkeypatch, capsys):
     expected = {
         (kind, n): str(pair_sum_histogram(underlying_degree_counts(n), kind)) + "\n"
@@ -609,6 +618,21 @@ def test_table_makes_one_weight_label_per_degree(fmt, monkeypatch, capsys):
     monkeypatch.setattr("jacograph.cli.fib", counted)
     assert run_cli(capsys, "table", "firr", "300", "--format", fmt)[0] == 0
     assert len(calls) <= out_degree(301) + 1 == 187
+
+
+def test_table_rows_build_no_degree_sequence(monkeypatch, capsys):
+    # row sequences come from jaco._band, not a per-vertex degree tuple
+    expected = {
+        (kind, fmt): reference_table(kind, 300, fmt) for kind in ("irr", "firr") for fmt in ("text", "csv", "json")
+    }
+
+    def refuse(*args):
+        raise AssertionError("a table row built a per-vertex degree sequence")
+
+    monkeypatch.setattr("jacograph.jaco.underlying_degrees", refuse)
+    assert not hasattr(jacograph.cli, "underlying_degrees")
+    for (kind, fmt), out in expected.items():
+        assert run_cli(capsys, "table", kind, "300", "--format", fmt) == (0, out, ""), (kind, fmt)
 
 
 @pytest.mark.parametrize("kind", ["irr", "firr"])

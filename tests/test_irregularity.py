@@ -23,6 +23,7 @@ from jacograph import (
     firr_t,
     irr_t,
     is_f_regular,
+    pair_sum_by_rank,
     pair_sum_histogram,
     pair_sum_naive,
     path,
@@ -431,3 +432,31 @@ def test_random_equivalence_sample():
         assert irr_t(ds).value == pair_sum_naive(ds) == brute(ds)
         ws = [fib(d) for d in ds]
         assert firr_t(ds).value == pair_sum_naive(ws) == brute(ws)
+
+
+# Arbitrary ints for the rank-sum oracle: both signs, far past 64 bits, and
+# lists drawn from a few values so that ties are common.
+rank_sum_weights = st.one_of(
+    st.lists(st.integers(min_value=-(10**30), max_value=10**30), max_size=60),
+    st.lists(st.sampled_from([-(10**30), -7, -1, 0, 1, 7, 10**30]), max_size=60),
+)
+
+
+@given(rank_sum_weights, st.randoms(use_true_random=False))
+@example([], None)
+@example([5], None)
+@example([3, 3, 3], None)
+@example([-2, 10**30, -2, 0], None)
+def test_rank_sum_matches_the_naive_oracle(ws, rnd):
+    if rnd is not None:
+        rnd.shuffle(ws)
+    assert pair_sum_by_rank(ws) == pair_sum_naive(ws) == brute(ws)
+    assert pair_sum_by_rank(iter(ws)) == pair_sum_naive(ws)  # any iterable, read once
+
+
+def test_rank_sum_matches_the_naive_oracle_on_jaco_weights():
+    for n in range(1, 81):
+        ds = underlying_degrees(n)
+        for weight in (int, fib, signed_weight_of_degree):
+            ws = [weight(d) for d in ds]
+            assert pair_sum_by_rank(ws) == pair_sum_naive(ws), (n, weight)

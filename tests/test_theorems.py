@@ -15,6 +15,8 @@ from jacograph import (
     CheckRecord,
     cor31_check,
     degree_histogram,
+    degree_sequence,
+    edge_joint,
     fib,
     firr_t,
     irr_t,
@@ -31,8 +33,11 @@ from jacograph import (
     thm33_exact,
     thm33_literal,
     underlying_degrees,
+    underlying_graph,
     verify_sweep,
 )
+from jacograph.cli import main
+from jacograph.jaco import underlying_metric
 
 
 def brute(ws):
@@ -76,6 +81,18 @@ def test_growth_checks_pit_the_oracle_against_the_recursion():
     rec = thm31_check(11)
     assert (rec.theorem, rec.params, rec.relation) == ("thm31", {"n": 11}, "equality")
     assert (rec.lhs, rec.rhs, rec.matched) == (322, 322, True)
+
+
+def test_growth_oracle_catches_a_formula_side_off_by_one(monkeypatch, capsys):
+    # The oracle reads no metric cache: a cache one too high must turn every
+    # growth record red, and verify's exit code with it.
+    monkeypatch.setattr(theorems, "_jaco_metric", lambda x, kind: underlying_metric(x, kind) + 1)
+    report = verify_sweep(["thm21", "thm31"], (2, 60))
+    assert report.counts == {"thm21": [59, 59], "thm31": [59, 59]}
+    for rec in report.records:
+        assert rec.rhs == rec.lhs + 1, rec
+    assert main(["verify", "thm21", "thm31", "--n", "2..60"]) == 1
+    assert capsys.readouterr().out.endswith("overall: FAIL (118 checks, 118 mismatches)\n")
 
 
 def test_thm21_validation():
@@ -298,6 +315,16 @@ def test_thm33_exact_is_the_oracle():
         dn[i - 1] += 1
         dm[0] += 1
         assert thm33_exact(n, m, i) == brute([fib(d) for d in dn + dm])
+
+
+def test_thm33_exact_equals_the_naive_oracle_on_the_joined_graph():
+    for n in range(3, 11):
+        gn = underlying_graph(n)
+        for m in range(1, 11):
+            gm = underlying_graph(m)
+            for i in range(2, n + 1):
+                weights = [fib(d) for d in degree_sequence(edge_joint(gn, i, gm, 1))]
+                assert thm33_exact(n, m, i) == pair_sum_naive(weights), (n, m, i)
 
 
 def test_thm33_frozen_instances():
