@@ -15,7 +15,9 @@ counts, with no per-vertex degree.  JSON rows come from a fixed template,
 byte-equal to what ``json.dumps`` writes.  ``export`` writes a chunk per
 vertex, so its memory is that of the graph alone, and refuses a named
 family above the edge guard, or an edge-list file naming a vertex id above
-it, before building the graph.  ``verify`` keeps
+it, before building the graph.  A Jaco graph is never built: each vertex's
+later neighbors are a range read off its shape, so its export runs in the
+memory of one chunk.  ``verify`` keeps
 no record: it counts them, and for its JSON report spools them to a
 temporary file, so the report's header, which says whether all matched, can
 come first.  ``--out`` is opened before the first check runs.  A reader
@@ -38,7 +40,9 @@ from itertools import accumulate, chain, repeat
 from .fibonacci import fib
 from .graphs import (
     DEFAULT_EDGE_GUARD,
+    LaterNeighbors,
     SimpleGraph,
+    _later_neighbors,
     complete_bipartite,
     cycle,
     degree_sequence,
@@ -50,7 +54,7 @@ from .graphs import (
     star,
 )
 from .irregularity import degree_histogram, pair_sum_histogram
-from .jaco import _band, out_degree, underlying_graph, underlying_metric
+from .jaco import _band, out_degree, underlying_graph, underlying_later_neighbors, underlying_metric
 from .theorems import THEOREM_IDS, CheckRecord, VerifyReport, iter_checks
 
 __all__ = ["main"]
@@ -345,10 +349,25 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.all_matched else 1
 
 
+def _later_neighbors_for_spec(spec: str) -> tuple[int, LaterNeighbors]:
+    """The vertex count and the later neighbors of each vertex of the graph a spec names.
+
+    A Jaco graph's come from its shape, refused above the edge guard as
+    ``underlying_graph`` refuses it, and no graph is built.
+    """
+    kind, args = _parse_spec(spec)
+    if kind != "jaco":
+        g = graph_for_spec(spec)
+        return g.n, _later_neighbors(g)
+    try:
+        return args[0], underlying_later_neighbors(args[0])
+    except ValueError as exc:
+        raise SpecError(f"graph spec {spec!r}: {exc}") from exc
+
+
 def _cmd_export(args: argparse.Namespace) -> int:
-    g = graph_for_spec(args.spec)
     chunks = {"dot": dot_chunks, "edgelist": edge_list_chunks, "json": json_chunks}[args.format]
-    return _write_output(chunks(g), args.out)
+    return _write_output(chunks(*_later_neighbors_for_spec(args.spec)), args.out)
 
 
 def _build_parser() -> argparse.ArgumentParser:

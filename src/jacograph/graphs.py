@@ -10,7 +10,7 @@ whole or a vertex at a time.
 from __future__ import annotations
 
 from bisect import bisect_right, insort
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 
 __all__ = [
     "SimpleGraph",
@@ -62,7 +62,7 @@ class SimpleGraph:
         # Trusted fast path for internal builders: adj[0] is ignored and every
         # adj[v] must already be strictly ascending and symmetric.
         g = object.__new__(cls)
-        g._adj = tuple(tuple(nbrs) for nbrs in adj)
+        g._adj = tuple(map(tuple, adj))
         return g
 
     @property
@@ -159,14 +159,14 @@ def complete_bipartite(n: int, m: int) -> SimpleGraph:
 
 def degree_sequence(g: SimpleGraph) -> tuple[int, ...]:
     """Degrees in vertex-id order: entry i-1 is the degree of vertex i."""
-    return tuple(len(g._adj[v]) for v in range(1, g.n + 1))
+    return tuple(map(len, g._adj[1:]))
 
 
 def _union_adjacency(g: SimpleGraph, h: SimpleGraph) -> list[list[int]]:
     """Fresh adjacency lists of the disjoint union, h relabeled g.n + 1 .. g.n + h.n."""
     off = g.n
     adj: list[list[int]] = [[]]
-    adj.extend(list(nbrs) for nbrs in g._adj[1:])
+    adj.extend(map(list, g._adj[1:]))
     adj.extend([w + off for w in nbrs] for nbrs in h._adj[1:])
     return adj
 
@@ -195,44 +195,50 @@ def _later_neighbors(g: SimpleGraph) -> Iterator[tuple[int, tuple[int, ...]]]:
             yield v, later
 
 
-def dot_chunks(g: SimpleGraph) -> Iterator[str]:
+# The chunk writers take a graph as its vertex count n and the pairs (v, the
+# ascending neighbors w > v of v) for each vertex v that has one, by v, as
+# _later_neighbors yields them; a Jaco graph's pairs come from its shape.
+LaterNeighbors = Iterable[tuple[int, Sequence[int]]]
+
+
+def dot_chunks(n: int, later_neighbors: LaterNeighbors) -> Iterator[str]:
     """:func:`to_dot` a chunk at a time: the header, each vertex, each vertex's edges to later ones, the end."""
     yield "graph G {\n"
-    for v in range(1, g.n + 1):
+    for v in range(1, n + 1):
         yield f"  {v};\n"
-    for v, later in _later_neighbors(g):
+    for v, later in later_neighbors:
         yield f"  {v} -- " + f";\n  {v} -- ".join(map(str, later)) + ";\n"
     yield "}\n"
 
 
-def edge_list_chunks(g: SimpleGraph) -> Iterator[str]:
+def edge_list_chunks(n: int, later_neighbors: LaterNeighbors) -> Iterator[str]:
     """:func:`to_edge_list` a chunk at a time: the lines of each vertex's edges to later ones."""
-    for v, later in _later_neighbors(g):
+    for v, later in later_neighbors:
         yield f"{v} " + f"\n{v} ".join(map(str, later)) + "\n"
 
 
-def json_chunks(g: SimpleGraph) -> Iterator[str]:
+def json_chunks(n: int, later_neighbors: LaterNeighbors) -> Iterator[str]:
     """JSON text of the graph a chunk at a time, each vertex's edges to later ones in one.
 
-    The chunks join to json.dumps({"n": g.n, "edges": [list(e) for e in
-    g.edges()]}, sort_keys=True) + "\\n".
+    The chunks join to json.dumps({"n": n, "edges": [[v, w] for each edge
+    v < w in lexicographic order]}, sort_keys=True) + "\\n".
     """
     yield '{"edges": ['
     sep = "["
-    for v, later in _later_neighbors(g):
+    for v, later in later_neighbors:
         yield f"{sep}{v}, " + f"], [{v}, ".join(map(str, later)) + "]"
         sep = ", ["
-    yield f'], "n": {g.n}}}\n'
+    yield f'], "n": {n}}}\n'
 
 
 def to_dot(g: SimpleGraph) -> str:
     """DOT serialization: every vertex listed, edges in lexicographic order."""
-    return "".join(dot_chunks(g))
+    return "".join(dot_chunks(g.n, _later_neighbors(g)))
 
 
 def to_edge_list(g: SimpleGraph) -> str:
     """Plain edge-list text: one "i j" line per edge, 1-based, i < j, sorted."""
-    return "".join(edge_list_chunks(g))
+    return "".join(edge_list_chunks(g.n, _later_neighbors(g)))
 
 
 def from_edge_list(text: str) -> SimpleGraph:

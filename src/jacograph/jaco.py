@@ -31,7 +31,9 @@ tail G runs from j0 = G(k+1) up to j1 = G(n).  :func:`_shape` returns
 Every degree query therefore comes straight from n with no stored data.
 :func:`build_profile` still runs the construction itself, as an O(n)
 interval sweep; it is the definition the closed form is tested against.
-Adjacency is materialized only by :func:`underlying_graph`.
+Adjacency is materialized only by :func:`underlying_graph`;
+:func:`underlying_later_neighbors` yields each vertex's later neighbors as a
+range, so the graph can be written out without it.
 
 The edge count in O(log n)
 --------------------------
@@ -89,8 +91,9 @@ operations, so irr of J*_{10^18} takes about a millisecond and no list.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from itertools import chain
 from math import isqrt
 from typing import Any
 
@@ -105,6 +108,7 @@ __all__ = [
     "underlying_degree_counts",
     "underlying_metric",
     "underlying_graph",
+    "underlying_later_neighbors",
     "prime_jaconian_index",
 ]
 
@@ -364,26 +368,34 @@ def _irr(n: int) -> int:
     return head + top + band
 
 
-def underlying_graph(n: int) -> SimpleGraph:
-    """Materialize the underlying undirected graph: edges {i, j} for i < j <= min(r_i, n).
+def underlying_later_neighbors(n: int) -> Iterator[tuple[int, range]]:
+    """(i, the neighbors j > i of vertex i) for i = 1..n-1, read off the shape with no adjacency.
 
-    Raises ValueError when the edge count, which grows quadratically in n,
-    would exceed ``DEFAULT_EDGE_GUARD``; degree based computations should use
+    Vertex i's later neighbors are i+1..min(r_i, n) with r_i = i + G(i):
+    i + G(i) on the head 1..k and n on the tail.  Raises ValueError, before
+    any O(n) work, when the edge count, which grows quadratically in n, would
+    exceed ``DEFAULT_EDGE_GUARD``; degree based computations should use
     :func:`underlying_degrees`, which stays O(n), instead.
     """
-    edges = _edge_count(n)  # exact, in O(log n): refuse before any O(n) work
+    edges = _edge_count(n)  # exact, in O(log n)
     if edges > DEFAULT_EDGE_GUARD:
         raise ValueError(
             f"underlying graph on {n} vertices has {edges} edges, above the "
             f"guard of {DEFAULT_EDGE_GUARD}; use underlying_degrees for metric work"
         )
+    k = _shape(n)[0]
+    head = ((a - 1, range(a, a + (isqrt(5 * a * a) - a) // 2)) for a in range(2, k + 2))  # a = i + 1
+    return chain(head, ((i, range(i + 1, n + 1)) for i in range(k + 1, n)))
+
+
+def underlying_graph(n: int) -> SimpleGraph:
+    """Materialize the underlying undirected graph: edges {i, j} for i < j <= min(r_i, n).
+
+    Refused above the edge guard as :func:`underlying_later_neighbors` is.
+    """
+    later_neighbors = underlying_later_neighbors(n)  # refuses before any O(n) work
     adj: list[list[int]] = [[] for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        a = i + 1
-        hi = i + (isqrt(5 * a * a) - a) // 2  # r_i = i + G(i), then min(r_i, n)
-        if hi > n:
-            hi = n
-        out = range(i + 1, hi + 1)
+    for i, out in later_neighbors:
         adj[i].extend(out)  # earlier in-neighbors are already in place, all < i
         for j in out:
             adj[j].append(i)

@@ -12,7 +12,8 @@ The oracles:
   the per-vertex degrees of J*_{n+1}, ``underlying_degrees``, which come
   from ``isqrt`` and not from the Fibonacci word.
 * ``thm33``: the rank sum over the degrees of the constructed graph joined
-  at v_i (``underlying_graph`` and ``edge_joint``).
+  at v_i (``underlying_graph`` and ``edge_joint``, the graphs kept as said
+  below).
 * ``lemma31``: firr_t of the constructed union and the constructed joint.
 * ``thm32``/``cor31``: the histogram kernel on the sum of the two
   word-built histograms (``underlying_degree_counts``).  The formula side
@@ -52,14 +53,23 @@ i has degree i, and removing them removes exactly one vertex of each degree
 1..cut.  For m = 1 the cut is 0 and the tails are the whole graphs.
 
 The left side is the kernel on the union's histogram, built afresh for
-every instance.  Only the formula sides keep data across instances: the
-metric of each Jaco graph, per metric kind, in one process-wide cache
-(``_jaco_metric``), the same policy as :func:`fib`.  Every formula side reads
-the metric of a Jaco graph there: the growth recursions for J*_n, the union
-statements for both copies.  No oracle reads it.
+every instance.
+
+What is kept across instances, and by which side.  The formula sides keep
+the metric of each Jaco graph, per metric kind, in one process-wide cache
+(``_jaco_metric``), the same policy as :func:`fib`: the growth recursions
+read it for J*_n, the union statements for both copies.  thm33's formula
+side keeps the terms that do not depend on i, for one (n, m) at a time
+(``_thm33_union_terms``).  The oracle side keeps the last two graphs built
+by ``underlying_graph`` (``_built_graph``), which lemma31 and thm33 join:
+records come in ascending (n, m, i) order, so two graphs, the current J*_n
+and J*_m, are enough to build each once per (n, m) and not once per
+instance.  Neither side reads the other's data.
 
 The growth recursions thm21 and thm31 are one recursion in weight space,
-:func:`_growth_rhs`, with weight d for irr_t and f_d for firr_t.
+:func:`_growth_rhs`, with weight d for irr_t and f_d for firr_t.  It reads
+the word-built histograms (``underlying_degree_counts``), while its oracle
+reads the ``isqrt`` degrees, so the two sides share no degree source.
 
 A sweep is one stream of records, :func:`iter_checks`.  It walks one
 generator of parameter tuples per check id, which also answers whether a
@@ -75,15 +85,14 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, lru_cache
 from typing import Any
 
 from .fibonacci import fib
-from .graphs import degree_sequence, disjoint_union, edge_joint
+from .graphs import SimpleGraph, degree_sequence, disjoint_union, edge_joint
 from .irregularity import (
     add_histograms,
     cross_pair_sum,
-    degree_histogram,
     firr_t,
     pair_sum_by_rank,
     pair_sum_histogram,
@@ -218,33 +227,49 @@ class VerifyReport:
 _jaco_metric = cache(underlying_metric)
 
 
+@lru_cache(maxsize=2)
+def _built_graph(n: int) -> SimpleGraph:
+    """The oracle side's J*_n, built by ``underlying_graph``.
+
+    Two entries hold the current n and m of a sweep whose records come in
+    ascending (n, m, i) order, so each graph is built once per (n, m) and
+    not once per instance.  Graphs are immutable, so sharing them is safe.
+    At most two graphs stay alive, up to about 2 x 317 MB at the edge guard.
+    """
+    return underlying_graph(n)
+
+
 def _growth_rhs(n: int, kind: str) -> int:
     """Predicted metric ``kind`` ("irr" or "firr") of J*_{n+1} from the state of J*_n.
 
     With k the prime Jaconian index of J*_n, vertex n+1 arrives with degree
-    n - k and bumps the degrees of exactly v_{k+1}..v_n by one.  In weight
-    space, w_d = d for irr and f_d for firr, the new vertex adds its pair sum
-    against the updated weights, and each bumped vertex of degree d shifts
-    its pairs against the untouched block v_1..v_k by +(w_{d+1} - w_d) or
-    -(w_{d+1} - w_d): the block's degrees are exactly 1..k, so min(d, k) of
-    them lie strictly under d + 1.  Pairs of two bumped vertices keep their
-    gap for irr.  For firr and degrees a >= b >= 1 the gap moves by
-    (f_{a+1} - f_{b+1}) - (f_a - f_b) = f_{a-1} - f_{b-1} >= 0, so the
-    absolute value is exact and the bumped pairs sum to the firr pair sum of
-    the bumped degrees minus one: one kernel call instead of a loop over the
-    pairs.
+    n - k and bumps the degrees of exactly v_{k+1}..v_n, the tail, by one.
+    In weight space, w_d = d for irr and f_d for firr, the new vertex adds
+    its pair sum against the updated weights, and each bumped vertex of
+    degree d shifts its pairs against the untouched block v_1..v_k by
+    +(w_{d+1} - w_d) or -(w_{d+1} - w_d): the block's degrees are exactly
+    1..k, and d <= k, so d of them lie strictly under d + 1.  Pairs of two
+    bumped vertices keep their gap for irr.  For firr and degrees
+    a >= b >= 1 the gap moves by (f_{a+1} - f_{b+1}) - (f_a - f_b) =
+    f_{a-1} - f_{b-1} >= 0, so the absolute value is exact and the bumped
+    pairs sum to the firr pair sum of the bumped degrees minus one: one
+    kernel call instead of a loop over the pairs.
+
+    Every term is read off the word-built histograms of J*_n and J*_{n+1},
+    with no per-vertex degree: the arriving vertex's own term against
+    itself is 0, so its pair sum runs over the whole histogram of J*_{n+1},
+    and the tail's histogram is that of J*_n less 1 on the head degrees 1..k.
     """
     if n < 2:
         raise ValueError(f"the growth recursion needs n >= 2, got {n}")
-    old = underlying_degrees(n)
-    new = underlying_degrees(n + 1)
     k = prime_jaconian_index(n)
     # Degrees reach k + 1: the largest bumped one, and the largest of J*_{n+1}.
     weights = list(range(k + 2)) if kind == "irr" else [fib(d) for d in range(k + 2)]
     arrival_weight = weights[n - k]
-    new_vertex = sum(abs(arrival_weight - weights[d]) for d in new[:n])
-    cross = sum((2 * min(d, k) - k) * (weights[d + 1] - weights[d]) for d in old[k:])
-    bumped_pairs = 0 if kind == "irr" else pair_sum_histogram(degree_histogram(d - 1 for d in old[k:]), "firr")
+    new_vertex = sum(c * abs(arrival_weight - w) for c, w in zip(underlying_degree_counts(n + 1), weights))
+    tail = [c - (0 < d <= k) for d, c in enumerate(underlying_degree_counts(n))]
+    cross = sum(t * (2 * d - k) * (weights[d + 1] - weights[d]) for d, t in enumerate(tail))
+    bumped_pairs = 0 if kind == "irr" else pair_sum_histogram(tail[1:], "firr")
     return _jaco_metric(n, kind) + new_vertex + cross + bumped_pairs
 
 
@@ -332,8 +357,8 @@ def lemma31_check(n: int, m: int) -> CheckRecord:
     """
     if n < 2 or m < 2:
         raise ValueError(f"lemma31 needs n, m >= 2, got ({n}, {m})")
-    gn = underlying_graph(n)
-    gm = underlying_graph(m)
+    gn = _built_graph(n)
+    gm = _built_graph(m)
     lhs = firr_t(degree_sequence(disjoint_union(gn, gm))).value
     rhs = firr_t(degree_sequence(edge_joint(gn, 1, gm, 1))).value
     return _equality("lemma31", {"n": n, "m": m}, lhs, rhs)
@@ -353,7 +378,7 @@ def thm33_exact(n: int, m: int, i: int) -> int:
     of the second copy, recomputed by the rank-sum oracle over the degrees of
     the built, joined graph."""
     _check_thm33_args(n, m, i)
-    joined = edge_joint(underlying_graph(n), i, underlying_graph(m), 1)
+    joined = edge_joint(_built_graph(n), i, _built_graph(m), 1)
     return pair_sum_by_rank(map(fib, degree_sequence(joined)))
 
 
@@ -362,17 +387,29 @@ def thm33_literal(n: int, m: int, i: int) -> int:
     reading: the pivot weight is taken at the pre-join degree of v_i, the
     +/- partitions run over the first copy without v_i and over the whole
     second copy, and each side contributes |pivot - weight| with sign + for
-    weights at most the pivot and - for strictly larger weights.  The pair
-    sums within and across the two copies add up to the pair sum of their
-    union: one kernel call on its histogram."""
+    weights at most the pivot and - for strictly larger weights.
+
+    Each side weight w adds +|pivot - w| when w <= pivot and -|w - pivot|
+    when w > pivot; both arms are pivot - w.  v_i's own term would be 0, so
+    the sum runs over the whole union: pivot (n + m) less the union's weight
+    sum, and only the pivot depends on i (see :func:`_thm33_union_terms`).
+    """
     _check_thm33_args(n, m, i)
-    union = add_histograms(underlying_degree_counts(n), underlying_degree_counts(m))
     pivot = fib(min(i, n - out_degree(i)))  # the degree of v_i in J*_n
-    # Each side weight w adds +|pivot - w| when w <= pivot and -|w - pivot|
-    # when w > pivot; both arms are pivot - w.  v_i's own term would be 0, so
-    # the sum runs over the whole union.
-    side_sum = pivot * (n + m) - sum(c * fib(d) for d, c in enumerate(union))
-    return pair_sum_histogram(union, "firr") + side_sum
+    return _thm33_union_terms(n, m) + pivot * (n + m)
+
+
+@lru_cache(maxsize=1)
+def _thm33_union_terms(n: int, m: int) -> int:
+    """The terms of :func:`thm33_literal` that do not depend on i.
+
+    The pair sums within and across the two copies add up to the pair sum
+    of their union, one kernel call on its histogram; less the union's
+    weight sum, the sides' share of the sum.  One entry holds the current
+    (n, m) of a sweep in ascending (n, m, i) order.
+    """
+    union = add_histograms(underlying_degree_counts(n), underlying_degree_counts(m))
+    return pair_sum_histogram(union, "firr") - sum(c * fib(d) for d, c in enumerate(union))
 
 
 def thm33_check(n: int, m: int, i: int) -> CheckRecord:

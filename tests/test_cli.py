@@ -441,6 +441,23 @@ def test_export_refuses_a_family_above_the_edge_guard_at_once(monkeypatch, capsy
     assert peak - floor[1] < 2 * 1024
 
 
+def test_export_of_a_jaco_graph_builds_no_graph(monkeypatch, capsys, peak_rss_kb):
+    expected = {n: to_edge_list(underlying_graph(n)) for n in (1, 2, 12, 40)}
+
+    def refuse(n):
+        raise AssertionError("export built a Jaco graph")
+
+    monkeypatch.setitem(jacograph.cli._FAMILIES, "jaco", refuse)
+    monkeypatch.setattr(jacograph.jaco, "underlying_graph", refuse)
+    for n, text in expected.items():
+        assert run_cli(capsys, "export", f"jaco:{n}") == (0, text, "")
+    # 4 774 940 edges in the memory of one vertex's chunk; built, the graph
+    # took 317 MB
+    rc, peak = peak_rss_kb("-m", "jacograph", "export", "jaco:5000")
+    assert rc == 0
+    assert peak < 40 * 1024
+
+
 def test_export_edge_guard_boundary(monkeypatch, capsys):
     monkeypatch.setattr("jacograph.cli.DEFAULT_EDGE_GUARD", 12)
     for at_guard, above in (

@@ -18,7 +18,9 @@ from jacograph import (
     star,
     to_dot,
     to_edge_list,
+    underlying_graph,
 )
+from jacograph.graphs import _union_adjacency
 
 
 @st.composite
@@ -187,6 +189,28 @@ def test_trusted_builders_produce_valid_graphs(g, h):
     j = edge_joint(g, g.n, h, 1)
     j.validate()
     assert j.edge_count == u.edge_count + 1
+
+
+def test_adjacency_copies_equal_the_per_vertex_expressions():
+    # degree_sequence, _from_sorted_adjacency and _union_adjacency copy at C
+    # speed; each must equal the per-vertex expression it replaced
+    graphs = [path(n) for n in range(1, 8)] + [cycle(n) for n in range(3, 8)] + [star(n) for n in range(1, 8)]
+    graphs += [complete_bipartite(n, m) for n in range(1, 6) for m in range(1, n + 1)]
+    graphs += [underlying_graph(n) for n in range(1, 41)]
+    jaco = graphs[-40:]
+    built = list(graphs)
+    for g in jaco[::3]:
+        for h in jaco[::7]:
+            built.append(disjoint_union(g, h))
+            built.append(edge_joint(g, g.n, h, 1))
+    for g in built:
+        assert degree_sequence(g) == tuple(len(g._adj[v]) for v in range(1, g.n + 1))
+        rebuilt = SimpleGraph._from_sorted_adjacency([list(nbrs) for nbrs in g._adj])
+        assert rebuilt._adj == tuple(tuple(nbrs) for nbrs in g._adj)
+        for h in (path(1), path(4), star(3)):
+            expected = [[]] + [list(nbrs) for nbrs in g._adj[1:]] + [[w + g.n for w in nbrs] for nbrs in h._adj[1:]]
+            assert _union_adjacency(g, h) == expected
+    assert len(built) > 100
 
 
 def test_dot_export():

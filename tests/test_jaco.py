@@ -23,6 +23,7 @@ from jacograph import (
     underlying_degree_counts,
     underlying_degrees,
     underlying_graph,
+    underlying_later_neighbors,
 )
 from jacograph.graphs import SimpleGraph
 from jacograph.jaco import _edge_count, _floor_phi, _floor_sums, _poly_sum, _fibonacci_word, underlying_metric
@@ -303,6 +304,22 @@ def test_underlying_graph_guard_boundary(monkeypatch):
             with pytest.raises(ValueError):
                 underlying_graph(n)
         monkeypatch.undo()
+
+
+def test_later_neighbors_off_the_shape_match_the_construction_sweep(monkeypatch):
+    # vertex i reaches i+1..min(r_i, n) in the graph on n vertices
+    profile = build_profile(300)
+    for n in range(1, 301):
+        expected = [(i, tuple(range(i + 1, min(profile.out_reach(i), n) + 1))) for i in range(1, n)]
+        assert [(i, tuple(later)) for i, later in underlying_later_neighbors(n)] == expected, n
+    # refused above the guard as underlying_graph is, when called, before any pair
+    for n in (5117, 10**18):
+        with pytest.raises(ValueError, match="above the guard of 5000000"):
+            underlying_later_neighbors(n)
+    monkeypatch.setattr("jacograph.jaco.DEFAULT_EDGE_GUARD", 13)  # jaco:8 has 13 edges
+    assert sum(len(later) for _, later in underlying_later_neighbors(8)) == 13
+    with pytest.raises(ValueError, match="underlying graph on 9 vertices has 16 edges"):
+        underlying_later_neighbors(9)
 
 
 def test_prime_jaconian_examples():

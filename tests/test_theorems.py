@@ -1,6 +1,7 @@
 """Identity evaluators and verification sweeps against brute-force oracles."""
 
 import json
+import random
 import signal
 import time
 from itertools import combinations
@@ -22,6 +23,7 @@ from jacograph import (
     irr_t,
     lemma31_check,
     pair_sum_histogram,
+    pair_sum_by_rank,
     pair_sum_naive,
     prime_jaconian_index,
     thm21_check,
@@ -93,6 +95,22 @@ def test_growth_oracle_catches_a_formula_side_off_by_one(monkeypatch, capsys):
         assert rec.rhs == rec.lhs + 1, rec
     assert main(["verify", "thm21", "thm31", "--n", "2..60"]) == 1
     assert capsys.readouterr().out.endswith("overall: FAIL (118 checks, 118 mismatches)\n")
+
+
+def test_growth_formula_side_reads_no_per_vertex_degrees(monkeypatch):
+    # the oracle keeps the isqrt degrees; the recursion reads the word-built
+    # histograms alone, so the two sides share no degree source
+    oracle = {
+        n: (pair_sum_by_rank(underlying_degrees(n + 1)), pair_sum_by_rank(map(fib, underlying_degrees(n + 1))))
+        for n in range(2, 81)
+    }
+
+    def refuse(*args):
+        raise AssertionError("the growth recursion read per-vertex degrees")
+
+    monkeypatch.setattr(theorems, "underlying_degrees", refuse)
+    for n in range(2, 81):
+        assert (thm21_rhs(n), thm31_rhs(n)) == oracle[n], n
 
 
 def test_thm21_validation():
@@ -279,7 +297,9 @@ def test_union_sweep_builds_no_degree_sequence(monkeypatch):
         raise AssertionError("a union check built a per-vertex degree sequence")
 
     monkeypatch.setattr("jacograph.theorems.underlying_degrees", refuse)
-    monkeypatch.setattr("jacograph.theorems.degree_histogram", refuse)
+    # theorems no longer imports degree_histogram; the patch still refuses it
+    # should the name come back
+    monkeypatch.setattr("jacograph.theorems.degree_histogram", refuse, raising=False)
     report = verify_sweep(["thm32", "cor31"], (1, 40), (1, 40))
     assert report.total == 2 * sum(range(1, 41))
     assert report.all_matched
@@ -350,6 +370,53 @@ def test_thm33_literal_matches_a_double_loop_over_vertices():
         for m in range(1, 13):
             for i in range(2, n + 1):
                 assert thm33_literal(n, m, i) == literal(n, m, i), (n, m, i)
+
+
+def test_joint_oracles_build_each_graph_once_per_pair(monkeypatch):
+    builds = []
+
+    def counting(n):
+        builds.append(n)
+        return underlying_graph(n)
+
+    monkeypatch.setattr(theorems, "underlying_graph", counting)
+    theorems._built_graph.cache_clear()
+    report = verify_sweep(["lemma31", "thm33"], (3, 12), (1, 12))
+    theorems._built_graph.cache_clear()
+    assert report.counts == {"lemma31": [110, 0], "thm33": [780, 752]}
+    # The two-graph memo holds J*_n and the last J*_m.  Each n builds J*_n
+    # once and J*_m once for every m but m = n, except that J*_12 is still
+    # held when n reaches 12: lemma31 (m = 2..12) 9 * 11 + 10, thm33
+    # (m = 1..12) 9 * 12 + 11.  Without the memo every instance builds two.
+    assert len(builds) == (9 * 11 + 10) + (9 * 12 + 11) == 228
+    assert len(builds) <= 110 + 120 < 2 * 890
+
+
+def test_thm33_sides_do_not_depend_on_the_order_of_the_instances():
+    # the oracle's graph memo and the literal side's (n, m) terms keep no
+    # stale value: shuffled calls equal in-order calls made with both empty
+    instances = [(n, m, i) for n in range(3, 11) for m in range(1, 11) for i in range(2, n + 1)]
+    in_order = {}
+    for p in instances:
+        theorems._built_graph.cache_clear()
+        theorems._thm33_union_terms.cache_clear()
+        in_order[p] = (thm33_exact(*p), thm33_literal(*p))
+    shuffled = list(instances)
+    random.Random(22).shuffle(shuffled)
+    for p in shuffled:
+        assert (thm33_exact(*p), thm33_literal(*p)) == in_order[p], p
+
+
+def test_thm33_literal_reads_no_graph(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the formula side built a graph")
+
+    monkeypatch.setattr(theorems, "underlying_graph", refuse)
+    theorems._built_graph.cache_clear()
+    for n in range(3, 13):
+        for m in range(1, 13):
+            for i in range(2, n + 1):
+                thm33_literal(n, m, i)
 
 
 def test_thm33_agreeing_instances():
