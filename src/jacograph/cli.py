@@ -102,26 +102,32 @@ def _parse_spec(spec: str) -> tuple[str, list[int]] | tuple[str, str]:
     return head, args
 
 
-def _family_edges(kind: str, args: list[int]) -> int:
-    """Edges of a named family but jaco, whose builder guards itself; 0 where the builder refuses the arguments."""
+def _family_degrees(kind: str, args: list[int]) -> dict[int, int] | None:
+    """Vertex count per degree of a named family but jaco, or None where its builder refuses the arguments."""
     n = args[0]
-    if kind == "biclique":
-        return n * args[1] if n >= args[1] >= 1 else 0
-    return {"path": n - 1, "cycle": n, "star": n}.get(kind, 0)
+    if kind == "path" and n >= 1:
+        return {0: 1} if n == 1 else {1: 2} if n == 2 else {1: 2, 2: n - 2}
+    if kind == "cycle" and n >= 3:
+        return {2: n}
+    m = args[1] if kind == "biclique" else 1  # a star with n leaves has the degrees of biclique n, 1
+    if kind in ("star", "biclique") and n >= m >= 1:
+        return {n: 2 * n} if n == m else {m: n, n: m}
+    return None
 
 
 def graph_for_spec(spec: str) -> SimpleGraph:
     """Build the graph a spec names; raises SpecError on unusable input.
 
     A named family with more edges than the guard is refused before any
-    work in its size, as ``underlying_graph`` refuses a Jaco graph.
+    work in its size, as ``underlying_graph`` refuses a Jaco graph: its
+    edge count is half the degree sum of :func:`_family_degrees`.
     """
     kind, args = _parse_spec(spec)
     try:
         if kind == "file":
             with open(args, encoding="utf-8") as fh:
                 return from_edge_list(fh.read())
-        edges = _family_edges(kind, args)
+        edges = sum(d * c for d, c in (_family_degrees(kind, args) or {}).items()) // 2
         if edges > DEFAULT_EDGE_GUARD:
             raise ValueError(f"the graph has {edges} edges, above the guard of {DEFAULT_EDGE_GUARD}")
         return _FAMILIES[kind](*args)
@@ -129,28 +135,15 @@ def graph_for_spec(spec: str) -> SimpleGraph:
         raise SpecError(f"graph spec {spec!r}: {exc}") from exc
 
 
-def _family_counts(kind: str, args: list[int]) -> list[int] | None:
-    """Degree histogram of a named family but jaco, or None where its builder refuses the arguments."""
-    n = args[0]
-    if kind == "path" and n >= 1:
-        return [1] if n == 1 else [0, 2] if n == 2 else [0, 2, n - 2]
-    if kind == "cycle" and n >= 3:
-        return [0, 0, n]
-    m = args[1] if kind == "biclique" else 1  # a star with n leaves has the degrees of biclique n, 1
-    if kind in ("star", "biclique") and n >= m >= 1:
-        counts = [0] * (n + 1)
-        counts[m] += n
-        counts[n] += m
-        return counts
-    return None
-
-
 def counts_for_spec(spec: str) -> list[int]:
     """Degree histogram for a spec; only an edge-list file builds its graph."""
     kind, args = _parse_spec(spec)
-    counts = None if kind == "file" else _family_counts(kind, args)
-    if counts is None:  # a file, or arguments the builder refuses with its own message
-        counts = degree_histogram(degree_sequence(graph_for_spec(spec)))
+    degrees = None if kind == "file" else _family_degrees(kind, args)
+    if degrees is None:  # a file, or arguments the builder refuses with its own message
+        return degree_histogram(degree_sequence(graph_for_spec(spec)))
+    counts = [0] * (max(degrees) + 1)
+    for d, c in degrees.items():
+        counts[d] += c
     return counts
 
 

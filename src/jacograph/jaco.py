@@ -182,7 +182,9 @@ def _shape(n: int) -> tuple[int, int, int]:
     """(k, j0, j1) of the graph on n vertices.
 
     The head is 1..k with k = G(n+1) - 1, and G runs from j0 = G(k+1) to
-    j1 = G(n) on the tail k+1..n (see the module docstring).
+    j1 = G(n) on the tail k+1..n (see the module docstring).  The degree,
+    band, metric, edge and neighbor queries below all read it, so each
+    refuses an n below 1 here, with this one message.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -241,9 +243,8 @@ def underlying_metric(n: int, kind: str, one: Any = 1) -> Any:
     with no histogram: irr in O(log n) integer operations by floor sums,
     firr and firrpm in closed form below lo and by the kernel on the band
     alone, in the ring whose unit is ``one`` (see the module docstring).
+    An n below 1 is refused by :func:`_shape`.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     if kind == "irr":
         return _irr(n)
     if kind not in ("firr", "firrpm"):

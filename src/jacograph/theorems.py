@@ -11,10 +11,10 @@ The oracles:
   (:func:`~jacograph.irregularity.pair_sum_by_rank`) over the weights of
   the per-vertex degrees of J*_{n+1}, ``underlying_degrees``, which come
   from ``isqrt`` and not from the Fibonacci word.
-* ``thm33``: the rank sum over the degrees of the constructed graph joined
-  at v_i (``underlying_graph`` and ``edge_joint``, the graphs kept as said
-  below).
-* ``lemma31``: firr_t of the constructed union and the constructed joint.
+* ``lemma31``/``thm33``: the rank sum over the weights of the degrees of
+  the constructed graphs (``underlying_graph``, ``disjoint_union`` and
+  ``edge_joint``, the graphs kept as said below): for lemma31 the union and
+  the graph joined at the first vertices, for thm33 the graph joined at v_i.
 * ``thm32``/``cor31``: the histogram kernel on the sum of the two
   word-built histograms (``underlying_degree_counts``).  The formula side
   reads the same histograms and runs the same kernel, so this oracle is not
@@ -67,9 +67,10 @@ and J*_m, are enough to build each once per (n, m) and not once per
 instance.  Neither side reads the other's data.
 
 The growth recursions thm21 and thm31 are one recursion in weight space,
-:func:`_growth_rhs`, with weight d for irr_t and f_d for firr_t.  It reads
-the word-built histograms (``underlying_degree_counts``), while its oracle
-reads the ``isqrt`` degrees, so the two sides share no degree source.
+:func:`_growth_rhs`, with weight d for irr_t and f_d for firr_t, and one
+check, :func:`_growth_check`.  The recursion reads the word-built
+histograms (``underlying_degree_counts``), while its oracle reads the
+``isqrt`` degrees, so the two sides share no degree source.
 
 A sweep is one stream of records, :func:`iter_checks`.  It walks one
 generator of parameter tuples per check id, which also answers whether a
@@ -83,7 +84,7 @@ and those mismatches.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
 from typing import Any
@@ -93,7 +94,6 @@ from .graphs import SimpleGraph, degree_sequence, disjoint_union, edge_joint
 from .irregularity import (
     add_histograms,
     cross_pair_sum,
-    firr_t,
     pair_sum_by_rank,
     pair_sum_histogram,
 )
@@ -239,6 +239,11 @@ def _built_graph(n: int) -> SimpleGraph:
     return underlying_graph(n)
 
 
+def _firr_by_rank(g: SimpleGraph) -> int:
+    """The oracle side's firr_t of a built graph: the rank sum over the weights of its degrees."""
+    return pair_sum_by_rank(map(fib, degree_sequence(g)))
+
+
 def _growth_rhs(n: int, kind: str) -> int:
     """Predicted metric ``kind`` ("irr" or "firr") of J*_{n+1} from the state of J*_n.
 
@@ -287,24 +292,20 @@ def _equality(theorem: str, params: dict[str, int], lhs: int, rhs: int) -> Check
     return CheckRecord(theorem, params, RELATION_EQUALITY, lhs, rhs, lhs == rhs)
 
 
-def _growth_check(n: int, kind: str) -> CheckRecord:
+def _growth_check(theorem: str, n: int, kind: str, weight: Callable[[int], int]) -> CheckRecord:
     """The rank-sum oracle on the weights of J*_{n+1} against the growth recursion for ``kind``."""
-    degrees = underlying_degrees(n + 1)
-    if kind == "irr":
-        theorem, lhs, rhs = "thm21", pair_sum_by_rank(degrees), thm21_rhs(n)
-    else:
-        theorem, lhs, rhs = "thm31", pair_sum_by_rank(map(fib, degrees)), thm31_rhs(n)
-    return _equality(theorem, {"n": n}, lhs, rhs)
+    lhs = pair_sum_by_rank(map(weight, underlying_degrees(n + 1)))
+    return _equality(theorem, {"n": n}, lhs, _growth_rhs(n, kind))
 
 
 def thm21_check(n: int) -> CheckRecord:
     """Growth recursion for irr_t: the oracle on J*_{n+1} against :func:`thm21_rhs`."""
-    return _growth_check(n, "irr")
+    return _growth_check("thm21", n, "irr", int)
 
 
 def thm31_check(n: int) -> CheckRecord:
     """Growth recursion for firr_t: the oracle on J*_{n+1} against :func:`thm31_rhs`."""
-    return _growth_check(n, "firr")
+    return _growth_check("thm31", n, "firr", fib)
 
 
 def _union_check(theorem: str, n: int, m: int, kind: str) -> CheckRecord:
@@ -359,9 +360,8 @@ def lemma31_check(n: int, m: int) -> CheckRecord:
         raise ValueError(f"lemma31 needs n, m >= 2, got ({n}, {m})")
     gn = _built_graph(n)
     gm = _built_graph(m)
-    lhs = firr_t(degree_sequence(disjoint_union(gn, gm))).value
-    rhs = firr_t(degree_sequence(edge_joint(gn, 1, gm, 1))).value
-    return _equality("lemma31", {"n": n, "m": m}, lhs, rhs)
+    lhs = _firr_by_rank(disjoint_union(gn, gm))
+    return _equality("lemma31", {"n": n, "m": m}, lhs, _firr_by_rank(edge_joint(gn, 1, gm, 1)))
 
 
 def _check_thm33_args(n: int, m: int, i: int) -> None:
@@ -378,8 +378,7 @@ def thm33_exact(n: int, m: int, i: int) -> int:
     of the second copy, recomputed by the rank-sum oracle over the degrees of
     the built, joined graph."""
     _check_thm33_args(n, m, i)
-    joined = edge_joint(_built_graph(n), i, _built_graph(m), 1)
-    return pair_sum_by_rank(map(fib, degree_sequence(joined)))
+    return _firr_by_rank(edge_joint(_built_graph(n), i, _built_graph(m), 1))
 
 
 def thm33_literal(n: int, m: int, i: int) -> int:

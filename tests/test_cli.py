@@ -166,6 +166,10 @@ def test_family_histograms_are_those_of_the_built_graphs(monkeypatch):
     monkeypatch.setattr("jacograph.cli.graph_for_spec", refuse)
     for spec, g in built.items():
         assert counts_for_spec(spec) == degree_histogram(degree_sequence(g)), spec
+        # the degree table the edge guard reads: half its degree sum is the edge count
+        degrees = jacograph.cli._family_degrees(*jacograph.cli._parse_spec(spec))
+        assert sum(d * c for d, c in degrees.items()) // 2 == g.edge_count, spec
+        assert sum(degrees.values()) == g.n, spec
 
 
 def test_family_bad_arguments_keep_the_builders_messages(capsys):
@@ -456,6 +460,20 @@ def test_export_of_a_jaco_graph_builds_no_graph(monkeypatch, capsys, peak_rss_kb
     rc, peak = peak_rss_kb("-m", "jacograph", "export", "jaco:5000")
     assert rc == 0
     assert peak < 40 * 1024
+
+
+def test_export_refuses_a_jaco_spec_above_the_guard_under_its_spec(tmp_path, capsys):
+    # The shape's refusals, the edge guard and n < 1, name the spec as a family's do.
+    above = (
+        "error: graph spec 'jaco:5117': underlying graph on 5117 vertices has 5001012 edges, "
+        "above the guard of 5000000; use underlying_degrees for metric work\n"
+    )
+    assert run_cli(capsys, "export", "jaco:5117") == (2, "", above)
+    assert run_cli(capsys, "export", "jaco:0") == (2, "", "error: graph spec 'jaco:0': n must be >= 1, got 0\n")
+    out_path = tmp_path / "g.edges"
+    assert run_cli(capsys, "export", "jaco:5116", "--out", str(out_path)) == (0, "", "")
+    with open(out_path, "rb") as fh:
+        assert sum(1 for _ in fh) == jacograph.jaco._edge_count(5116) <= 5_000_000
 
 
 def test_export_edge_guard_boundary(monkeypatch, capsys):

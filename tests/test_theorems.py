@@ -324,6 +324,18 @@ def test_lemma31_validation():
         lemma31_check(4, 1)
 
 
+def test_lemma31_oracle_is_the_rank_sum(monkeypatch):
+    # Both sides of lemma31 are the built-graph oracle that thm33 uses, the
+    # rank sum over the weights; the histogram kernel is not on its path.
+    expected = verify_sweep(["lemma31"], (2, 8), (2, 8)).records
+
+    def refuse(*args):
+        raise AssertionError("lemma31 ran the histogram kernel")
+
+    monkeypatch.setattr("jacograph.irregularity.pair_sum_histogram", refuse)
+    assert verify_sweep(["lemma31"], (2, 8), (2, 8)).records == expected
+
+
 # -- arbitrary-vertex joint --------------------------------------------------
 
 
