@@ -33,9 +33,12 @@ import json
 import os
 import sys
 import tempfile
+from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
+from contextlib import contextmanager
 from functools import partial
 from itertools import accumulate, chain, repeat
+from pathlib import Path
 
 from .fibonacci import fib
 from .graphs import (
@@ -43,6 +46,7 @@ from .graphs import (
     LaterNeighbors,
     SimpleGraph,
     _later_neighbors,
+    _parse_edge_list,
     complete_bipartite,
     cycle,
     degree_sequence,
@@ -115,6 +119,15 @@ def _family_degrees(kind: str, args: list[int]) -> dict[int, int] | None:
     return None
 
 
+@contextmanager
+def _spec_errors(spec: str) -> Iterator[None]:
+    """Raise the ValueError or OSError of the block as a SpecError that names ``spec``."""
+    try:
+        yield
+    except (ValueError, OSError) as exc:
+        raise SpecError(f"graph spec {spec!r}: {exc}") from exc
+
+
 def graph_for_spec(spec: str) -> SimpleGraph:
     """Build the graph a spec names; raises SpecError on unusable input.
 
@@ -123,23 +136,44 @@ def graph_for_spec(spec: str) -> SimpleGraph:
     edge count is half the degree sum of :func:`_family_degrees`.
     """
     kind, args = _parse_spec(spec)
-    try:
+    with _spec_errors(spec):
         if kind == "file":
-            with open(args, encoding="utf-8") as fh:
-                return from_edge_list(fh.read())
+            return from_edge_list(Path(args).read_text(encoding="utf-8"))
         edges = sum(d * c for d, c in (_family_degrees(kind, args) or {}).items()) // 2
         if edges > DEFAULT_EDGE_GUARD:
             raise ValueError(f"the graph has {edges} edges, above the guard of {DEFAULT_EDGE_GUARD}")
         return _FAMILIES[kind](*args)
-    except (ValueError, OSError) as exc:
-        raise SpecError(f"graph spec {spec!r}: {exc}") from exc
+
+
+def _edge_list_counts(text: str) -> list[int]:
+    """Degree histogram of the graph that edge-list text names, with no graph built.
+
+    Each named id's degree is counted from the parsed edges, and the ids
+    1..top that no edge names are one count of degree 0, so the memory is
+    that of the edges, not of the largest id.  Refuses what
+    :func:`~jacograph.graphs.from_edge_list` refuses, with its messages.
+    """
+    top, edges = _parse_edge_list(text)
+    seen: set[tuple[int, int]] = set()
+    for edge in edges:
+        if edge in seen:
+            raise ValueError(f"duplicate edge {edge}")
+        seen.add(edge)
+    per_id = Counter(chain.from_iterable(edges))
+    counts = degree_histogram(per_id.values())
+    if top > len(per_id):
+        counts[0] += top - len(per_id)
+    return counts
 
 
 def counts_for_spec(spec: str) -> list[int]:
-    """Degree histogram for a spec; only an edge-list file builds its graph."""
+    """Degree histogram for a spec, with no graph built but for arguments a family's builder refuses, to raise its message."""
     kind, args = _parse_spec(spec)
-    degrees = None if kind == "file" else _family_degrees(kind, args)
-    if degrees is None:  # a file, or arguments the builder refuses with its own message
+    if kind == "file":
+        with _spec_errors(spec):
+            return _edge_list_counts(Path(args).read_text(encoding="utf-8"))
+    degrees = _family_degrees(kind, args)
+    if degrees is None:  # arguments the builder refuses with its own message
         return degree_histogram(degree_sequence(graph_for_spec(spec)))
     counts = [0] * (max(degrees) + 1)
     for d, c in degrees.items():
@@ -352,10 +386,8 @@ def _later_neighbors_for_spec(spec: str) -> tuple[int, LaterNeighbors]:
     if kind != "jaco":
         g = graph_for_spec(spec)
         return g.n, _later_neighbors(g)
-    try:
+    with _spec_errors(spec):
         return args[0], underlying_later_neighbors(args[0])
-    except ValueError as exc:
-        raise SpecError(f"graph spec {spec!r}: {exc}") from exc
 
 
 def _cmd_export(args: argparse.Namespace) -> int:

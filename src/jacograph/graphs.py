@@ -247,6 +247,15 @@ def from_edge_list(text: str) -> SimpleGraph:
     The vertex count is the largest id seen, so trailing isolated vertices
     are not representable in this format.
     """
+    return SimpleGraph(*_parse_edge_list(text))
+
+
+def _parse_edge_list(text: str) -> tuple[int, list[tuple[int, int]]]:
+    """The vertex count and the edges, in file order, of edge-list text, with no graph built.
+
+    Refuses a malformed line, a pair that is not 1 <= i < j, and an id above
+    the guard; duplicate edges are left to the caller.
+    """
     edges: list[tuple[int, int]] = []
     top = 0
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -266,4 +275,4 @@ def from_edge_list(text: str) -> SimpleGraph:
         edges.append((i, j))
     if top > DEFAULT_EDGE_GUARD:  # the graph holds a list per id up to top
         raise ValueError(f"vertex id {top} is above the guard of {DEFAULT_EDGE_GUARD}")
-    return SimpleGraph(top, edges)
+    return top, edges

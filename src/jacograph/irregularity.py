@@ -88,15 +88,36 @@ graph needs neither: it is a floor sum in O(log n).
 
 The pair sum over a union A + B is the pair sum inside A, plus the one
 inside B, plus the cross sum over a in A, b in B of |w_a - w_b|, for any
-weights.  So three kernel calls give that cross sum exactly
-(:func:`cross_pair_sum`), with no second kernel.
+weights.  :func:`cross_pair_sum` computes that cross sum by its own
+formula, one top-down pass over both histograms, so the identity
+K(A + B) = K(A) + K(B) + cross(A, B), with K the kernel, is a statement
+that can fail, not a definition.  For weights that never fall as d grows,
+irr and firr, |w_a - w_b| is the sum of the steps w_{d+1} - w_d over
+min(a, b) <= d < max(a, b), and a cross pair straddles the step from d to
+d + 1 when one member is at most d and the other above it, so
+
+    cross = sum_d (w_{d+1} - w_d) (L^A_d (|B| - L^B_d) + L^B_d (|A| - L^A_d)),
+
+summed as it stands for irr and weighted by f_{d-1} through the split for
+firr, as the kernel does.  For firr_pm, a cross pair of opposite parity
+gives f_a + f_b, so degree d's f_d counts its vertices in A against B's
+class opposite to d and back, c^A_d m^B_d + c^B_d m^A_d; a cross pair of
+one parity gives |f_a - f_b|, the f_{e+1} of the class members e from the
+lower to the upper, so f_d counts the pairs of the class opposite to d with
+one member below d and the other above, one in A and one in B:
+
+    cross_pm = sum_d f_d (c^A_d m^B_d + c^B_d m^A_d
+                          + Y^A_d (m^B_d - Y^B_d) + Y^B_d (m^A_d - Y^A_d)),
+
+with m and Y as above, per side.  Both pair each vertex of A with each of
+B exactly once, so the pass equals the definitional double loop.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate, chain, islice, repeat
 from typing import Any
 
 from .fibonacci import fib, fib_pair, signed_weight_of_degree
@@ -342,13 +363,47 @@ def cross_pair_sum(counts_a: Sequence[int], counts_b: Sequence[int], kind: str) 
     """Sum of |w_a - w_b| over a in A and b in B, for the histograms of A and B.
 
     The weights are those of ``kind``, as in :func:`pair_sum_histogram`.
-    Equal to K(A + B) - K(A) - K(B) with K that kernel: O(D) and exact.
+    One top-down pass over both histograms, by the formula in the module
+    docstring, with no call of the kernel on either: O(D) and exact.
     """
-    return (
-        pair_sum_histogram(add_histograms(counts_a, counts_b), kind)
-        - pair_sum_histogram(counts_a, kind)
-        - pair_sum_histogram(counts_b, kind)
-    )
+    size = max(len(counts_a), len(counts_b))
+    # Each side from the top degree down, the shorter padded with zeros above its top.
+    desc_a, desc_b = (chain(repeat(0, size - len(c)), reversed(c)) for c in (counts_a, counts_b))
+    n_a, n_b = sum(counts_a), sum(counts_b)
+    if kind in ("irr", "firr"):
+        # The counts above d on each side, so L_d = n - above: the last pair
+        # of sums, all of each side, yields 0 and no split reads it.
+        aboves = zip(accumulate(desc_a, initial=0), accumulate(desc_b, initial=0))
+        terms = ((n_a - x) * y + (n_b - y) * x for x, y in aboves)
+        if kind == "irr":
+            return sum(terms)
+        a, b = _fibonacci_split(terms, size, {}, 1)
+        return b - a  # f_{d+1} - f_d = f_{d-1}
+    if kind == "firrpm":
+        top = size - 1
+        sides = zip(
+            _parity_counts(desc_a, top, n_a, sum(islice(counts_a, 1, None, 2))),
+            _parity_counts(desc_b, top, n_b, sum(islice(counts_b, 1, None, 2))),
+        )
+        terms = (ca * mb + cb * ma + (ma - xa) * xb + (mb - xb) * xa for (ca, ma, xa), (cb, mb, xb) in sides)
+        return _fibonacci_split(terms, size, {}, 1)[0]
+    raise ValueError(f"unknown metric kind {kind!r}")
+
+
+def _parity_counts(desc: Iterable[int], top: int, n: int, n_odd: int) -> Iterator[tuple[int, int, int]]:
+    """(c_d, m_d, m_d - Y_d) for d = top, top - 1, ...: one side's terms of the cross firr_pm.
+
+    ``desc`` gives the counts from degree ``top`` down; n and n_odd count all
+    vertices and those of odd degree.  m_d counts the degrees of the parity
+    opposite to d and m_d - Y_d those of them above d, as in
+    :func:`_parity_terms`.
+    """
+    this_n, that_n = (n_odd, n - n_odd) if top % 2 else (n - n_odd, n_odd)
+    this_above = that_above = 0
+    for c in desc:
+        yield c, that_n, that_above
+        this_above, that_above = that_above, this_above + c
+        this_n, that_n = that_n, this_n
 
 
 def _metric(degrees: Iterable[int], method: str, kind: str, weight: Callable[[int], int]) -> IrrValue:

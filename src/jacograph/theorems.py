@@ -17,9 +17,9 @@ The oracles:
   the graph joined at the first vertices, for thm33 the graph joined at v_i.
 * ``thm32``/``cor31``: the histogram kernel on the sum of the two
   word-built histograms (``underlying_degree_counts``).  The formula side
-  reads the same histograms and runs the same kernel, so this oracle is not
-  independent of it: a fault in the word that moved both sides alike would
-  go unseen here.
+  reads the same word, each side through its own cache, and its correction
+  sum is its own one-pass formula, not the kernel; but a fault in the word
+  that moved both sides alike would still go unseen here.
 
 Check ids
 ---------
@@ -43,23 +43,33 @@ the index fields ``None`` for m = 1, where J*_1 has no index.
 The correction sum runs over every pair of a vertex beyond the cut in J*_n
 and one beyond the cut in J*_m.  For any weights, the pair sum over a union
 A + B is pair_sum(A) + pair_sum(B) + the sum of |w_a - w_b| over a in A,
-b in B, so the correction is the cross pair sum of the two tail histograms:
-three calls to the histogram kernel, O(D) per instance with no per-pair
-weight lookup.  Each tail histogram is the graph's histogram with 1
-subtracted on the degrees 1..cut.  The cut is k_m, the largest degree of
-J*_m, and k_m <= k_n, since k = G(x+1) - 1 never falls as x grows.  So for
-x = n and for x = m, vertices 1..cut of J*_x lie in its head, where vertex
-i has degree i, and removing them removes exactly one vertex of each degree
-1..cut.  For m = 1 the cut is 0 and the tails are the whole graphs.
+b in B, so the correction is the cross pair sum of the two tail histograms,
+:func:`~jacograph.irregularity.cross_pair_sum`: one pass over both, O(D)
+per instance with no per-pair weight lookup and no call of the kernel.
+Each tail histogram is the graph's histogram with 1 subtracted on the
+degrees 1..cut, one ``map`` at C speed.  The cut is k_m, the largest
+degree of J*_m, and k_m <= k_n, since k = G(x+1) - 1 never falls as x
+grows.  So for x = n and for x = m, vertices 1..cut of J*_x lie in its
+head, where vertex i has degree i, and removing them removes exactly one
+vertex of each degree 1..cut.  For m = 1 the cut is 0 and the tails are
+the whole graphs.
 
-The left side is the kernel on the union's histogram, built afresh for
-every instance.
+The left side is the kernel on the union's histogram, the sum of the two,
+built afresh for every instance.
 
 What is kept across instances, and by which side.  The formula sides keep
 the metric of each Jaco graph, per metric kind, in one process-wide cache
 (``_jaco_metric``), the same policy as :func:`fib`: the growth recursions
-read it for J*_n, the union statements for both copies.  thm33's formula
-side keeps the terms that do not depend on i, for one (n, m) at a time
+read it for J*_n, the union statements for both copies.  The union
+statements keep each Jaco graph's word-built histogram in two process-wide
+caches, one per side: ``_oracle_counts`` for the left side and
+``_formula_counts`` for the tails, each filled by its own call of
+``underlying_degree_counts``.  A histogram is stored as bytes, one byte per
+degree (every count is at most 3), so each cache holds about 0.62 x bytes
+for J*_x, some 0.31 N^2 bytes in all for the graphs up to J*_N, plus an
+object of about 100 bytes per graph; a sweep builds each histogram once
+per side, not twice per instance.  thm33's formula side keeps the terms
+that do not depend on i, for one (n, m) at a time
 (``_thm33_union_terms``).  The oracle side keeps the last two graphs built
 by ``underlying_graph`` (``_built_graph``), which lemma31 and thm33 join:
 records come in ascending (n, m, i) order, so two graphs, the current J*_n
@@ -87,6 +97,8 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
+from itertools import chain, repeat
+from operator import sub
 from typing import Any
 
 from .fibonacci import fib
@@ -227,6 +239,21 @@ class VerifyReport:
 _jaco_metric = cache(underlying_metric)
 
 
+def _word_counts(n: int) -> bytes:
+    """The word-built histogram of J*_n, one byte per degree (every count is at most 3).
+
+    ``underlying_degree_counts`` is looked up on this module when called, as
+    :func:`_built_graph` looks up ``underlying_graph``.
+    """
+    return bytes(underlying_degree_counts(n))
+
+
+# The union statements' histograms of J*_x, kept for the process: one cache
+# per side, so neither side reads a histogram the other built.
+_oracle_counts = cache(_word_counts)
+_formula_counts = cache(_word_counts)
+
+
 @lru_cache(maxsize=2)
 def _built_graph(n: int) -> SimpleGraph:
     """The oracle side's J*_n, built by ``underlying_graph``.
@@ -314,16 +341,15 @@ def _union_check(theorem: str, n: int, m: int, kind: str) -> CheckRecord:
         raise ValueError(f"{theorem} needs m >= 1, got {m}")
     if n < m:
         raise ValueError(f"{theorem} needs n >= m; swap arguments ({n}, {m})")
-    counts_n = underlying_degree_counts(n)
-    counts_m = underlying_degree_counts(m)
-    # The oracle: the union's own histogram, never read from the cache.
-    lhs = pair_sum_histogram(add_histograms(counts_n, counts_m), kind)
+    # The oracle: the union's own histogram, built afresh for every instance.
+    lhs = pair_sum_histogram(add_histograms(_oracle_counts(n), _oracle_counts(m)), kind)
     metric_n, metric_m = _jaco_metric(n, kind), _jaco_metric(m, kind)
     params = {"n": n, "m": m}
     if n == m:
         return _equality(theorem, params, lhs, 4 * metric_n)
+    counts_n, counts_m = _formula_counts(n), _formula_counts(m)
     cut = len(counts_m) - 1  # the largest degree of J*_m, and its Jaconian index for m >= 2
-    tails = ([c - (0 < d <= cut) for d, c in enumerate(counts)] for counts in (counts_n, counts_m))
+    tails = (list(map(sub, counts, chain((0,), repeat(1, cut), repeat(0)))) for counts in (counts_n, counts_m))
     rhs = 2 * (metric_n + metric_m) + cross_pair_sum(*tails, kind)
     holds = lhs <= rhs
     detail = {

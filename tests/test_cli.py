@@ -1,8 +1,11 @@
 """Command-line surface: formats, exit codes, determinism."""
 
+import contextlib
+import hashlib
 import json
 import operator
 import os
+import random
 import subprocess
 import sys
 import time
@@ -29,7 +32,7 @@ from jacograph import (
     underlying_degrees,
     underlying_graph,
 )
-from jacograph.cli import REPORTED_FIRR, REPORTED_IRR, counts_for_spec, main
+from jacograph.cli import REPORTED_FIRR, REPORTED_IRR, SpecError, counts_for_spec, graph_for_spec, main
 from jacograph.jaco import underlying_metric
 from jacograph.theorems import verify_sweep
 
@@ -139,6 +142,49 @@ def test_edge_list_file_with_a_far_vertex_id_is_refused_at_once(tmp_path, capsys
         rc, peak = peak_rss_kb("-m", "jacograph", *argv)
         assert rc == 2, argv
         assert peak - floor[1] < 2 * 1024, argv
+
+
+def test_metric_of_an_edge_list_file_builds_no_graph(tmp_path, monkeypatch, peak_rss_kb):
+    # Each named id's degree is counted from the edges, and the 4 999 997 ids
+    # that no edge names are one count of degree 0.  Building the graph, a
+    # list per id, took 4.82 s and 400.1 MB for these 16 bytes.
+    f = tmp_path / "far.txt"
+    f.write_text("1 2\n2 5000000")
+    rc, peak = peak_rss_kb("-m", "jacograph", "metric", "irr", str(f))
+    assert rc == 0 and peak < 40 * 1024
+
+    def refuse(*args):
+        raise AssertionError("built a graph")
+
+    monkeypatch.setattr("jacograph.graphs.SimpleGraph", refuse)
+    assert counts_for_spec(str(f)) == [4999997, 2, 1]
+
+
+def test_edge_list_histograms_are_those_of_the_built_graphs(tmp_path):
+    # Generated files, some with a duplicate edge, a reversed pair or blank
+    # lines: the counted histogram equals the built graph's, or both refuse
+    # the file with one message.
+    rng = random.Random(24)
+    f = tmp_path / "g.txt"
+    for case in range(300):
+        top = rng.randint(1, 30)
+        pairs = [(i, j) for i in range(1, top + 1) for j in range(i + 1, top + 1)]
+        edges = rng.sample(pairs, rng.randint(0, len(pairs)))
+        if edges and case % 7 == 0:
+            edges.insert(rng.randrange(len(edges) + 1), rng.choice(edges))
+        if edges and case % 11 == 0:
+            edges[rng.randrange(len(edges))] = (top, 1)
+        lines = [f"{i} {j}" for i, j in edges] + [""] * (case % 3)
+        rng.shuffle(lines)
+        f.write_text("\n".join(lines))
+        try:
+            built = degree_histogram(degree_sequence(graph_for_spec(str(f))))
+        except SpecError as exc:
+            with pytest.raises(SpecError) as counted:
+                counts_for_spec(str(f))
+            assert str(counted.value) == str(exc), case
+            continue
+        assert counts_for_spec(str(f)) == built, case
 
 
 def test_metric_bad_specs(capsys):
@@ -779,3 +825,18 @@ def test_failed_stdout_write_exits_2_with_one_error_line(argv):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+
+
+# The benchmark's recorded outputs: each invocation's exit code, stdout byte
+# count and stdout SHA-256, as perfbench/run.py checks them in a child.
+RECORDED = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "expected.json").read_text())
+
+
+@pytest.mark.parametrize("invocation", sorted(RECORDED["invocations"]))
+def test_recorded_benchmark_outputs_replay_in_process(invocation, tmp_path):
+    want = RECORDED["invocations"][invocation]
+    out = tmp_path / "stdout"
+    with open(out, "w", encoding="utf-8") as fh, contextlib.redirect_stdout(fh):
+        rc = main(invocation.split())
+    data = out.read_bytes()
+    assert (rc, len(data), hashlib.sha256(data).hexdigest()) == (want["exit"], want["bytes"], want["sha256"])

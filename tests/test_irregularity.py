@@ -3,6 +3,7 @@
 import decimal
 import random
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -354,18 +355,37 @@ def test_kernel_matches_mod_p_sum_at_a_million_vertices():
 @example([1, 2, 2], [2, 1], 0)
 @example([90, 130, 111], [], 1)
 @example([5], [120, 0], 3)
+@example([2 * _LEAF + 7, 3, 3], [_LEAF, 0, 2 * _LEAF + 6], 1)  # split into leaves
 def test_cross_pair_sum_matches_bipartite_loop(a, b, pad):
     weights = {"irr": lambda d: d, "firr": fib, "firrpm": signed_weight_of_degree}
     counts_a = degree_histogram(a) + [0] * pad  # unequal lengths, trailing zeros
     counts_b = degree_histogram(b)
-    for kind, weight in weights.items():
-        expected = sum(abs(weight(x) - weight(y)) for x in a for y in b)
-        assert cross_pair_sum(counts_a, counts_b, kind) == expected
-        assert cross_pair_sum(counts_b, counts_a, kind) == expected
+
+    def refuse(*args):
+        raise AssertionError("the cross sum called the kernel")
+
+    # the cross sum is its own formula, not K(A + B) - K(A) - K(B)
+    with mock.patch("jacograph.irregularity.pair_sum_histogram", refuse), mock.patch(
+        "jacograph.irregularity.add_histograms", refuse
+    ):
+        for kind, weight in weights.items():
+            expected = sum(abs(weight(x) - weight(y)) for x in a for y in b)
+            assert cross_pair_sum(counts_a, counts_b, kind) == expected
+            assert cross_pair_sum(counts_b, counts_a, kind) == expected
     both = add_histograms(counts_a, counts_b)
     union = degree_histogram(a + b)
     assert len(both) == max(len(counts_a), len(counts_b))
     assert both[: len(union)] == union and not any(both[len(union) :])
+
+
+@given(kernel_sequences, kernel_sequences)
+@example([2 * _LEAF + 7, 3, 3], [_LEAF, 0, 2 * _LEAF + 6])
+def test_union_pair_sum_is_the_two_inner_ones_plus_the_cross_sum(a, b):
+    counts_a, counts_b = degree_histogram(a), degree_histogram(b)
+    union = add_histograms(counts_a, counts_b)
+    for kind in ("irr", "firr", "firrpm"):
+        inner = pair_sum_histogram(counts_a, kind) + pair_sum_histogram(counts_b, kind)
+        assert pair_sum_histogram(union, kind) == inner + cross_pair_sum(counts_a, counts_b, kind)
 
 
 def test_kernel_leaves_fibonacci_cache_alone(monkeypatch):

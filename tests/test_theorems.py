@@ -34,6 +34,7 @@ from jacograph import (
     thm33_check,
     thm33_exact,
     thm33_literal,
+    underlying_degree_counts,
     underlying_degrees,
     underlying_graph,
     verify_sweep,
@@ -291,8 +292,14 @@ def test_union_sweep_looks_up_no_weight(monkeypatch):
     assert report.all_matched
 
 
+def clear_union_caches():
+    theorems._oracle_counts.cache_clear()
+    theorems._formula_counts.cache_clear()
+
+
 def test_union_sweep_builds_no_degree_sequence(monkeypatch):
-    # the formula side reads word-built histograms and per-graph metrics only
+    # the formula side reads word-built histograms and per-graph metrics only;
+    # the caches are emptied so that every histogram is built under the patch
     def refuse(*args):
         raise AssertionError("a union check built a per-vertex degree sequence")
 
@@ -300,9 +307,51 @@ def test_union_sweep_builds_no_degree_sequence(monkeypatch):
     # theorems no longer imports degree_histogram; the patch still refuses it
     # should the name come back
     monkeypatch.setattr("jacograph.theorems.degree_histogram", refuse, raising=False)
+    clear_union_caches()
     report = verify_sweep(["thm32", "cor31"], (1, 40), (1, 40))
     assert report.total == 2 * sum(range(1, 41))
     assert report.all_matched
+
+
+def test_union_sweep_builds_each_histogram_once_per_side(monkeypatch):
+    built = []
+
+    def counting(n):
+        built.append(n)
+        return underlying_degree_counts(n)
+
+    monkeypatch.setattr(theorems, "underlying_degree_counts", counting)
+    clear_union_caches()
+    report = verify_sweep(["thm32", "cor31"], (1, 40), (1, 40))
+    clear_union_caches()
+    assert report.total == 2 * sum(range(1, 41)) and report.all_matched
+    # J*_1..J*_40 once for the oracle's cache and once for the formula's;
+    # without the caches every instance builds two histograms, 3 280 in all
+    assert sorted(built) == sorted(list(range(1, 41)) * 2)
+
+
+def test_union_checks_do_not_depend_on_the_order_of_the_instances():
+    # the two histogram caches keep no stale value: shuffled calls equal
+    # in-order calls made with both empty
+    instances = [(check, n, m) for check in (thm32_check, cor31_check) for n in range(1, 31) for m in range(1, n + 1)]
+    in_order = {}
+    for check, n, m in instances:
+        clear_union_caches()
+        in_order[check, n, m] = check(n, m).as_dict()
+    shuffled = list(instances)
+    random.Random(24).shuffle(shuffled)
+    clear_union_caches()
+    for check, n, m in shuffled:
+        assert check(n, m).as_dict() == in_order[check, n, m], (check, n, m)
+
+
+def test_union_sides_read_their_own_histograms(monkeypatch):
+    # a fault in the formula side's histograms moves only the right side
+    clean = {(n, m): thm32_check(n, m) for n, m in ((9, 4), (30, 12))}
+    monkeypatch.setattr(theorems, "_formula_counts", lambda x: bytes(underlying_degree_counts(x)) + b"\x01")
+    for (n, m), rec in clean.items():
+        moved = thm32_check(n, m)
+        assert moved.lhs == rec.lhs and moved.rhs != rec.rhs
 
 
 # -- first-vertex joint ------------------------------------------------------
