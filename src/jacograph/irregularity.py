@@ -132,6 +132,7 @@ __all__ = [
     "degree_histogram",
     "pair_sum_histogram",
     "pair_sum_unit_head",
+    "shifted_fibonacci_sum",
     "add_histograms",
     "cross_pair_sum",
     "irr_t",
@@ -260,6 +261,18 @@ def pair_sum_unit_head(lo: int, band: Sequence[int], kind: str, one: Any = 1) ->
     )
     a, b = _fibonacci_split(_parity_terms(band, top, n, n_odd), len(band), {}, one)
     return head + f[0] * a + f[1] * b  # shifted by lo: f_{lo-1} A + f_lo B
+
+
+def shifted_fibonacci_sum(terms: Iterable[int], size: int, shift: tuple[int, int]) -> int:
+    """sum_j g_j f_{j+s} over j = 0..size-1, given shift = (f_{s-1}, f_s).
+
+    ``terms`` yields the ``size`` coefficients from g_{size-1} down to g_0.
+    Binary splitting gives (A, B) = (sum g_j f_j, sum g_j f_{j+1}), and
+    f_{j+s} = f_{s-1} f_j + f_s f_{j+1} shifts it, as
+    :func:`pair_sum_unit_head` shifts its band: no per-degree ``fib``.
+    """
+    a, b = _fibonacci_split(iter(terms), size, {}, 1)
+    return shift[0] * a + shift[1] * b
 
 
 def _fib_poly_sum(poly: Callable[[int], int], a: int, count: int, pair: Callable[[int], Any]) -> Any:

@@ -12,14 +12,14 @@ The oracles:
   the per-vertex degrees of J*_{n+1}, ``underlying_degrees``, which come
   from ``isqrt`` and not from the Fibonacci word.
 * ``lemma31``/``thm33``: the rank sum over the weights of the degrees of
-  the constructed graphs (``underlying_graph``, ``disjoint_union`` and
-  ``edge_joint``, the graphs kept as said below): for lemma31 the union and
+  the constructed graphs (``underlying_graph``, ``disjoint_union`` and one
+  added edge, the graphs kept as said below): for lemma31 the union and
   the graph joined at the first vertices, for thm33 the graph joined at v_i.
 * ``thm32``/``cor31``: the histogram kernel on the sum of the two
   word-built histograms (``underlying_degree_counts``).  The formula side
-  reads the same word, each side through its own cache, and its correction
-  sum is its own one-pass formula, not the kernel; but a fault in the word
-  that moved both sides alike would still go unseen here.
+  reads the same word, through ``jaco._band`` into its own cache, and its
+  correction sum is its own formula, not the kernel; but a fault in the
+  word that moved both sides alike would still go unseen here.
 
 Check ids
 ---------
@@ -41,18 +41,50 @@ so the cut is evaluated once; the record still carries both readings, with
 the index fields ``None`` for m = 1, where J*_1 has no index.
 
 The correction sum runs over every pair of a vertex beyond the cut in J*_n
-and one beyond the cut in J*_m.  For any weights, the pair sum over a union
-A + B is pair_sum(A) + pair_sum(B) + the sum of |w_a - w_b| over a in A,
-b in B, so the correction is the cross pair sum of the two tail histograms,
-:func:`~jacograph.irregularity.cross_pair_sum`: one pass over both, O(D)
-per instance with no per-pair weight lookup and no call of the kernel.
-Each tail histogram is the graph's histogram with 1 subtracted on the
-degrees 1..cut, one ``map`` at C speed.  The cut is k_m, the largest
-degree of J*_m, and k_m <= k_n, since k = G(x+1) - 1 never falls as x
-grows.  So for x = n and for x = m, vertices 1..cut of J*_x lie in its
-head, where vertex i has degree i, and removing them removes exactly one
-vertex of each degree 1..cut.  For m = 1 the cut is 0 and the tails are
-the whole graphs.
+and one beyond the cut in J*_m, n > m: a cross pair sum, which
+:func:`_correction_sum` takes from a few per-graph totals and a walk over a
+window of degrees, never over the whole histograms.
+:func:`~jacograph.irregularity.cross_pair_sum` of the two tail histograms
+is the reference the tests hold it to.
+
+The two sets.  The cut is k_m, the largest degree of J*_m, and k_m <= k_n,
+since k = G(x+1) - 1 never falls as x grows.  So for x = n and x = m the
+vertices 1..k_m lie in the head of J*_x, where vertex i has degree i.
+Removing them from J*_n leaves A: the tail k_n+1..n and the head vertices
+of degrees k_m+1..k_n, |A| = n - k_m.  Removing them from J*_m leaves B,
+its tail, |B| = m - k_m.  Both tails are read off the band (see
+:mod:`jacograph.jaco`): the tail of J*_x has T_x(d) vertices of degree d,
+the band's count less the head's one, on lo_x <= d <= k_x, where
+lo_x = x - G(x) is the degree of vertex x.  For m = 1 the cut is 0 and B
+is the one vertex of J*_1, of degree 0 and weight 0.
+
+The identity.  With weights w_d = d (irr) or f_d (firr), which never fall
+as d grows, |x - y| = (x - y) + 2 max(0, y - x), and max(0, w_b - w_a) is
+the sum of the steps w_{d+1} - w_d over a <= d < b.  So, with S_A and S_B
+the weight sums of A and B and L^A_d = #{a in A : a <= d},
+
+    cross(A, B) = |B| S_A - |A| S_B
+                  + 2 sum_d (w_{d+1} - w_d) L^A_d (|B| - L^B_d),
+
+the last sum counting each pair a in A, b in B by the steps it straddles.
+With E_x the weight sum of the tail of J*_x and W(k) = w_1 + ... + w_k,
+k(k+1)/2 or f_{k+2} - 1, S_B = E_m and S_A = E_n + W(k_n) - W(k_m).
+
+The window.  A term is not 0 only where L^A_d > 0 and L^B_d < |B|.  B's
+degrees are at most k_m, so L^B_d = |B| for d >= k_m.  Below lo_n, A has
+only its head degrees k_m+1.., so L^A_d > 0 there needs d > k_m, where
+again L^B_d = |B|.  The sum therefore runs over lo_n <= d < k_m only.  There
+A's head lies above d, so L^A_d = T_n(lo_n) + ... + T_n(d); and
+|B| - L^B_d = T_m(d+1) + ... + T_m(k_m), where lo_m <= lo_n because
+x - G(x) never falls.  The window is empty whenever k_m <= lo_n, and as
+k_m is about m / phi and lo_n about n / phi^2, that is when m is below
+about n / phi = 0.618 n: the sum is
+then O(1) integer operations per instance, and otherwise O(k_m - lo_n)
+steps of ``accumulate`` and ``map`` over slices of the two bands.  irr
+sums the terms; firr weights them by w_{d+1} - w_d = f_{d-1} through the
+binary splitting of :func:`~jacograph.irregularity.shifted_fibonacci_sum`,
+shifted to lo_n by the pair (f_{lo_n-2}, f_{lo_n-1}), so no per-degree
+Fibonacci number is looked up.
 
 The left side is the kernel on the union's histogram, the sum of the two,
 built afresh for every instance.
@@ -61,20 +93,26 @@ What is kept across instances, and by which side.  The formula sides keep
 the metric of each Jaco graph, per metric kind, in one process-wide cache
 (``_jaco_metric``), the same policy as :func:`fib`: the growth recursions
 read it for J*_n, the union statements for both copies.  The union
-statements keep each Jaco graph's word-built histogram in two process-wide
-caches, one per side: ``_oracle_counts`` for the left side and
-``_formula_counts`` for the tails, each filled by its own call of
-``underlying_degree_counts``.  A histogram is stored as bytes, one byte per
-degree (every count is at most 3), so each cache holds about 0.62 x bytes
-for J*_x, some 0.31 N^2 bytes in all for the graphs up to J*_N, plus an
-object of about 100 bytes per graph; a sweep builds each histogram once
+statements keep each Jaco graph in two process-wide caches, one per side,
+each filled by its own reading of the word.  ``_oracle_counts`` holds the
+left side's histogram, one byte per degree (every count is at most 3),
+about 0.62 x bytes for J*_x.  ``_formula_graph`` holds a
+:class:`_FormulaGraph`: k_x, lo_x and the tail's band, one byte per degree,
+about 0.24 x bytes, plus per kind, made on first use, E_x and W(k_x), and
+for firr also f_{lo_x - 2} and f_{lo_x - 1}, about 0.17 x bytes more.  Its
+Python objects add about 220 bytes per graph, 120 more for irr and 190
+more for firr (tracemalloc, CPython 3.11: 939 bytes per graph on average
+over J*_2..J*_2000 with both kinds).  A sweep reads each graph's word once
 per side, not twice per instance.  thm33's formula side keeps the terms
 that do not depend on i, for one (n, m) at a time
 (``_thm33_union_terms``).  The oracle side keeps the last two graphs built
-by ``underlying_graph`` (``_built_graph``), which lemma31 and thm33 join:
-records come in ascending (n, m, i) order, so two graphs, the current J*_n
-and J*_m, are enough to build each once per (n, m) and not once per
-instance.  Neither side reads the other's data.
+by ``underlying_graph`` (``_built_graph``) and their union
+(``_built_union``): records come in ascending (n, m, i) order, so the
+current J*_n and J*_m and their union are built once per (n, m) and not
+once per instance.  lemma31 and thm33 join the union by one edge
+(``graphs._with_edge``), a new graph that shares every neighbor tuple but
+the two it changes, and read its degrees, for every instance.  Neither
+side reads the other's data.
 
 The growth recursions thm21 and thm31 are one recursion in weight space,
 :func:`_growth_rhs`, with weight d for irr_t and f_d for firr_t, and one
@@ -97,19 +135,20 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
-from itertools import chain, repeat
-from operator import sub
+from itertools import accumulate
+from operator import mul, sub
 from typing import Any
 
-from .fibonacci import fib
-from .graphs import SimpleGraph, degree_sequence, disjoint_union, edge_joint
+from .fibonacci import fib, fib_pair
+from .graphs import SimpleGraph, _with_edge, degree_sequence, disjoint_union
 from .irregularity import (
     add_histograms,
-    cross_pair_sum,
     pair_sum_by_rank,
     pair_sum_histogram,
+    shifted_fibonacci_sum,
 )
 from .jaco import (
+    _band,
     out_degree,
     prime_jaconian_index,
     underlying_degree_counts,
@@ -239,19 +278,75 @@ class VerifyReport:
 _jaco_metric = cache(underlying_metric)
 
 
-def _word_counts(n: int) -> bytes:
-    """The word-built histogram of J*_n, one byte per degree (every count is at most 3).
-
-    ``underlying_degree_counts`` is looked up on this module when called, as
-    :func:`_built_graph` looks up ``underlying_graph``.
-    """
+# The oracle side's histograms of J*_x, kept for the process.
+# ``underlying_degree_counts`` is looked up on this module when called, as
+# :func:`_built_graph` looks up ``underlying_graph``.
+@cache
+def _oracle_counts(n: int) -> bytes:
+    """The word-built histogram of J*_n, one byte per degree (every count is at most 3)."""
     return bytes(underlying_degree_counts(n))
 
 
-# The union statements' histograms of J*_x, kept for the process: one cache
-# per side, so neither side reads a histogram the other built.
-_oracle_counts = cache(_word_counts)
-_formula_counts = cache(_word_counts)
+_MINUS_ONE = b"\xff" + bytes(range(255))  # translate table: byte c -> c - 1
+
+
+class _FormulaGraph:
+    """J*_x as the formula side of the union checks reads it (see the module docstring).
+
+    ``k`` is the largest degree and ``lo`` the least degree of the tail
+    k+1..x; ``tail`` holds the tail's count on each degree k, k - 1, ..., lo,
+    one byte each: ``jaco._band`` less the head's one vertex on every
+    degree.  J*_1's one vertex has degree 0 and weight 0, and its tail is
+    left empty.  ``totals(kind)`` is (E, W(k)), the tail's weight sum and
+    the head's, sum w_d over d = 1..k, and for firr also f_{lo-2} and
+    f_{lo-1}, which shift a sum from degree lo on by -1.  Each kind's totals
+    are made on first use and kept in the slot named after it.
+    """
+
+    __slots__ = ("k", "lo", "tail", "irr", "firr")
+
+    def __init__(self, x: int) -> None:
+        self.k, self.lo, self.tail = 0, 1, b""
+        if x > 1:
+            lo, band = _band(x)
+            self.k, self.lo, self.tail = lo + len(band) - 1, lo, band.translate(_MINUS_ONE)
+        self.irr = self.firr = None
+
+    def totals(self, kind: str) -> tuple[int, ...]:
+        made = getattr(self, kind)
+        if made is None:
+            k, lo, tail = self.k, self.lo, self.tail
+            if kind == "irr":
+                made = sum(map(mul, tail, range(k, lo - 1, -1))), k * (k + 1) // 2
+            else:
+                f, g = fib_pair(lo - 1)  # f_{lo-1}, f_lo: the tail's sum shifted by lo
+                made = shifted_fibonacci_sum(tail, len(tail), (f, g)), fib_pair(k + 1)[1] - 1, g - f, f
+            setattr(self, kind, made)
+        return made
+
+
+# The formula side's J*_x, kept for the process; neither side reads the other's cache.
+_formula_graph = cache(_FormulaGraph)
+
+
+def _correction_sum(n: int, m: int, kind: str) -> int:
+    """The union bound's correction sum for n >= m: the cross pair sum of J*_n and J*_m beyond the cut k_m.
+
+    |B| S_A - |A| S_B plus twice the straddle sum over the window
+    [lo_n, k_m), by the identity in the module docstring; O(1) integer
+    operations outside the window.
+    """
+    gn, gm = _formula_graph(n), _formula_graph(m)
+    (e_n, w_n, *shift), (e_m, w_m, *_) = gn.totals(kind), gm.totals(kind)
+    cut, lo = gm.k, gn.lo
+    cross = (m - cut) * (e_n + w_n - w_m) - (n - cut) * e_m
+    if cut > lo:
+        # Top down from d = cut - 1: L^A_d, from A's counts on degrees
+        # cut - 1..lo, and |B| - L^B_d, from B's counts on degrees cut..lo + 1.
+        window = gn.tail[gn.k - cut + 1 :]
+        straddles = map(mul, accumulate(window, sub, initial=sum(window)), accumulate(gm.tail[: cut - lo]))
+        cross += 2 * (shifted_fibonacci_sum(straddles, cut - lo, shift) if shift else sum(straddles))
+    return cross
 
 
 @lru_cache(maxsize=2)
@@ -261,9 +356,21 @@ def _built_graph(n: int) -> SimpleGraph:
     Two entries hold the current n and m of a sweep whose records come in
     ascending (n, m, i) order, so each graph is built once per (n, m) and
     not once per instance.  Graphs are immutable, so sharing them is safe.
-    At most two graphs stay alive, up to about 2 x 317 MB at the edge guard.
+    At most two graphs stay alive, up to about 2 x 317 MB at the edge guard,
+    and :func:`_built_union` adds a relabeled copy of the second.
     """
     return underlying_graph(n)
+
+
+@lru_cache(maxsize=1)
+def _built_union(n: int, m: int) -> SimpleGraph:
+    """The oracle side's J*_n + J*_m, the union that lemma31 and thm33 join by one edge.
+
+    One entry holds the current (n, m) of a sweep in ascending (n, m, i)
+    order, so the union, and J*_m's relabeled copy in it, is built once per
+    (n, m); each joined graph is the union plus one edge, sharing the rest.
+    """
+    return disjoint_union(_built_graph(n), _built_graph(m))
 
 
 def _firr_by_rank(g: SimpleGraph) -> int:
@@ -347,10 +454,7 @@ def _union_check(theorem: str, n: int, m: int, kind: str) -> CheckRecord:
     params = {"n": n, "m": m}
     if n == m:
         return _equality(theorem, params, lhs, 4 * metric_n)
-    counts_n, counts_m = _formula_counts(n), _formula_counts(m)
-    cut = len(counts_m) - 1  # the largest degree of J*_m, and its Jaconian index for m >= 2
-    tails = (list(map(sub, counts, chain((0,), repeat(1, cut), repeat(0)))) for counts in (counts_n, counts_m))
-    rhs = 2 * (metric_n + metric_m) + cross_pair_sum(*tails, kind)
+    rhs = 2 * (metric_n + metric_m) + _correction_sum(n, m, kind)
     holds = lhs <= rhs
     detail = {
         "rhs_degree_reading": rhs,
@@ -384,10 +488,9 @@ def lemma31_check(n: int, m: int) -> CheckRecord:
     """
     if n < 2 or m < 2:
         raise ValueError(f"lemma31 needs n, m >= 2, got ({n}, {m})")
-    gn = _built_graph(n)
-    gm = _built_graph(m)
-    lhs = _firr_by_rank(disjoint_union(gn, gm))
-    return _equality("lemma31", {"n": n, "m": m}, lhs, _firr_by_rank(edge_joint(gn, 1, gm, 1)))
+    union = _built_union(n, m)
+    lhs = _firr_by_rank(union)
+    return _equality("lemma31", {"n": n, "m": m}, lhs, _firr_by_rank(_with_edge(union, 1, n + 1)))
 
 
 def _check_thm33_args(n: int, m: int, i: int) -> None:
@@ -404,7 +507,7 @@ def thm33_exact(n: int, m: int, i: int) -> int:
     of the second copy, recomputed by the rank-sum oracle over the degrees of
     the built, joined graph."""
     _check_thm33_args(n, m, i)
-    return _firr_by_rank(edge_joint(_built_graph(n), i, _built_graph(m), 1))
+    return _firr_by_rank(_with_edge(_built_union(n, m), i, n + 1))
 
 
 def thm33_literal(n: int, m: int, i: int) -> int:

@@ -373,6 +373,16 @@ def test_verify_summary_keeps_no_records(peak_rss_kb):
     assert large[1] - small[1] < 2 * 1024
 
 
+def test_verify_union_of_large_graphs_runs_in_the_floor_memory(peak_rss_kb):
+    # The formula side keeps a byte per band degree and a few integers per
+    # graph, and its correction sum walks only the overlap window, here
+    # 3 992 degrees; the oracle's two histograms are about 34 000 bytes.
+    floor = peak_rss_kb("-m", "jacograph", "metric", "irr", "jaco:1")
+    rc, peak = peak_rss_kb("-m", "jacograph", "verify", "cor31", "--n", "30000", "--m", "25000")
+    assert floor[0] == rc == 0
+    assert peak - floor[1] < 2 * 1024
+
+
 def test_verify_opens_out_before_the_sweep(tmp_path, capsys):
     # a path that cannot be written fails at once, not after a 6 s sweep
     out_path = tmp_path / "missing" / "report.json"

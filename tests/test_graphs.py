@@ -20,7 +20,7 @@ from jacograph import (
     to_edge_list,
     underlying_graph,
 )
-from jacograph.graphs import _union_adjacency
+from jacograph.graphs import _with_edge
 
 
 @st.composite
@@ -172,6 +172,16 @@ def test_edge_joint_vertex_validation():
         edge_joint(path(2), 1, path(2), 0)
 
 
+def test_with_edge_adds_one_edge_and_shares_the_rest():
+    g = disjoint_union(cycle(5), star(3))
+    for v, w in ((4, 7), (7, 4), (1, 3), (9, 8)):
+        joined = _with_edge(g, v, w)
+        joined.validate()
+        assert joined == SimpleGraph(g.n, g.edges() + [(min(v, w), max(v, w))])
+        assert [x for x in range(g.n + 1) if joined._adj[x] is not g._adj[x]] == sorted((v, w))
+    assert g == disjoint_union(cycle(5), star(3))  # g is left as it was
+
+
 @given(simple_graphs(), simple_graphs())
 def test_union_concatenates_degree_sequences(g, h):
     assert degree_sequence(disjoint_union(g, h)) == degree_sequence(g) + degree_sequence(h)
@@ -192,7 +202,7 @@ def test_trusted_builders_produce_valid_graphs(g, h):
 
 
 def test_adjacency_copies_equal_the_per_vertex_expressions():
-    # degree_sequence, _from_sorted_adjacency and _union_adjacency copy at C
+    # degree_sequence, _from_sorted_adjacency and disjoint_union copy at C
     # speed; each must equal the per-vertex expression it replaced
     graphs = [path(n) for n in range(1, 8)] + [cycle(n) for n in range(3, 8)] + [star(n) for n in range(1, 8)]
     graphs += [complete_bipartite(n, m) for n in range(1, 6) for m in range(1, n + 1)]
@@ -209,7 +219,9 @@ def test_adjacency_copies_equal_the_per_vertex_expressions():
         assert rebuilt._adj == tuple(tuple(nbrs) for nbrs in g._adj)
         for h in (path(1), path(4), star(3)):
             expected = [[]] + [list(nbrs) for nbrs in g._adj[1:]] + [[w + g.n for w in nbrs] for nbrs in h._adj[1:]]
-            assert _union_adjacency(g, h) == expected
+            union = disjoint_union(g, h)
+            assert union._adj == tuple(map(tuple, expected))
+            assert all(a is b for a, b in zip(union._adj, g._adj))  # g's tuples are shared, not copied
     assert len(built) > 100
 
 

@@ -4,7 +4,8 @@ import json
 import random
 import signal
 import time
-from itertools import combinations
+from itertools import chain, combinations, repeat
+from operator import sub
 
 import pytest
 from hypothesis import example, given
@@ -15,8 +16,10 @@ from jacograph import (
     THEOREM_IDS,
     CheckRecord,
     cor31_check,
+    cross_pair_sum,
     degree_histogram,
     degree_sequence,
+    disjoint_union,
     edge_joint,
     fib,
     firr_t,
@@ -294,7 +297,7 @@ def test_union_sweep_looks_up_no_weight(monkeypatch):
 
 def clear_union_caches():
     theorems._oracle_counts.cache_clear()
-    theorems._formula_counts.cache_clear()
+    theorems._formula_graph.cache_clear()
 
 
 def test_union_sweep_builds_no_degree_sequence(monkeypatch):
@@ -314,20 +317,26 @@ def test_union_sweep_builds_no_degree_sequence(monkeypatch):
 
 
 def test_union_sweep_builds_each_histogram_once_per_side(monkeypatch):
-    built = []
+    built = {"counts": [], "band": []}
 
-    def counting(n):
-        built.append(n)
-        return underlying_degree_counts(n)
+    def counting(source, name):
+        def build(n):
+            built[name].append(n)
+            return source(n)
 
-    monkeypatch.setattr(theorems, "underlying_degree_counts", counting)
+        return build
+
+    monkeypatch.setattr(theorems, "underlying_degree_counts", counting(underlying_degree_counts, "counts"))
+    monkeypatch.setattr(theorems, "_band", counting(theorems._band, "band"))
     clear_union_caches()
     report = verify_sweep(["thm32", "cor31"], (1, 40), (1, 40))
     clear_union_caches()
     assert report.total == 2 * sum(range(1, 41)) and report.all_matched
-    # J*_1..J*_40 once for the oracle's cache and once for the formula's;
-    # without the caches every instance builds two histograms, 3 280 in all
-    assert sorted(built) == sorted(list(range(1, 41)) * 2)
+    # the oracle's histograms of J*_1..J*_40 once each, and the formula's
+    # bands once each for both kinds (J*_1 has none); without the caches
+    # every instance builds two of each
+    assert sorted(built["counts"]) == list(range(1, 41))
+    assert sorted(built["band"]) == list(range(2, 41))
 
 
 def test_union_checks_do_not_depend_on_the_order_of_the_instances():
@@ -346,12 +355,53 @@ def test_union_checks_do_not_depend_on_the_order_of_the_instances():
 
 
 def test_union_sides_read_their_own_histograms(monkeypatch):
-    # a fault in the formula side's histograms moves only the right side
+    # a fault in the formula side's bands moves only the right side
     clean = {(n, m): thm32_check(n, m) for n, m in ((9, 4), (30, 12))}
-    monkeypatch.setattr(theorems, "_formula_counts", lambda x: bytes(underlying_degree_counts(x)) + b"\x01")
+
+    def faulty(x):
+        g = theorems._FormulaGraph(x)
+        g.tail = bytes([g.tail[0] + 1]) + g.tail[1:]  # one more tail vertex of degree k
+        return g
+
+    monkeypatch.setattr(theorems, "_formula_graph", faulty)
     for (n, m), rec in clean.items():
         moved = thm32_check(n, m)
         assert moved.lhs == rec.lhs and moved.rhs != rec.rhs
+
+
+def explicit_tails(n, m):
+    """The histograms of J*_n and J*_m with one vertex of each degree 1..k_m removed, as lists."""
+    cut = len(underlying_degree_counts(m)) - 1
+    return [list(map(sub, underlying_degree_counts(x), chain((0,), repeat(1, cut), repeat(0)))) for x in (n, m)]
+
+
+@given(st.integers(min_value=1, max_value=400).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))))
+@example((400, 400))
+@example((400, 399))  # the widest window
+@example((400, 249))  # k_m = 154 = lo_n + 1: a one-degree window
+@example((400, 248))  # k_m = lo_n: no window
+@example((2, 1))
+@example((30000, 1))
+@example((2000, 1999))
+@example((30000, 25000))  # a window of 3 992 degrees, past the split's leaf
+@example((29000, 17000))  # no window
+def test_correction_sum_is_the_cross_pair_sum_of_the_tails(nm):
+    n, m = nm
+    for kind in ("irr", "firr"):
+        assert theorems._correction_sum(n, m, kind) == cross_pair_sum(*explicit_tails(n, m), kind), kind
+
+
+def test_correction_sum_is_the_bipartite_loop_up_to_40():
+    for kind, weight in (("irr", int), ("firr", fib)):
+        for n in range(1, 41):
+            ws = [weight(d) for d in underlying_degrees(n)]
+            e, w, *_ = theorems._formula_graph(n).totals(kind)
+            assert e + w == sum(ws)  # the tail's weight plus the head's
+            for m in range(1, n + 1):
+                cut = max(underlying_degrees(m))
+                wm = [weight(d) for d in underlying_degrees(m)[cut:]]
+                expected = sum(abs(a - b) for a in ws[cut:] for b in wm)
+                assert theorems._correction_sum(n, m, kind) == expected, (kind, n, m)
 
 
 # -- first-vertex joint ------------------------------------------------------
@@ -435,16 +485,29 @@ def test_thm33_literal_matches_a_double_loop_over_vertices():
 
 def test_joint_oracles_build_each_graph_once_per_pair(monkeypatch):
     builds = []
+    unions = []
 
     def counting(n):
         builds.append(n)
         return underlying_graph(n)
 
+    def counting_unions(g, h):
+        unions.append((g.n, h.n))
+        return disjoint_union(g, h)
+
     monkeypatch.setattr(theorems, "underlying_graph", counting)
+    monkeypatch.setattr(theorems, "disjoint_union", counting_unions)
     theorems._built_graph.cache_clear()
+    theorems._built_union.cache_clear()
     report = verify_sweep(["lemma31", "thm33"], (3, 12), (1, 12))
     theorems._built_graph.cache_clear()
+    theorems._built_union.cache_clear()
     assert report.counts == {"lemma31": [110, 0], "thm33": [780, 752]}
+    # one union per (n, m), each joined graph the union plus one edge;
+    # without the union memo every thm33 instance built its own, 780 here
+    assert unions == [(n, m) for n in range(3, 13) for m in range(2, 13)] + [
+        (n, m) for n in range(3, 13) for m in range(1, 13)
+    ]
     # The two-graph memo holds J*_n and the last J*_m.  Each n builds J*_n
     # once and J*_m once for every m but m = n, except that J*_12 is still
     # held when n reaches 12: lemma31 (m = 2..12) 9 * 11 + 10, thm33
@@ -454,12 +517,14 @@ def test_joint_oracles_build_each_graph_once_per_pair(monkeypatch):
 
 
 def test_thm33_sides_do_not_depend_on_the_order_of_the_instances():
-    # the oracle's graph memo and the literal side's (n, m) terms keep no
-    # stale value: shuffled calls equal in-order calls made with both empty
+    # the oracle's graph and union memos and the literal side's (n, m)
+    # terms keep no stale value: shuffled calls equal in-order calls made
+    # with all three empty
     instances = [(n, m, i) for n in range(3, 11) for m in range(1, 11) for i in range(2, n + 1)]
     in_order = {}
     for p in instances:
         theorems._built_graph.cache_clear()
+        theorems._built_union.cache_clear()
         theorems._thm33_union_terms.cache_clear()
         in_order[p] = (thm33_exact(*p), thm33_literal(*p))
     shuffled = list(instances)
