@@ -13,23 +13,30 @@ csv and json only lay the cells out.  A row's weights are read off the
 graph's shape, its head a prefix of one string and its tail the band's
 counts, with no per-vertex degree.  JSON rows come from a fixed template,
 byte-equal to what ``json.dumps`` writes.  ``export`` writes a chunk per
-vertex, so its memory is that of the graph alone, and refuses a named
-family above the edge guard, or an edge-list file naming a vertex id above
-it, before building the graph.  A Jaco graph is never built: each vertex's
+vertex.  A Jaco graph or a named family is never built: each vertex's
 later neighbors are a range read off its shape, so its export runs in the
-memory of one chunk.  ``verify`` keeps
-no record: it counts them, and for its JSON report spools them to a
+memory of one chunk, and one above the edge guard is refused before any
+work in its size.  An edge-list file is built once no vertex id in it is
+above the guard, so its export holds the graph.  ``verify`` keeps no
+record: it counts them, and for its JSON report spools them to a
 temporary file, so the report's header, which says whether all matched, can
 come first.  ``--out`` is opened before the first check runs.  A reader
 that closes stdout early, as ``| head`` does, ends the run with exit 2 and
 no message; any other failed write to stdout ends it with exit 2 and one
 ``error:`` line.
+
+Start-up is most of a run on a small graph, and every module imported is
+compiled when no bytecode cache is written, so a module that only some runs
+use is imported inside the function that uses it: ``theorems`` in
+``verify``, ``json`` in the JSON writers, ``decimal`` for the firr and
+firrpm values of ``metric``.  A ``metric``, ``table`` or ``export`` run
+loads this module, ``graphs``, ``fibonacci``, ``irregularity`` and ``jaco``
+alone, and no ``dataclasses``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import tempfile
@@ -39,7 +46,9 @@ from contextlib import contextmanager
 from functools import partial
 from itertools import accumulate, chain, repeat
 from pathlib import Path
+from typing import TYPE_CHECKING
 
+from . import THEOREM_IDS
 from .fibonacci import fib
 from .graphs import (
     DEFAULT_EDGE_GUARD,
@@ -59,7 +68,9 @@ from .graphs import (
 )
 from .irregularity import degree_histogram, pair_sum_histogram
 from .jaco import _band, out_degree, underlying_graph, underlying_later_neighbors, underlying_metric
-from .theorems import THEOREM_IDS, CheckRecord, VerifyReport, iter_checks
+
+if TYPE_CHECKING:
+    from .theorems import CheckRecord, VerifyReport
 
 __all__ = ["main"]
 
@@ -131,17 +142,15 @@ def _spec_errors(spec: str) -> Iterator[None]:
 def graph_for_spec(spec: str) -> SimpleGraph:
     """Build the graph a spec names; raises SpecError on unusable input.
 
-    A named family with more edges than the guard is refused before any
-    work in its size, as ``underlying_graph`` refuses a Jaco graph: its
-    edge count is half the degree sum of :func:`_family_degrees`.
+    An edge-list file naming a vertex id above the edge guard is refused
+    before the graph is built, as a Jaco graph above it is; a path, cycle,
+    star or biclique is built at any size, as ``export`` refuses one above
+    the guard before it comes here.
     """
     kind, args = _parse_spec(spec)
     with _spec_errors(spec):
         if kind == "file":
             return from_edge_list(Path(args).read_text(encoding="utf-8"))
-        edges = sum(d * c for d, c in (_family_degrees(kind, args) or {}).items()) // 2
-        if edges > DEFAULT_EDGE_GUARD:
-            raise ValueError(f"the graph has {edges} edges, above the guard of {DEFAULT_EDGE_GUARD}")
         return _FAMILIES[kind](*args)
 
 
@@ -236,6 +245,8 @@ def _table_chunks(kind: str, n_max: int, fmt: str) -> Iterator[str]:
         # four spaces: its keys in sorted order, its sequence, never empty,
         # one weight a line.  json's indenting encoder is pure Python, a
         # call per weight.
+        import json
+
         yield f'{{\n  "kind": {json.dumps(kind)},\n  "rows": ['
         lead = "\n    "
         for i, d_in, d_out, weights, value, ref in rows:
@@ -279,6 +290,8 @@ def _json_elements(items: Iterable[dict]) -> Iterator[str]:
     "[" and closes with "\n  ]" is byte-equal to the one json.dumps with
     indent=2 writes for a non-empty list of the items.
     """
+    import json
+
     sep = "\n    "
     for item in items:
         yield sep + json.dumps(item, indent=2, sort_keys=True).replace("\n", "\n    ")
@@ -324,7 +337,6 @@ def _cmd_metric(args: argparse.Namespace) -> int:
             return
         # In decimal the long products are fast and the value prints with no
         # int-to-str conversion; this context raises rather than rounds.
-        # Imported here, as it costs every start-up about 1.5 ms.
         import decimal
 
         exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
@@ -342,6 +354,8 @@ def _verify_json(checks: Iterator[CheckRecord], report: VerifyReport) -> Iterato
     # each record is counted and its element spooled to a temporary file,
     # which is copied after the header.  iter_checks has already refused a
     # sweep without instances, so the array holds at least one record.
+    import json
+
     def counted() -> Iterator[dict]:
         for rec in checks:
             report.add(rec)
@@ -357,6 +371,8 @@ def _verify_json(checks: Iterator[CheckRecord], report: VerifyReport) -> Iterato
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .theorems import VerifyReport, iter_checks
+
     n_range = _parse_range(args.n, "n")
     m_range = _parse_range(args.m, "m")
     i_range = _parse_range(args.i, "i") if args.i is not None else None
@@ -379,15 +395,35 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _later_neighbors_for_spec(spec: str) -> tuple[int, LaterNeighbors]:
     """The vertex count and the later neighbors of each vertex of the graph a spec names.
 
-    A Jaco graph's come from its shape, refused above the edge guard as
-    ``underlying_graph`` refuses it, and no graph is built.
+    A Jaco graph's, or a named family's, are ranges read off its shape, and
+    no graph is built.  Either is refused above the edge guard before any
+    work in its size, a family's edge count being half the degree sum of
+    :func:`_family_degrees`.  The star's center has its leaves in ranges of
+    4096, a chunk each, so no chunk holds all its edges.  Only an edge-list
+    file, or arguments a family's builder refuses with its own message,
+    build the graph.
     """
     kind, args = _parse_spec(spec)
-    if kind != "jaco":
+    with _spec_errors(spec):
+        if kind == "jaco":
+            return args[0], underlying_later_neighbors(args[0])
+        degrees = None if kind == "file" else _family_degrees(kind, args)
+        edges = sum(d * c for d, c in (degrees or {}).items()) // 2
+        if edges > DEFAULT_EDGE_GUARD:
+            raise ValueError(f"the graph has {edges} edges, above the guard of {DEFAULT_EDGE_GUARD}")
+    if degrees is None:  # a file, or arguments the builder refuses
         g = graph_for_spec(spec)
         return g.n, _later_neighbors(g)
-    with _spec_errors(spec):
-        return args[0], underlying_later_neighbors(args[0])
+    n = args[0]
+    if kind == "path":
+        later = zip(range(1, n), zip(range(2, n + 1)))  # (i, (i + 1,))
+    elif kind == "cycle":
+        later = chain([(1, (2, n))], zip(range(2, n), zip(range(3, n + 1))))
+    elif kind == "star":
+        later = ((1, range(a, min(a + 4096, n + 2))) for a in range(2, n + 2, 4096))
+    else:
+        later = zip(range(1, n + 1), repeat(range(n + 1, n + args[1] + 1)))
+    return sum(degrees.values()), later
 
 
 def _cmd_export(args: argparse.Namespace) -> int:

@@ -207,7 +207,8 @@ def _later_neighbors(g: SimpleGraph) -> Iterator[tuple[int, tuple[int, ...]]]:
 
 # The chunk writers take a graph as its vertex count n and the pairs (v, the
 # ascending neighbors w > v of v) for each vertex v that has one, by v, as
-# _later_neighbors yields them; a Jaco graph's pairs come from its shape.
+# _later_neighbors yields them, or split over consecutive pairs of one v; a
+# Jaco graph's pairs, and a named family's, come from its shape.
 LaterNeighbors = Iterable[tuple[int, Sequence[int]]]
 
 

@@ -116,9 +116,8 @@ B exactly once, so the pass equals the definitional double loop.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from itertools import accumulate, chain, islice, repeat
-from typing import Any
+from typing import Any, NamedTuple
 
 from .fibonacci import fib, fib_pair, signed_weight_of_degree
 
@@ -155,8 +154,7 @@ METHOD_CLOSED = "closed-form"
 _LEAF = 1024
 
 
-@dataclass(frozen=True)
-class IrrValue:
+class IrrValue(NamedTuple):
     """Exact metric value together with the evaluation path that produced it."""
 
     value: int

@@ -92,10 +92,9 @@ operations, so irr of J*_{10^18} takes about a millisecond and no list.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
 from itertools import chain
 from math import isqrt
-from typing import Any
+from typing import Any, NamedTuple
 
 from .graphs import DEFAULT_EDGE_GUARD, SimpleGraph
 from .irregularity import pair_sum_unit_head
@@ -113,8 +112,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class JacoProfile:
+class JacoProfile(NamedTuple):
     """Immutable per-vertex data of the construction prefix 1..n_max.
 
     ``in_degrees[i-1]`` is d-(v_i); the out-reach r_i = 2i - d-(v_i), the

@@ -296,6 +296,54 @@ def test_metric_irr_leaves_decimal_unimported():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "8\n4\n", "")
 
 
+# Runs main(argv) in a fresh process, its output to devnull, and prints which
+# of the modules a metric, table or export run has no use for it loaded.
+IMPORT_SET = """
+import os, sys
+os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+from jacograph.cli import main
+rc = main(sys.argv[1:])
+sys.stdout.flush()
+print(rc, *sorted({"jacograph.theorems", "dataclasses", "json"} & set(sys.modules)), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        ("metric irr jaco:1", ""),
+        ("metric firr jaco:100", ""),
+        ("table irr 30", ""),
+        ("table firr 30 --format csv", ""),
+        ("export jaco:30", ""),
+        ("export star:30 --format json", ""),
+        ("verify thm21 thm32 --n 2..5", "jacograph.theorems"),
+        ("table irr 30 --format json", "json"),
+    ],
+)
+def test_each_subcommand_imports_only_what_it_runs(argv, loaded):
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_SET, *argv.split()], capture_output=True, text=True, env=module_env()
+    )
+    assert proc.stderr.split() == ["0", *loaded.split()]
+
+
+def test_bare_package_import_loads_no_submodule():
+    script = "import sys, jacograph\nprint(sorted(m for m in sys.modules if m.startswith('jacograph.')))\n"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=module_env())
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_unknown_check_id_is_a_usage_error_listing_the_ids_in_order(capsys):
+    rc, out, err = run_cli(capsys, "verify", "thm21", "bogus")
+    assert (rc, out) == (2, "")
+    assert err.endswith(
+        "jacograph verify: error: argument check: invalid choice: 'bogus' "
+        "(choose from 'thm21', 'thm31', 'thm32', 'cor31', 'lemma31', 'thm33')\n"
+    )
+    assert jacograph.THEOREM_IDS is jacograph.theorems.THEOREM_IDS
+
+
 def test_verify_passing_sweep(capsys):
     rc, out, _ = run_cli(capsys, "verify", "thm21", "--n", "2..40")
     assert rc == 0
@@ -516,6 +564,28 @@ def test_export_of_a_jaco_graph_builds_no_graph(monkeypatch, capsys, peak_rss_kb
     rc, peak = peak_rss_kb("-m", "jacograph", "export", "jaco:5000")
     assert rc == 0
     assert peak < 40 * 1024
+
+
+def test_export_of_a_named_family_builds_no_graph(monkeypatch, capsys, peak_rss_kb):
+    specs = {"path:1": path(1), "path:9": path(9), "cycle:3": cycle(3), "cycle:9": cycle(9), "star:1": star(1)}
+    specs.update({"star:9": star(9), "star:9000": star(9000)})  # the centre's leaves span three chunks
+    specs.update({"biclique:1:1": complete_bipartite(1, 1), "biclique:5:3": complete_bipartite(5, 3)})
+    expected = {spec: (to_edge_list(g), to_dot(g)) for spec, g in specs.items()}
+
+    def refuse(*args):
+        raise AssertionError("export built a named family")
+
+    for kind in ("path", "cycle", "star", "biclique"):
+        monkeypatch.setitem(jacograph.cli._FAMILIES, kind, refuse)
+    for spec, (edges, dot) in expected.items():
+        assert run_cli(capsys, "export", spec) == (0, edges, ""), spec
+        assert run_cli(capsys, "export", spec, "--format", "dot") == (0, dot, ""), spec
+    # 300 000 edges each in the memory of a run that builds nothing; built,
+    # each graph peaked 37 to 42 MB above the floor
+    floor = peak_rss_kb("-m", "jacograph", "metric", "irr", "jaco:1")
+    for spec in ("path:300001", "cycle:300000", "star:300000"):
+        rc, peak = peak_rss_kb("-m", "jacograph", "export", spec)
+        assert rc == 0 and peak - floor[1] < 2 * 1024, spec
 
 
 def test_export_refuses_a_jaco_spec_above_the_guard_under_its_spec(tmp_path, capsys):
