@@ -10,20 +10,24 @@ in ``--out``.  A row is its printed cells: i, d-, d+, its weights joined
 by the format's separator, the value and the reported value; every weight
 string, d or f_d, is made once per degree before the first row, and text,
 csv and json only lay the cells out.  A row's weights are read off the
-graph's shape, its head a prefix of one string and its tail the band's
-counts, with no per-vertex degree.  JSON rows come from a fixed template,
-byte-equal to what ``json.dumps`` writes.  ``export`` writes a chunk per
-vertex.  A Jaco graph or a named family is never built: each vertex's
-later neighbors are a range read off its shape, so its export runs in the
-memory of one chunk, and one above the edge guard is refused before any
-work in its size.  An edge-list file is built once no vertex id in it is
-above the guard, so its export holds the graph.  ``verify`` keeps no
-record: it counts them, and for its JSON report spools them to a
-temporary file, so the report's header, which says whether all matched, can
-come first.  ``--out`` is opened before the first check runs.  A reader
-that closes stdout early, as ``| head`` does, ends the run with exit 2 and
-no message; any other failed write to stdout ends it with exit 2 and one
-``error:`` line.
+graph's shape, its head a prefix of one string and its tail one or two
+labels per degree by the tail's counts, with no per-vertex degree.  Each
+row's value follows from the row before by the growth recursion
+(``jaco.underlying_metrics``), in O(1) big-integer operations; the text
+format's width row is the one value computed on its own.  JSON rows come
+from a fixed template, byte-equal to what ``json.dumps`` writes.
+
+``export`` writes a chunk per vertex.  A Jaco graph or a named family is
+never built: each vertex's later neighbors are a range read off its shape,
+so its export runs in the memory of one chunk, and one above the edge
+guard is refused before any work in its size.  An edge-list file is built
+once no vertex id in it is above the guard, so its export holds the graph.
+``verify`` keeps no record: it counts them, and for its JSON report spools
+them to a temporary file, so the report's header, which says whether all
+matched, can come first.  ``--out`` is opened before the first check runs.
+A reader that closes stdout early, as ``| head`` does, ends the run with
+exit 2 and no message; any other failed write to stdout ends it with exit 2
+and one ``error:`` line.
 
 Start-up is most of a run on a small graph, and every module imported is
 compiled when no bytecode cache is written, so a module that only some runs
@@ -45,6 +49,7 @@ from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
 from functools import partial
 from itertools import accumulate, chain, repeat
+from operator import getitem
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -67,7 +72,7 @@ from .graphs import (
     star,
 )
 from .irregularity import degree_histogram, pair_sum_histogram
-from .jaco import _band, out_degree, underlying_graph, underlying_later_neighbors, underlying_metric
+from .jaco import _tail, out_degree, underlying_graph, underlying_later_neighbors, underlying_metric, underlying_metrics
 
 if TYPE_CHECKING:
     from .theorems import CheckRecord, VerifyReport
@@ -190,49 +195,46 @@ def counts_for_spec(spec: str) -> list[int]:
     return counts
 
 
-# translate table: byte c -> c - 1, for the band counts, all >= 1
-_MINUS_ONE = b"\xff" + bytes(range(255))
-
-
 def _row_weights(kind: str, n_max: int, sep: str) -> Callable[[int], str]:
     """Row i -> its weights, d (irr) or f_d (firr), joined by ``sep``, for i = 1..n_max.
 
-    Each weight string is made once per degree, for the degrees
-    0..G(n_max + 1) - 1 of the graph on n_max vertices, whose largest degree
-    is the largest of every row up to it.  Row i >= 2 lists its head degrees
-    1..k, a prefix of one string of every head label, cut after the
-    separator that follows label k.  Its tail follows, the band degrees
-    from k down to lo, each repeated by its ``jaco._band`` count less the
-    head vertex of that degree, joined at C speed.
+    Each weight string, and the string of it twice over with ``sep``
+    between, is made once per degree, for the degrees 0..G(n_max + 1) - 1 of
+    the graph on n_max vertices, whose largest degree is the largest of
+    every row up to it.  Row i lists its head degrees 1..k, a prefix of one
+    string of every head label, cut after the separator that follows label
+    k.  Its tail follows, per degree from the top down to lo: the label
+    once or twice by the degree's ``jaco._tail`` count, 1 or 2 but at the
+    top, where a 0 is stripped first, joined at C speed.
     """
     degrees = range(out_degree(n_max + 1))
     labels = list(map(str, degrees if kind == "irr" else map(fib, degrees)))
     heads = sep.join(labels[1:]) + sep
     ends = [0, *accumulate(len(label) + len(sep) for label in labels[1:])]
+    pick = (None, labels, [label + sep + label for label in labels])  # by tail count
 
     def weights(i: int) -> str:
-        if i == 1:
-            return labels[0]  # one vertex, of degree 0; _band needs i >= 2
-        lo, band = _band(i)
-        k = lo + len(band) - 1
-        tail = chain.from_iterable(map(repeat, labels[k : lo - 1 : -1], band.translate(_MINUS_ONE)))
-        return heads[: ends[k]] + sep.join(tail)
+        k, lo, tail = _tail(i)
+        counts = tail.lstrip(b"\x00")
+        top = lo + len(counts) - 1
+        return heads[: ends[k]] + sep.join(map(getitem, map(pick.__getitem__, counts), range(top, lo - 1, -1)))
 
     return weights
 
 
-def _table_row(kind: str, i: int, sequence: Callable[[int], str]) -> tuple[str, str, str, str, str, str | None]:
+def _table_row(
+    kind: str, i: int, sequence: Callable[[int], str], value: int
+) -> tuple[str, str, str, str, str, str | None]:
     """Row i's printed cells: i, d-, d+, ``sequence(i)``, the value, the reported value or None."""
     g = out_degree(i)
     reported = (REPORTED_IRR if kind == "irr" else REPORTED_FIRR).get(i)
-    value = str(underlying_metric(i, kind))
-    return str(i), str(i - g), str(g), sequence(i), value, None if reported is None else str(reported)
+    return str(i), str(i - g), str(g), sequence(i), str(value), None if reported is None else str(reported)
 
 
 def _table_chunks(kind: str, n_max: int, fmt: str) -> Iterator[str]:
     """The table of rows 1..n_max in format ``fmt``, a chunk per row, laid out from the cells of :func:`_table_row`."""
     sequence = _row_weights(kind, n_max, {"text": ", ", "csv": ",", "json": ",\n        "}[fmt])
-    rows = (_table_row(kind, i, sequence) for i in range(1, n_max + 1))
+    rows = (_table_row(kind, i, sequence, value) for i, value in enumerate(underlying_metrics(n_max, kind), 1))
     if fmt == "csv":
         yield f"i,in_degree,out_degree,sequence,{kind},note\n"
         for i, d_in, d_out, weights, value, ref in rows:
@@ -272,7 +274,7 @@ def _table_chunks(kind: str, n_max: int, fmt: str) -> Iterator[str]:
         # suffices, which holds for i >= 13 as G(i) <= (i + 1)/phi, and below
         # 13 fails only at i = 1 and i = 4, where irr goes 0 -> 0 and
         # 4 -> 8, firr 0 -> 0 and 0 -> 4.
-        i, d_in, d_out, weights, value, _ = _table_row(kind, n_max, sequence)
+        i, d_in, d_out, weights, value, _ = _table_row(kind, n_max, sequence, underlying_metric(n_max, kind))
         header = ("i", "d-", "d+", "sequence", kind)
         w = [max(len(h), len(x)) for h, x in zip(header, (i, d_in, d_out, f"({weights})", value))]
         line = f"{{:>{w[0]}}}  {{:>{w[1]}}}  {{:>{w[2]}}}  {{:<{w[3]}}}  {{:>{w[4]}}}".format

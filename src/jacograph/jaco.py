@@ -87,6 +87,36 @@ gcd(p, q) = 1 and q does not divide m, so |r q - m p| >= 1 and
 
 The Euclid steps on (F_{t+1}, F_t) are t = O(log n), each O(1) integer
 operations, so irr of J*_{10^18} takes about a millisecond and no list.
+
+Each graph from the one before
+------------------------------
+:func:`underlying_metrics` walks J*_1, J*_2, ... by the decomposition that
+the growth recursion proves (``theorems._growth_rhs``).  From J*_n to
+J*_{n+1} the new vertex arrives with degree l = n - k, every degree d of the
+tail D = v_{k+1}..v_n rises by one, and when G(n+2) - 1 = k + 1 the top tail
+vertex, now of degree k + 1, joins the head.  With weights w_d = d or f_d
+and steps s_d = w_{d+1} - w_d, 1 or f_{d-1}, the value grows by
+
+    sum_D (2d - k) s_d + P_s(D) + sum_{h=1..k} |w_h - w_l|
+                       + sum_D w_{d+1} - |D| w_l,
+
+with P_s(D) the pair sum of D in the weights s, 0 for irr.  As w never
+falls and l <= k + 1, the head term is W(k) - W(l-1) - W(l) + (2l-1-k) w_l
+with W(x) = w_1 + ... + w_x, x(x+1)/2 or f_{x+2} - 1.  Everything else is a
+running total over D: |D| = l, the sums of s, w, d s and d w, and the pair
+sums P_s and P_w.  The shift d -> d + 1 maps (s_d, w_d) to
+(s_{d+1}, w_{d+1}) = (s_d, w_d + s_d) for irr and (w_d, w_d + s_d) for
+firr, f_{d+1} = f_d + f_{d-1}; the map is linear, so the sums of s and w map
+alike, and those of d s and d w map alike and add the shifted sums of s and
+w.  P_s and P_w map alike too, since s and w never fall on degrees >= 1 and
+so no gap changes sign.  The new vertex is D's minimum, adding
+sum_D (w - w_l) to P_w, and the vertex that joins the head is its maximum,
+taking |D| w_{k+1} - sum_D w off it; P_s likewise.  W(k), W(l-1) and the
+weights at k + 1 and l step with k and l, which rise by at most one.  So a
+graph costs O(1) big-integer additions and multiplications, with no list
+and no ``fib`` call.  The walk starts at J*_1, one tail vertex of degree 0
+with s_0 = w_1 - w_0 = 1: its first step is exact although s falls from
+s_0 to s_1 = 0 for firr, as a single vertex has no gap to keep.
 """
 
 from __future__ import annotations
@@ -106,6 +136,7 @@ __all__ = [
     "underlying_degrees",
     "underlying_degree_counts",
     "underlying_metric",
+    "underlying_metrics",
     "underlying_graph",
     "underlying_later_neighbors",
     "prime_jaconian_index",
@@ -289,19 +320,31 @@ def _fibonacci_word(length: int) -> bytearray:
     return word
 
 
-def _band(n: int) -> tuple[int, bytes]:
-    """(lo, counts of the degrees k, k - 1, ..., lo) of the graph on n >= 2 vertices.
+def _tail(n: int) -> tuple[int, int, bytes]:
+    """(k, lo, counts of the tail's degrees k, k - 1, ..., lo) of the graph on n vertices.
 
-    Tail vertex i has degree n - G(i), G(i) = j from j0 = G(k+1) to
-    j1 = G(n), and s_j vertices i >= 1 have G(i) = j; only the two ends
-    lose the vertices outside k+1..n.  The head adds 1 on every degree.
+    Tail vertex i in k+1..n has degree n - G(i), G(i) = j from j0 = G(k+1)
+    to j1 = G(n), and s_j vertices i >= 1 have G(i) = j; only the two ends
+    lose the vertices outside k+1..n.  lo = n - j1 is the degree of v_n, so
+    its count is at least 1; degree k has count 0 when hi = n - j0 is k - 1.
+    J*_1 is the one tail vertex of degree 0: (0, 0, b"\x01").
     """
     k, j0, j1 = _shape(n)
     tail = _fibonacci_word(j1)[j0 - 1 : j1]  # s_j for j = j0..j1, a copy
     # #{i >= 1 : G(i) <= j} = floor((j+1) phi) - 1; trim the first end, then the last.
     tail[0] = min(n, _floor_phi(j0 + 1) - 1) - k
     tail[-1] = n - max(k, _floor_phi(j1) - 1)
-    return n - j1, b"\x01" * (k - n + j0) + tail.translate(_PLUS_ONE)
+    return k, n - j1, b"\x00" * (k - n + j0) + tail
+
+
+def _band(n: int) -> tuple[int, bytes]:
+    """(lo, counts of the degrees k, k - 1, ..., lo) of the graph on n >= 2 vertices.
+
+    The tail's counts of :func:`_tail` plus the head's one vertex on every
+    degree 1..k.
+    """
+    _, lo, tail = _tail(n)
+    return lo, tail.translate(_PLUS_ONE)
 
 
 def _poly_sum(p: Callable[[int], int], lo: int, hi: int) -> int:
@@ -365,6 +408,45 @@ def _irr(n: int) -> int:
     band = _poly_sum(lambda m: (2 * n + 1 - m) * (m - n - 1), j0 + 1, j1)
     band += (3 * n + 2) * (f1 - f0) - 2 * (g1 - g0) - (h1 - h0)
     return head + top + band
+
+
+def underlying_metrics(n_max: int, kind: str) -> Iterator[int]:
+    """Metric ``kind`` ("irr" or "firr") of the graphs on 1, 2, ..., n_max vertices, in order.
+
+    Each value follows from the one before in O(1) big-integer operations
+    (see the module docstring), where :func:`underlying_metric` would take
+    O(log n) steps or a kernel call per graph.  An unknown kind is refused
+    when the first value is asked for; an n_max below 1 yields nothing.
+    """
+    if kind not in ("irr", "firr"):
+        raise ValueError(f"unknown metric kind {kind!r} for the prefix walk; it takes irr or firr")
+    firr = kind == "firr"
+    # (s_x, w_x) at x = l and at x = k + 1, both x = 1 on J*_1; W(k) and W(l - 1).
+    sl, wl = sk, wk = (0, 1) if firr else (1, 1)
+    head_w = low_w = 0
+    # Totals over the tail D, first the one vertex of J*_1: sum s, w, d s, d w, P_s, P_w.
+    ss, sw, sds, sdw, ps, pw = 1, 0, 0, 0, 0, 0
+    k = value = 0
+    for n in range(1, n_max + 1):
+        yield value
+        lo = n - k  # l, the new vertex's degree, and |D|
+        # The head term less W(l) = W(l-1) + w_l and |D| w_l is (l - 2 - k) w_l.
+        value += 2 * sds - k * ss + ps + head_w - 2 * low_w + sw + ss + (lo - 2 - k) * wl
+        if firr:  # shift D by one
+            ss, sw, sds, sdw, ps, pw = sw, sw + ss, sdw + sw, sdw + sds + sw + ss, pw, pw + ps
+        else:
+            sw, sds, sdw, pw = sw + ss, sds + ss, sdw + sds + sw + ss, pw + ps
+        ps, pw = ps + ss - lo * sl, pw + sw - lo * wl  # add lo, the new minimum
+        ss, sw, sds, sdw = ss + sl, sw + wl, sds + lo * sl, sdw + lo * wl
+        a = n + 3
+        if (isqrt(5 * a * a) - a) // 2 > k + 1:  # G(n + 2) - 1 = k + 1: remove k + 1, the maximum
+            ps, pw = ps - (lo + 1) * sk + ss, pw - (lo + 1) * wk + sw
+            ss, sw, sds, sdw = ss - sk, sw - wk, sds - (k + 1) * sk, sdw - (k + 1) * wk
+            head_w, k = head_w + wk, k + 1
+            sk, wk = wk if firr else sk, sk + wk
+        if n + 1 - k > lo:
+            low_w += wl
+            sl, wl = wl if firr else sl, sl + wl
 
 
 def underlying_later_neighbors(n: int) -> Iterator[tuple[int, range]]:

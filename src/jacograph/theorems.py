@@ -17,7 +17,7 @@ The oracles:
   the graph joined at the first vertices, for thm33 the graph joined at v_i.
 * ``thm32``/``cor31``: the histogram kernel on the sum of the two
   word-built histograms (``underlying_degree_counts``).  The formula side
-  reads the same word, through ``jaco._band`` into its own cache, and its
+  reads the same word, through ``jaco._tail`` into its own cache, and its
   correction sum is its own formula, not the kernel; but a fault in the
   word that moved both sides alike would still go unseen here.
 
@@ -80,7 +80,7 @@ x - G(x) never falls.  The window is empty whenever k_m <= lo_n, and as
 k_m is about m / phi and lo_n about n / phi^2, that is when m is below
 about n / phi = 0.618 n: the sum is
 then O(1) integer operations per instance, and otherwise O(k_m - lo_n)
-steps of ``accumulate`` and ``map`` over slices of the two bands.  irr
+steps of ``accumulate`` and ``map`` over slices of the two tails.  irr
 sums the terms; firr weights them by w_{d+1} - w_d = f_{d-1} through the
 binary splitting of :func:`~jacograph.irregularity.shifted_fibonacci_sum`,
 shifted to lo_n by the pair (f_{lo_n-2}, f_{lo_n-1}), so no per-degree
@@ -97,7 +97,7 @@ statements keep each Jaco graph in two process-wide caches, one per side,
 each filled by its own reading of the word.  ``_oracle_counts`` holds the
 left side's histogram, one byte per degree (every count is at most 3),
 about 0.62 x bytes for J*_x.  ``_formula_graph`` holds a
-:class:`_FormulaGraph`: k_x, lo_x and the tail's band, one byte per degree,
+:class:`_FormulaGraph`: k_x, lo_x and the tail's counts, one byte per degree,
 about 0.24 x bytes, plus per kind, made on first use, E_x and W(k_x), and
 for firr also f_{lo_x - 2} and f_{lo_x - 1}, about 0.17 x bytes more.  Its
 Python objects add about 220 bytes per graph, 120 more for irr and 190
@@ -148,7 +148,7 @@ from .irregularity import (
     shifted_fibonacci_sum,
 )
 from .jaco import (
-    _band,
+    _tail,
     out_degree,
     prime_jaconian_index,
     underlying_degree_counts,
@@ -282,29 +282,23 @@ def _oracle_counts(n: int) -> bytes:
     return bytes(underlying_degree_counts(n))
 
 
-_MINUS_ONE = b"\xff" + bytes(range(255))  # translate table: byte c -> c - 1
-
-
 class _FormulaGraph:
     """J*_x as the formula side of the union checks reads it (see the module docstring).
 
     ``k`` is the largest degree and ``lo`` the least degree of the tail
     k+1..x; ``tail`` holds the tail's count on each degree k, k - 1, ..., lo,
-    one byte each: ``jaco._band`` less the head's one vertex on every
-    degree.  J*_1's one vertex has degree 0 and weight 0, and its tail is
-    left empty.  ``totals(kind)`` is (E, W(k)), the tail's weight sum and
-    the head's, sum w_d over d = 1..k, and for firr also f_{lo-2} and
-    f_{lo-1}, which shift a sum from degree lo on by -1.  Each kind's totals
-    are made on first use and kept in the slot named after it.
+    one byte each, as ``jaco._tail`` reads them.  J*_1's tail is its one
+    vertex, of degree 0 and weight 0.  ``totals(kind)`` is (E, W(k)), the
+    tail's weight sum and the head's, sum w_d over d = 1..k, and for firr
+    also f_{lo-2} and f_{lo-1}, which shift a sum from degree lo on by -1.
+    Each kind's totals are made on first use and kept in the slot named
+    after it.
     """
 
     __slots__ = ("k", "lo", "tail", "irr", "firr")
 
     def __init__(self, x: int) -> None:
-        self.k, self.lo, self.tail = 0, 1, b""
-        if x > 1:
-            lo, band = _band(x)
-            self.k, self.lo, self.tail = lo + len(band) - 1, lo, band.translate(_MINUS_ONE)
+        self.k, self.lo, self.tail = _tail(x)
         self.irr = self.firr = None
 
     def totals(self, kind: str) -> tuple[int, ...]:
@@ -314,8 +308,8 @@ class _FormulaGraph:
             if kind == "irr":
                 made = sum(map(mul, tail, range(k, lo - 1, -1))), k * (k + 1) // 2
             else:
-                f, g = fib_pair(lo - 1)  # f_{lo-1}, f_lo: the tail's sum shifted by lo
-                made = shifted_fibonacci_sum(tail, len(tail), (f, g)), fib_pair(k + 1)[1] - 1, g - f, f
+                f, g = fib_pair(lo)  # f_lo, f_{lo+1}; f_{lo-1} = g - f shifts the tail's sum to lo
+                made = shifted_fibonacci_sum(tail, len(tail), (g - f, f)), fib_pair(k + 1)[1] - 1, 2 * f - g, g - f
             setattr(self, kind, made)
         return made
 

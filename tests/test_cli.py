@@ -32,7 +32,7 @@ from jacograph import (
     underlying_degrees,
     underlying_graph,
 )
-from jacograph.cli import REPORTED_FIRR, REPORTED_IRR, SpecError, counts_for_spec, graph_for_spec, main
+from jacograph.cli import REPORTED_FIRR, REPORTED_IRR, SpecError, _row_weights, counts_for_spec, graph_for_spec, main
 from jacograph.jaco import underlying_metric
 from jacograph.theorems import verify_sweep
 
@@ -782,7 +782,7 @@ def test_table_makes_one_weight_label_per_degree(fmt, monkeypatch, capsys):
 
 
 def test_table_rows_build_no_degree_sequence(monkeypatch, capsys):
-    # row sequences come from jaco._band, not a per-vertex degree tuple
+    # row sequences come from jaco._tail, not a per-vertex degree tuple
     expected = {
         (kind, fmt): reference_table(kind, 300, fmt) for kind in ("irr", "firr") for fmt in ("text", "csv", "json")
     }
@@ -796,9 +796,37 @@ def test_table_rows_build_no_degree_sequence(monkeypatch, capsys):
         assert run_cli(capsys, "table", kind, "300", "--format", fmt) == (0, out, ""), (kind, fmt)
 
 
+@pytest.mark.parametrize("sep", [", ", ",", ",\n        "])
+@pytest.mark.parametrize("kind", ["irr", "firr"])
+def test_row_weights_join_each_tail_per_degree(kind, sep):
+    # every row up to 500, the zero-count top of the tail and J*_1 included,
+    # against the weights of the isqrt degrees
+    weight = str if kind == "irr" else (lambda d: str(fib(d)))
+    weights = _row_weights(kind, 500, sep)
+    for i in range(1, 501):
+        assert weights(i) == sep.join(map(weight, underlying_degrees(i))), i
+
+
+@pytest.mark.parametrize("fmt, calls", [("csv", 0), ("json", 0), ("text", 1)])
+@pytest.mark.parametrize("kind", ["irr", "firr"])
+def test_table_values_come_from_the_prefix_walk(kind, fmt, calls, monkeypatch, capsys):
+    # each row's value follows from the row before; only the text format's
+    # width row, the last, asks for one value on its own
+    expected = reference_table(kind, 300, fmt)
+    asked = []
+
+    def counted(n, metric_kind):
+        asked.append(n)
+        return underlying_metric(n, metric_kind)
+
+    monkeypatch.setattr("jacograph.cli.underlying_metric", counted)
+    assert run_cli(capsys, "table", kind, "300", "--format", fmt) == (0, expected, "")
+    assert asked == [300] * calls
+
+
 @pytest.mark.parametrize("kind", ["irr", "firr"])
 def test_table_values_build_no_histogram(kind, monkeypatch, capsys):
-    # row values come from jaco.underlying_metric, not the kernel over a histogram
+    # row values come from jaco.underlying_metrics, not the kernel over a histogram
     expected = reference_table(kind, 300, "text")
 
     def refuse(*args):

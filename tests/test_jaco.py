@@ -26,7 +26,17 @@ from jacograph import (
     underlying_later_neighbors,
 )
 from jacograph.graphs import SimpleGraph
-from jacograph.jaco import _edge_count, _floor_phi, _floor_sums, _poly_sum, _fibonacci_word, underlying_metric
+from jacograph.irregularity import pair_sum_by_rank
+from jacograph.jaco import (
+    _edge_count,
+    _fibonacci_word,
+    _floor_phi,
+    _floor_sums,
+    _poly_sum,
+    _tail,
+    underlying_metric,
+    underlying_metrics,
+)
 
 # First twelve rows of the construction table.
 EXPECTED_IN_DEGREES = (0, 1, 1, 1, 2, 2, 3, 3, 3, 4, 4, 4)
@@ -219,6 +229,41 @@ def test_underlying_metric_rejects_bad_arguments():
             underlying_metric(n, "irr")
     with pytest.raises(ValueError, match="unknown metric kind"):
         underlying_metric(5, "sigma")
+
+
+@pytest.mark.parametrize("kind", ["irr", "firr"])
+def test_prefix_walk_matches_underlying_metric(kind):
+    values = list(underlying_metrics(3000, kind))
+    assert len(values) == 3000
+    for n, value in enumerate(values, 1):
+        assert value == underlying_metric(n, kind), n
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=1, max_value=5000), st.sampled_from(["irr", "firr"]))
+@example(5000, "firr")
+def test_prefix_walk_ends_at_the_rank_sum_of_the_isqrt_degrees(n_max, kind):
+    # the oracle reads the per-vertex degrees from isqrt, not the Fibonacci word
+    *_, last = underlying_metrics(n_max, kind)
+    weight = int if kind == "irr" else fib
+    assert last == pair_sum_by_rank(map(weight, underlying_degrees(n_max)))
+
+
+def test_prefix_walk_refuses_an_unknown_kind_at_the_first_value():
+    for kind in ("firrpm", "sigma"):
+        with pytest.raises(ValueError, match="unknown metric kind"):
+            next(underlying_metrics(5, kind))
+    assert list(underlying_metrics(0, "irr")) == list(underlying_metrics(-2, "firr")) == []
+
+
+def test_tail_counts_the_degrees_of_vertices_past_the_head():
+    for n in range(1, 2001):
+        k, lo, tail = _tail(n)
+        degrees = underlying_degrees(n)
+        assert degrees[:k] == tuple(range(1, k + 1)) and lo == degrees[-1], n
+        expected = Counter(degrees[k:])
+        assert {k - j: c for j, c in enumerate(tail) if c} == expected, n
+        assert len(tail) == k - lo + 1 and tail[-1] > 0, n
 
 
 def test_underlying_graph_small():

@@ -317,7 +317,7 @@ def test_union_sweep_builds_no_degree_sequence(monkeypatch):
 
 
 def test_union_sweep_builds_each_histogram_once_per_side(monkeypatch):
-    built = {"counts": [], "band": []}
+    built = {"counts": [], "tail": []}
 
     def counting(source, name):
         def build(n):
@@ -327,16 +327,16 @@ def test_union_sweep_builds_each_histogram_once_per_side(monkeypatch):
         return build
 
     monkeypatch.setattr(theorems, "underlying_degree_counts", counting(underlying_degree_counts, "counts"))
-    monkeypatch.setattr(theorems, "_band", counting(theorems._band, "band"))
+    monkeypatch.setattr(theorems, "_tail", counting(theorems._tail, "tail"))
     clear_union_caches()
     report = verify_sweep(["thm32", "cor31"], (1, 40), (1, 40))
     clear_union_caches()
     assert report.total == 2 * sum(range(1, 41)) and report.all_matched
     # the oracle's histograms of J*_1..J*_40 once each, and the formula's
-    # bands once each for both kinds (J*_1 has none); without the caches
-    # every instance builds two of each
+    # tails once each for both kinds; without the caches every instance
+    # builds two of each
     assert sorted(built["counts"]) == list(range(1, 41))
-    assert sorted(built["band"]) == list(range(2, 41))
+    assert sorted(built["tail"]) == list(range(1, 41))
 
 
 def test_union_checks_do_not_depend_on_the_order_of_the_instances():
