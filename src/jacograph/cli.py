@@ -262,18 +262,18 @@ def _table_chunks(kind: str, n_max: int, fmt: str) -> Iterator[str]:
         yield "\n  ]\n}\n"
     else:
         # The column widths are needed before the first line.  Those of the
-        # last row are the widest, as every column is non-decreasing in i;
-        # row i is the graph on i vertices.  i - G(i) and G(i) never fall,
-        # since G steps by 0 or 1.  Vertex v has degree min(v, i - G(v)),
-        # which never falls as i grows, and the weights d and f_d never fall
-        # as d grows, so each entry of the sequence keeps or gains digits,
-        # and row i + 1 adds one.  The value never falls: in the thm21 and
-        # thm31 decompositions of row i + 1 (see jacograph.theorems) every
+        # last row are the widest, as every column is non-decreasing in i; row
+        # i is the graph on i vertices.  i - G(i) and G(i) never fall, since G
+        # steps by 0 or 1.  Vertex v has degree min(v, i - G(v)), which never
+        # falls as i grows, and the weights d and f_d never fall as d grows,
+        # so each entry of the sequence keeps or gains digits, and row i + 1
+        # adds one.  The value never falls: in the step to row i + 1 (the
+        # jacograph.jaco docstring, "Each graph from the one before") every
         # term is >= 0 once each bumped tail degree, at least i - G(i), is at
         # least half the cut k = G(i + 1) - 1 <= G(i).  So 2i >= 3G(i)
         # suffices, which holds for i >= 13 as G(i) <= (i + 1)/phi, and below
-        # 13 fails only at i = 1 and i = 4, where irr goes 0 -> 0 and
-        # 4 -> 8, firr 0 -> 0 and 0 -> 4.
+        # 13 fails only at i = 1 and i = 4, where irr goes 0 -> 0 and 4 -> 8,
+        # firr 0 -> 0 and 0 -> 4.
         i, d_in, d_out, weights, value, _ = _table_row(kind, n_max, sequence, underlying_metric(n_max, kind))
         header = ("i", "d-", "d+", "sequence", kind)
         w = [max(len(h), len(x)) for h, x in zip(header, (i, d_in, d_out, f"({weights})", value))]

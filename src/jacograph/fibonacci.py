@@ -7,12 +7,12 @@ ring, given its unit.
 
 There is one Fibonacci routine, the fast doubling of :func:`fib_pair`.
 :func:`fib` is a cache in front of it, for the callers that ask for the same
-small indices over and over: in :mod:`jacograph.theorems` the growth
-recursion, the thm33 formula and the weights that the thm31 and thm33
-oracles rank; the closed forms and the naive oracle; and the table's weight
-labels, once per degree.  A miss at i adds the cached f_{i-2} and f_{i-1}
-when both are there, so a sweep upwards costs one addition per index, and
-runs ``fib_pair(i)`` otherwise.  The cache holds only the values asked for,
+small indices over and over: in :mod:`jacograph.theorems` the thm33
+formula and the weights that the thm31 and thm33 oracles rank; the closed
+forms and the naive oracle; and the table's weight labels, once per
+degree.  A miss at i adds the cached f_{i-2} and f_{i-1} when both are
+there, so a sweep upwards costs one addition per index, and runs
+``fib_pair(i)`` otherwise.  The cache holds only the values asked for,
 each computed once, so f_i costs O(log i) multiplications and O(i) bits
 however large i is.  It is safe to share across threads: a dict's get and
 set are each atomic, and two threads that miss on the same index both

@@ -89,7 +89,7 @@ graph needs neither: it is a floor sum in O(log n).
 The pair sum over a union A + B is the pair sum inside A, plus the one
 inside B, plus the cross sum over a in A, b in B of |w_a - w_b|, for any
 weights.  :func:`cross_pair_sum` computes that cross sum by its own
-formula, one top-down pass over both histograms, so the identity
+formula, top-down passes over both histograms, so the identity
 K(A + B) = K(A) + K(B) + cross(A, B), with K the kernel, is a statement
 that can fail, not a definition.  For weights that never fall as d grows,
 irr and firr, |w_a - w_b| is the sum of the steps w_{d+1} - w_d over
@@ -99,18 +99,22 @@ d + 1 when one member is at most d and the other above it, so
     cross = sum_d (w_{d+1} - w_d) (L^A_d (|B| - L^B_d) + L^B_d (|A| - L^A_d)),
 
 summed as it stands for irr and weighted by f_{d-1} through the split for
-firr, as the kernel does.  For firr_pm, a cross pair of opposite parity
-gives f_a + f_b, so degree d's f_d counts its vertices in A against B's
-class opposite to d and back, c^A_d m^B_d + c^B_d m^A_d; a cross pair of
-one parity gives |f_a - f_b|, the f_{e+1} of the class members e from the
-lower to the upper, so f_d counts the pairs of the class opposite to d with
-one member below d and the other above, one in A and one in B:
+firr, as the kernel does.  For firr_pm, split each side by parity, A_0 and
+A_1 its even and odd degrees.  Signed weights of one parity share a sign,
+so a cross pair of one parity gives |f_a - f_b|, as firr does; a cross pair
+of opposite parity gives f_a + f_b.  With F(X) the sum of f_d over X,
 
-    cross_pm = sum_d f_d (c^A_d m^B_d + c^B_d m^A_d
-                          + Y^A_d (m^B_d - Y^B_d) + Y^B_d (m^A_d - Y^A_d)),
+    cross_pm = cross_firr(A_0, B_0) + cross_firr(A_1, B_1)
+               + |B_1| F(A_0) + |A_0| F(B_1) + |B_0| F(A_1) + |A_1| F(B_0):
 
-with m and Y as above, per side.  Both pair each vertex of A with each of
-B exactly once, so the pass equals the definitional double loop.
+two firr passes and four weight sums, each F one split shifted by
+(f_{-1}, f_0) = (1, 0).  Each pairs every vertex of A with every one of B
+exactly once, so the sum equals the definitional double loop.
+
+Every Fibonacci sum leaves the split through
+:func:`shifted_fibonacci_sum`, which takes the shift (f_{s-1}, f_s): by
+(-1, 1) = (f_{-2}, f_{-1}) for the f_{d-1} of firr, by (1, 0) for firr_pm
+and a weight sum, and by the band's offset in :func:`pair_sum_unit_head`.
 """
 
 from __future__ import annotations
@@ -212,12 +216,11 @@ def pair_sum_histogram(counts: Sequence[int], kind: str, one: Any = 1) -> Any:
     n = sum(counts)
     if kind == "irr":
         return sum(_straddles(reversed(counts), n))
-    if kind == "firr":
-        a, b = _fibonacci_split(_straddles(reversed(counts), n), len(counts), {}, one)
-        return b - a  # f_{d+1} - f_d = f_{d-1}
+    if kind == "firr":  # f_{d+1} - f_d = f_{d-1}: shifted by -1, (f_{-2}, f_{-1}) = (-1, 1)
+        return shifted_fibonacci_sum(_straddles(reversed(counts), n), len(counts), (-1, 1), one)
     if kind == "firrpm":
         terms = _parity_terms(reversed(counts), len(counts) - 1, n, sum(islice(counts, 1, None, 2)))
-        return _fibonacci_split(terms, len(counts), {}, one)[0]
+        return shifted_fibonacci_sum(terms, len(counts), (1, 0), one)
     raise ValueError(f"unknown metric kind {kind!r}")
 
 
@@ -248,8 +251,8 @@ def pair_sum_unit_head(lo: int, band: Sequence[int], kind: str, one: Any = 1) ->
             _fib_poly_sum(lambda e, r=r: (r + 1 + 2 * e) * (n - r - 1 - 2 * e), r, (lo - r) // 2, pair)
             for r in (0, 1)
         )
-        a, b = _fibonacci_split(_straddles(band, n), len(band), {}, one)
-        return head + (f[1] - f[0]) * a + f[0] * b  # shifted by lo - 1: f_{lo-2} A + f_{lo-1} B
+        # The band shifted by lo - 1: (f_{lo-2}, f_{lo-1}).
+        return head + shifted_fibonacci_sum(_straddles(band, n), len(band), (f[1] - f[0], f[0]), one)
     # Below lo, c_d = 1 and Y_d = floor(d/2), the other class's degrees 1..d-1.
     top = lo + len(band) - 1
     n_odd = lo // 2 + sum(band[1 - top % 2 :: 2])
@@ -257,19 +260,20 @@ def pair_sum_unit_head(lo: int, band: Sequence[int], kind: str, one: Any = 1) ->
     head = _fib_poly_sum(lambda e: n_even + e * (n_even - e), 1, lo // 2, pair) + _fib_poly_sum(
         lambda e: n_odd + (e + 1) * (n_odd - e - 1), 2, (lo - 1) // 2, pair
     )
-    a, b = _fibonacci_split(_parity_terms(band, top, n, n_odd), len(band), {}, one)
-    return head + f[0] * a + f[1] * b  # shifted by lo: f_{lo-1} A + f_lo B
+    # The band shifted by lo: (f_{lo-1}, f_lo).
+    return head + shifted_fibonacci_sum(_parity_terms(band, top, n, n_odd), len(band), (f[0], f[1]), one)
 
 
-def shifted_fibonacci_sum(terms: Iterable[int], size: int, shift: tuple[int, int]) -> int:
-    """sum_j g_j f_{j+s} over j = 0..size-1, given shift = (f_{s-1}, f_s).
+def shifted_fibonacci_sum(terms: Iterable[int], size: int, shift: tuple[Any, Any], one: Any = 1) -> Any:
+    """sum_j g_j f_{j+s} over j = 0..size-1, given shift = (f_{s-1}, f_s), in the ring of ``one``.
 
     ``terms`` yields the ``size`` coefficients from g_{size-1} down to g_0.
     Binary splitting gives (A, B) = (sum g_j f_j, sum g_j f_{j+1}), and
-    f_{j+s} = f_{s-1} f_j + f_s f_{j+1} shifts it, as
-    :func:`pair_sum_unit_head` shifts its band: no per-degree ``fib``.
+    f_{j+s} = f_{s-1} f_j + f_s f_{j+1} shifts it: no per-degree ``fib``.
+    Every Fibonacci sum of the kernel, the cross sum and the union checks
+    leaves the split here; s may be negative, f_{-1} = 1 and f_{-2} = -1.
     """
-    a, b = _fibonacci_split(iter(terms), size, {}, 1)
+    a, b = _fibonacci_split(iter(terms), size, {}, one)
     return shift[0] * a + shift[1] * b
 
 
@@ -374,47 +378,30 @@ def cross_pair_sum(counts_a: Sequence[int], counts_b: Sequence[int], kind: str) 
     """Sum of |w_a - w_b| over a in A and b in B, for the histograms of A and B.
 
     The weights are those of ``kind``, as in :func:`pair_sum_histogram`.
-    One top-down pass over both histograms, by the formula in the module
-    docstring, with no call of the kernel on either: O(D) and exact.
+    irr and firr take one top-down pass over both histograms, firrpm two
+    firr passes and four weight sums, by the formulas in the module
+    docstring, with no call of the kernel on either side: O(D) and exact.
     """
+    if kind == "firrpm":  # A_0, A_1, B_0, B_1: each side's even and odd degrees
+        parts = [[c * (d % 2 == r) for d, c in enumerate(counts)] for counts in (counts_a, counts_b) for r in (0, 1)]
+        # Within a class as firr; across, f_a + f_b, so each part's weight sum
+        # (shift (f_{-1}, f_0) = (1, 0)) counts once per vertex of the other side's other class.
+        return cross_pair_sum(parts[0], parts[2], "firr") + cross_pair_sum(parts[1], parts[3], "firr") + sum(
+            sum(parts[3 - i]) * shifted_fibonacci_sum(reversed(p), len(p), (1, 0)) for i, p in enumerate(parts)
+        )
+    if kind not in ("irr", "firr"):
+        raise ValueError(f"unknown metric kind {kind!r}")
     size = max(len(counts_a), len(counts_b))
     # Each side from the top degree down, the shorter padded with zeros above its top.
     desc_a, desc_b = (chain(repeat(0, size - len(c)), reversed(c)) for c in (counts_a, counts_b))
     n_a, n_b = sum(counts_a), sum(counts_b)
-    if kind in ("irr", "firr"):
-        # The counts above d on each side, so L_d = n - above: the last pair
-        # of sums, all of each side, yields 0 and no split reads it.
-        aboves = zip(accumulate(desc_a, initial=0), accumulate(desc_b, initial=0))
-        terms = ((n_a - x) * y + (n_b - y) * x for x, y in aboves)
-        if kind == "irr":
-            return sum(terms)
-        a, b = _fibonacci_split(terms, size, {}, 1)
-        return b - a  # f_{d+1} - f_d = f_{d-1}
-    if kind == "firrpm":
-        top = size - 1
-        sides = zip(
-            _parity_counts(desc_a, top, n_a, sum(islice(counts_a, 1, None, 2))),
-            _parity_counts(desc_b, top, n_b, sum(islice(counts_b, 1, None, 2))),
-        )
-        terms = (ca * mb + cb * ma + (ma - xa) * xb + (mb - xb) * xa for (ca, ma, xa), (cb, mb, xb) in sides)
-        return _fibonacci_split(terms, size, {}, 1)[0]
-    raise ValueError(f"unknown metric kind {kind!r}")
-
-
-def _parity_counts(desc: Iterable[int], top: int, n: int, n_odd: int) -> Iterator[tuple[int, int, int]]:
-    """(c_d, m_d, m_d - Y_d) for d = top, top - 1, ...: one side's terms of the cross firr_pm.
-
-    ``desc`` gives the counts from degree ``top`` down; n and n_odd count all
-    vertices and those of odd degree.  m_d counts the degrees of the parity
-    opposite to d and m_d - Y_d those of them above d, as in
-    :func:`_parity_terms`.
-    """
-    this_n, that_n = (n_odd, n - n_odd) if top % 2 else (n - n_odd, n_odd)
-    this_above = that_above = 0
-    for c in desc:
-        yield c, that_n, that_above
-        this_above, that_above = that_above, this_above + c
-        this_n, that_n = that_n, this_n
+    # The counts above d on each side, so L_d = n - above: the last pair
+    # of sums, all of each side, yields 0 and no split reads it.
+    aboves = zip(accumulate(desc_a, initial=0), accumulate(desc_b, initial=0))
+    terms = ((n_a - x) * y + (n_b - y) * x for x, y in aboves)
+    if kind == "irr":
+        return sum(terms)
+    return shifted_fibonacci_sum(terms, size, (-1, 1))  # f_{d+1} - f_d = f_{d-1}
 
 
 def _metric(degrees: Iterable[int], method: str, kind: str, weight: Callable[[int], int]) -> IrrValue:

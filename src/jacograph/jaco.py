@@ -90,19 +90,31 @@ operations, so irr of J*_{10^18} takes about a millisecond and no list.
 
 Each graph from the one before
 ------------------------------
-:func:`underlying_metrics` walks J*_1, J*_2, ... by the decomposition that
-the growth recursion proves (``theorems._growth_rhs``).  From J*_n to
-J*_{n+1} the new vertex arrives with degree l = n - k, every degree d of the
-tail D = v_{k+1}..v_n rises by one, and when G(n+2) - 1 = k + 1 the top tail
-vertex, now of degree k + 1, joins the head.  With weights w_d = d or f_d
-and steps s_d = w_{d+1} - w_d, 1 or f_{d-1}, the value grows by
+:func:`underlying_metrics` walks J*_1, J*_2, ..., each value from the one
+before; the thm21 and thm31 checks take their step from it
+(``theorems._growth_rhs``).  From J*_n to J*_{n+1}, with k = G(n+1) - 1
+the largest degree of J*_n, vertex n + 1 gets an arc from each v_i with
+i + G(i) >= n + 1, that is from the tail D = v_{k+1}..v_n alone (see the
+shape above).  So it arrives with degree l = n - k, every degree d of D
+rises by one, and the head v_1..v_k keeps its degrees 1..k; when
+G(n+2) - 1 = k + 1 the top tail vertex, now of degree k + 1, joins the
+head.  Take weights w_d = d or f_d and steps s_d = w_{d+1} - w_d, 1 or
+f_{d-1}; w never falls as d grows, nor does s on degrees >= 1.  The new
+vertex adds its pair sum against the updated weights.  A vertex of D with
+degree d <= k moves its pair with a head vertex of degree h by +s_d when
+h <= d and by -s_d when h > d, as w_h >= w_{d+1} there: (2d - k) s_d in
+all.  A pair of D with degrees a >= b moves from w_a - w_b to
+w_{a+1} - w_{b+1}, by s_a - s_b >= 0, so the absolute value is exact and
+D's pair sum grows by P_s(D), the pair sum of D in the weights s, 0 for
+irr.  As the tail's degrees n - G(i) >= n - G(n) >= l - 1, the new
+vertex's pairs with D are w_{d+1} - w_l, and the value grows by
 
     sum_D (2d - k) s_d + P_s(D) + sum_{h=1..k} |w_h - w_l|
-                       + sum_D w_{d+1} - |D| w_l,
+                       + sum_D w_{d+1} - |D| w_l.
 
-with P_s(D) the pair sum of D in the weights s, 0 for irr.  As w never
-falls and l <= k + 1, the head term is W(k) - W(l-1) - W(l) + (2l-1-k) w_l
-with W(x) = w_1 + ... + w_x, x(x+1)/2 or f_{x+2} - 1.  Everything else is a
+As w never falls and l <= k + 1, the head term is
+W(k) - W(l-1) - W(l) + (2l-1-k) w_l with W(x) = w_1 + ... + w_x,
+x(x+1)/2 or f_{x+2} - 1.  Everything else is a
 running total over D: |D| = l, the sums of s, w, d s and d w, and the pair
 sums P_s and P_w.  The shift d -> d + 1 maps (s_d, w_d) to
 (s_{d+1}, w_{d+1}) = (s_d, w_d + s_d) for irr and (w_d, w_d + s_d) for

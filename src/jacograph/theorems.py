@@ -116,9 +116,17 @@ side reads the other's data.
 
 The growth recursions thm21 and thm31 are one recursion in weight space,
 :func:`_growth_rhs`, with weight d for irr_t and f_d for firr_t, and one
-check, :func:`_growth_check`.  The recursion reads the word-built
-histograms (``underlying_degree_counts``), while its oracle reads the
-``isqrt`` degrees, so the two sides share no degree source.
+check, :func:`_growth_check`.  Its formula side is the metric of J*_n from
+``_jaco_metric`` plus the step from J*_n to J*_{n+1} that
+``underlying_metrics`` takes from its running totals, proved in the
+``jaco`` docstring: each record checks one step against a value of J*_n
+computed without the walk.  Neither reads a degree or a histogram, while
+the oracle reads the ``isqrt`` degrees, so the two sides share no degree
+source.  One walk per kind is kept in ``_walks``, two values each: a check
+resumes it while n grows and restarts it from J*_1 when n goes back, so a
+sweep starts it once.  Concurrent growth checks of one kind would step one
+walk from two threads, and are unsupported: this module promises no
+thread safety.
 
 A sweep is one stream of records, :func:`iter_checks`.  It walks one
 generator of parameter tuples per check id, which also answers whether a
@@ -132,9 +140,10 @@ and those mismatches.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Callable, Iterator
 from functools import cache, lru_cache
-from itertools import accumulate
+from itertools import accumulate, islice, pairwise
 from operator import mul, sub
 from typing import Any, NamedTuple
 
@@ -150,11 +159,11 @@ from .irregularity import (
 from .jaco import (
     _tail,
     out_degree,
-    prime_jaconian_index,
     underlying_degree_counts,
     underlying_degrees,
     underlying_graph,
     underlying_metric,
+    underlying_metrics,
 )
 
 __all__ = [
@@ -367,38 +376,26 @@ def _firr_by_rank(g: SimpleGraph) -> int:
     return pair_sum_by_rank(map(fib, degree_sequence(g)))
 
 
+# Per kind, (the pairs taken, the walk): the walk yields the pairs
+# (M_x, M_{x+1}) of ``underlying_metrics``, the next one at x = taken + 1.
+_walks: dict[str, tuple[int, Iterator[tuple[int, int]]]] = {}
+
+
 def _growth_rhs(n: int, kind: str) -> int:
-    """Predicted metric ``kind`` ("irr" or "firr") of J*_{n+1} from the state of J*_n.
+    """Predicted metric ``kind`` ("irr" or "firr") of J*_{n+1} from the value of J*_n.
 
-    With k the prime Jaconian index of J*_n, vertex n+1 arrives with degree
-    n - k and bumps the degrees of exactly v_{k+1}..v_n, the tail, by one.
-    In weight space, w_d = d for irr and f_d for firr, the new vertex adds
-    its pair sum against the updated weights, and each bumped vertex of
-    degree d shifts its pairs against the untouched block v_1..v_k by
-    +(w_{d+1} - w_d) or -(w_{d+1} - w_d): the block's degrees are exactly
-    1..k, and d <= k, so d of them lie strictly under d + 1.  Pairs of two
-    bumped vertices keep their gap for irr.  For firr and degrees
-    a >= b >= 1 the gap moves by (f_{a+1} - f_{b+1}) - (f_a - f_b) =
-    f_{a-1} - f_{b-1} >= 0, so the absolute value is exact and the bumped
-    pairs sum to the firr pair sum of the bumped degrees minus one: one
-    kernel call instead of a loop over the pairs.
-
-    Every term is read off the word-built histograms of J*_n and J*_{n+1},
-    with no per-vertex degree: the arriving vertex's own term against
-    itself is 0, so its pair sum runs over the whole histogram of J*_{n+1},
-    and the tail's histogram is that of J*_n less 1 on the head degrees 1..k.
+    The value of J*_n from ``_jaco_metric``, plus the step from J*_n to
+    J*_{n+1} that ``underlying_metrics`` takes from its running totals (the
+    proof is in the ``jaco`` docstring, "Each graph from the one before").
     """
     if n < 2:
         raise ValueError(f"the growth recursion needs n >= 2, got {n}")
-    k = prime_jaconian_index(n)
-    # Degrees reach k + 1: the largest bumped one, and the largest of J*_{n+1}.
-    weights = list(range(k + 2)) if kind == "irr" else [fib(d) for d in range(k + 2)]
-    arrival_weight = weights[n - k]
-    new_vertex = sum(c * abs(arrival_weight - w) for c, w in zip(underlying_degree_counts(n + 1), weights))
-    tail = [c - (0 < d <= k) for d, c in enumerate(underlying_degree_counts(n))]
-    cross = sum(t * (2 * d - k) * (weights[d + 1] - weights[d]) for d, t in enumerate(tail))
-    bumped_pairs = 0 if kind == "irr" else pair_sum_histogram(tail[1:], "firr")
-    return _jaco_metric(n, kind) + new_vertex + cross + bumped_pairs
+    taken, walk = _walks.get(kind, (n, None))
+    if taken >= n:
+        taken, walk = 0, pairwise(underlying_metrics(sys.maxsize, kind))
+    before, after = next(islice(walk, n - 1 - taken, None))
+    _walks[kind] = n, walk
+    return _jaco_metric(n, kind) + after - before
 
 
 def thm21_rhs(n: int) -> int:

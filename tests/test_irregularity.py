@@ -28,6 +28,7 @@ from jacograph import (
     pair_sum_histogram,
     pair_sum_naive,
     path,
+    shifted_fibonacci_sum,
     signed_weight_of_degree,
     star,
     star_firr_closed,
@@ -356,6 +357,10 @@ def test_kernel_matches_mod_p_sum_at_a_million_vertices():
 @example([90, 130, 111], [], 1)
 @example([5], [120, 0], 3)
 @example([2 * _LEAF + 7, 3, 3], [_LEAF, 0, 2 * _LEAF + 6], 1)  # split into leaves
+@example([1, 3, 3, 7], [0, 2, 2, 8], 0)  # only odd degrees against only even ones
+@example([4, 6], [2 * _LEAF + 1, 5, 5], 2)  # the same, one side split into leaves
+@example([0, 0, 1, 2], [0, 3], 0)  # degree-0 vertices on both sides
+@example([0, 0], [2, 5], 1)  # a side of degree 0 alone
 def test_cross_pair_sum_matches_bipartite_loop(a, b, pad):
     weights = {"irr": lambda d: d, "firr": fib, "firrpm": signed_weight_of_degree}
     counts_a = degree_histogram(a) + [0] * pad  # unequal lengths, trailing zeros
@@ -376,6 +381,18 @@ def test_cross_pair_sum_matches_bipartite_loop(a, b, pad):
     union = degree_histogram(a + b)
     assert len(both) == max(len(counts_a), len(counts_b))
     assert both[: len(union)] == union and not any(both[len(union) :])
+
+
+@pytest.mark.parametrize("size", [1, 7, 2 * _LEAF + 5])
+def test_shifted_fibonacci_sum_by_minus_one_in_the_decimal_ring(size):
+    # shift (-1, 1) = (f_{-2}, f_{-1}): sum_j g_j f_{j-1}, with f_{-1} = 1
+    rng = random.Random(size)
+    coeffs = [rng.randint(-9, 9) for _ in range(size)]  # g_0, ..., g_{size-1}
+    expected = sum(g * (fib(j - 1) if j else 1) for j, g in enumerate(coeffs))
+    assert shifted_fibonacci_sum(reversed(coeffs), size, (-1, 1)) == expected
+    with decimal.localcontext(EXACT):
+        in_decimal = shifted_fibonacci_sum(reversed(coeffs), size, (-1, 1), decimal.Decimal(1))
+    assert type(in_decimal) is decimal.Decimal and str(in_decimal) == str(expected)
 
 
 @given(kernel_sequences, kernel_sequences)

@@ -102,8 +102,8 @@ def test_growth_oracle_catches_a_formula_side_off_by_one(monkeypatch, capsys):
 
 
 def test_growth_formula_side_reads_no_per_vertex_degrees(monkeypatch):
-    # the oracle keeps the isqrt degrees; the recursion reads the word-built
-    # histograms alone, so the two sides share no degree source
+    # the oracle keeps the isqrt degrees; the recursion steps the walk of
+    # running totals and reads no degree, so the two sides share no degree source
     oracle = {
         n: (pair_sum_by_rank(underlying_degrees(n + 1)), pair_sum_by_rank(map(fib, underlying_degrees(n + 1))))
         for n in range(2, 81)
@@ -115,6 +115,53 @@ def test_growth_formula_side_reads_no_per_vertex_degrees(monkeypatch):
     monkeypatch.setattr(theorems, "underlying_degrees", refuse)
     for n in range(2, 81):
         assert (thm21_rhs(n), thm31_rhs(n)) == oracle[n], n
+
+
+@pytest.mark.parametrize("j", [2, 3, 41, 80])
+def test_one_faulty_walk_step_shows_at_exactly_one_n(monkeypatch, j):
+    # every value of the walk from J*_{j+1} on is one too high, so only its
+    # step from J*_j to J*_{j+1} is wrong: one red record per kind, at n = j
+    walk = theorems.underlying_metrics
+
+    def faulty(n_max, kind):
+        return (value + (x > j) for x, value in enumerate(walk(n_max, kind), 1))
+
+    monkeypatch.setattr(theorems, "underlying_metrics", faulty)
+    monkeypatch.setattr(theorems, "_walks", {})
+    report = verify_sweep(["thm21", "thm31"], (2, 80))
+    assert report.counts == {"thm21": [79, 1], "thm31": [79, 1]}
+    red = [(rec.theorem, rec.params, rec.rhs - rec.lhs) for rec in report.records if not rec.matched]
+    assert red == [("thm21", {"n": j}, 1), ("thm31", {"n": j}, 1)]
+
+
+def test_a_growth_sweep_starts_one_walk_per_kind(monkeypatch):
+    starts = []
+    walk = theorems.underlying_metrics
+
+    def counted(n_max, kind):
+        starts.append(kind)
+        return walk(n_max, kind)
+
+    monkeypatch.setattr(theorems, "underlying_metrics", counted)
+    monkeypatch.setattr(theorems, "_walks", {})
+    report = verify_sweep(["thm21", "thm31"], (2, 300))
+    assert report.all_matched and report.counts == {"thm21": [299, 0], "thm31": [299, 0]}
+    assert sorted(starts) == ["firr", "irr"]
+
+
+def test_growth_formula_side_does_not_depend_on_the_call_order(monkeypatch):
+    # each n twice, both kinds interleaved: the walks go forward, back to
+    # J*_1 and forward again, and every value still equals the oracle's
+    monkeypatch.setattr(theorems, "_walks", {})
+    oracle = {
+        (rhs, n): pair_sum_by_rank(map(weight, underlying_degrees(n + 1)))
+        for rhs, weight in ((thm21_rhs, int), (thm31_rhs, fib))
+        for n in range(2, 401)
+    }
+    calls = list(oracle) * 2
+    random.Random(7).shuffle(calls)
+    for rhs, n in calls:
+        assert rhs(n) == oracle[rhs, n], (rhs.__name__, n)
 
 
 def test_thm21_validation():
