@@ -63,7 +63,6 @@ from .graphs import (
     _parse_edge_list,
     complete_bipartite,
     cycle,
-    degree_sequence,
     dot_chunks,
     edge_list_chunks,
     from_edge_list,
@@ -72,7 +71,8 @@ from .graphs import (
     star,
 )
 from .irregularity import degree_histogram, pair_sum_histogram
-from .jaco import _tail, out_degree, underlying_graph, underlying_later_neighbors, underlying_metric, underlying_metrics
+from .jaco import _tail, out_degree, underlying_degree_counts, underlying_graph, underlying_later_neighbors
+from .jaco import underlying_metric, underlying_metrics
 
 if TYPE_CHECKING:
     from .theorems import CheckRecord, VerifyReport
@@ -122,17 +122,27 @@ def _parse_spec(spec: str) -> tuple[str, list[int]] | tuple[str, str]:
     return head, args
 
 
-def _family_degrees(kind: str, args: list[int]) -> dict[int, int] | None:
-    """Vertex count per degree of a named family but jaco, or None where its builder refuses the arguments."""
+def _family(spec: str, kind: str, args: list[int]) -> tuple[int, dict[int, int], LaterNeighbors]:
+    """The vertex count, vertex count per degree and later-neighbor ranges of a named family but jaco.
+
+    Each is read off the family's shape, and no graph is built but for
+    arguments its table refuses: those go to :func:`graph_for_spec` once,
+    for the builder's own message.
+    """
     n = args[0]
     if kind == "path" and n >= 1:
-        return {0: 1} if n == 1 else {1: 2} if n == 2 else {1: 2, 2: n - 2}
+        degrees = {0: 1} if n == 1 else {1: 2} if n == 2 else {1: 2, 2: n - 2}
+        return n, degrees, zip(range(1, n), zip(range(2, n + 1)))  # (i, (i + 1,))
     if kind == "cycle" and n >= 3:
-        return {2: n}
+        return n, {2: n}, chain([(1, (2, n))], zip(range(2, n), zip(range(3, n + 1))))
     m = args[1] if kind == "biclique" else 1  # a star with n leaves has the degrees of biclique n, 1
     if kind in ("star", "biclique") and n >= m >= 1:
-        return {n: 2 * n} if n == m else {m: n, n: m}
-    return None
+        degrees = {n: 2 * n} if n == m else {m: n, n: m}
+        if kind == "star":  # the center's leaves in ranges of 4096, a chunk each, so no chunk holds all its edges
+            return n + 1, degrees, ((1, range(a, min(a + 4096, n + 2))) for a in range(2, n + 2, 4096))
+        return n + m, degrees, zip(range(1, n + 1), repeat(range(n + 1, n + m + 1)))
+    graph_for_spec(spec)
+    raise AssertionError(f"graph spec {spec!r}: its builder takes arguments that its degree table refuses")
 
 
 @contextmanager
@@ -147,10 +157,10 @@ def _spec_errors(spec: str) -> Iterator[None]:
 def graph_for_spec(spec: str) -> SimpleGraph:
     """Build the graph a spec names; raises SpecError on unusable input.
 
-    An edge-list file naming a vertex id above the edge guard is refused
-    before the graph is built, as a Jaco graph above it is; a path, cycle,
-    star or biclique is built at any size, as ``export`` refuses one above
-    the guard before it comes here.
+    The commands build only an edge-list file's graph here, for ``export``,
+    and call a family's builder here only for arguments it refuses, for its
+    message.  An edge-list file naming a vertex id above the edge guard is
+    refused before the graph is built, as a Jaco graph above it is.
     """
     kind, args = _parse_spec(spec)
     with _spec_errors(spec):
@@ -181,14 +191,14 @@ def _edge_list_counts(text: str) -> list[int]:
 
 
 def counts_for_spec(spec: str) -> list[int]:
-    """Degree histogram for a spec, with no graph built but for arguments a family's builder refuses, to raise its message."""
+    """Degree histogram for a spec, with no graph built."""
     kind, args = _parse_spec(spec)
-    if kind == "file":
-        with _spec_errors(spec):
+    with _spec_errors(spec):
+        if kind == "file":
             return _edge_list_counts(Path(args).read_text(encoding="utf-8"))
-    degrees = _family_degrees(kind, args)
-    if degrees is None:  # arguments the builder refuses with its own message
-        return degree_histogram(degree_sequence(graph_for_spec(spec)))
+        if kind == "jaco":
+            return underlying_degree_counts(args[0])
+    _, degrees, _ = _family(spec, kind, args)
     counts = [0] * (max(degrees) + 1)
     for d, c in degrees.items():
         counts[d] += c
@@ -400,32 +410,20 @@ def _later_neighbors_for_spec(spec: str) -> tuple[int, LaterNeighbors]:
     A Jaco graph's, or a named family's, are ranges read off its shape, and
     no graph is built.  Either is refused above the edge guard before any
     work in its size, a family's edge count being half the degree sum of
-    :func:`_family_degrees`.  The star's center has its leaves in ranges of
-    4096, a chunk each, so no chunk holds all its edges.  Only an edge-list
-    file, or arguments a family's builder refuses with its own message,
-    build the graph.
+    its table in :func:`_family`.  Only an edge-list file builds the graph.
     """
     kind, args = _parse_spec(spec)
-    with _spec_errors(spec):
-        if kind == "jaco":
-            return args[0], underlying_later_neighbors(args[0])
-        degrees = None if kind == "file" else _family_degrees(kind, args)
-        edges = sum(d * c for d, c in (degrees or {}).items()) // 2
-        if edges > DEFAULT_EDGE_GUARD:
-            raise ValueError(f"the graph has {edges} edges, above the guard of {DEFAULT_EDGE_GUARD}")
-    if degrees is None:  # a file, or arguments the builder refuses
+    if kind == "file":
         g = graph_for_spec(spec)
         return g.n, _later_neighbors(g)
-    n = args[0]
-    if kind == "path":
-        later = zip(range(1, n), zip(range(2, n + 1)))  # (i, (i + 1,))
-    elif kind == "cycle":
-        later = chain([(1, (2, n))], zip(range(2, n), zip(range(3, n + 1))))
-    elif kind == "star":
-        later = ((1, range(a, min(a + 4096, n + 2))) for a in range(2, n + 2, 4096))
-    else:
-        later = zip(range(1, n + 1), repeat(range(n + 1, n + args[1] + 1)))
-    return sum(degrees.values()), later
+    if kind == "jaco":
+        with _spec_errors(spec):
+            return args[0], underlying_later_neighbors(args[0])
+    n, degrees, later = _family(spec, kind, args)
+    edges = sum(d * c for d, c in degrees.items()) // 2
+    if edges > DEFAULT_EDGE_GUARD:
+        raise SpecError(f"graph spec {spec!r}: the graph has {edges} edges, above the guard of {DEFAULT_EDGE_GUARD}")
+    return n, later
 
 
 def _cmd_export(args: argparse.Namespace) -> int:

@@ -89,22 +89,20 @@ Fibonacci number is looked up.
 The left side is the kernel on the union's histogram, the sum of the two,
 built afresh for every instance.
 
-What is kept across instances, and by which side.  The formula sides keep
-the metric of each Jaco graph, per metric kind, in one process-wide cache
-(``_jaco_metric``), the same policy as :func:`fib`: the growth recursions
-read it for J*_n, the union statements for both copies.  The union
-statements keep each Jaco graph in two process-wide caches, one per side,
-each filled by its own reading of the word.  ``_oracle_counts`` holds the
-left side's histogram, one byte per degree (every count is at most 3),
-about 0.62 x bytes for J*_x.  ``_formula_graph`` holds a
-:class:`_FormulaGraph`: k_x, lo_x and the tail's counts, one byte per degree,
-about 0.24 x bytes, plus per kind, made on first use, E_x and W(k_x), and
-for firr also f_{lo_x - 2} and f_{lo_x - 1}, about 0.17 x bytes more.  Its
-Python objects add about 220 bytes per graph, 120 more for irr and 190
-more for firr (tracemalloc, CPython 3.11: 939 bytes per graph on average
-over J*_2..J*_2000 with both kinds).  A sweep reads each graph's word once
-per side, not twice per instance.  thm33's formula side keeps the terms
-that do not depend on i, for one (n, m) at a time
+What is kept across instances, and by which side.  Only the union
+statements keep Jaco graphs, in process-wide caches, the same policy as
+:func:`fib`; each side fills its own by its own reading of the word.
+``_oracle_counts`` holds the left side's histogram, one byte per degree
+(every count is at most 3), about 0.62 x bytes for J*_x.  The formula side
+keeps one record per graph and one per graph and kind, each made on first
+use: ``_formula_tail`` holds k_x, lo_x and the tail's counts, one byte per
+degree, about 0.24 x bytes; ``_formula_totals`` holds M_x, E_x and W(k_x),
+and for firr also f_{lo_x - 2} and f_{lo_x - 1}, about 0.23 x bytes more for
+firr (tracemalloc, CPython 3.11, over J*_2..J*_2000: on average 446 bytes
+per graph for the tail, 272 for the irr totals and 618 for the firr ones,
+1336 in all).  A sweep reads each graph's word once per side, and its
+metric once per kind, not twice per instance.  thm33's formula side keeps
+the terms that do not depend on i, for one (n, m) at a time
 (``_thm33_union_terms``).  The oracle side keeps the last two graphs built
 by ``underlying_graph`` (``_built_graph``) and their union
 (``_built_union``): records come in ascending (n, m, i) order, so the
@@ -116,9 +114,10 @@ side reads the other's data.
 
 The growth recursions thm21 and thm31 are one recursion in weight space,
 :func:`_growth_rhs`, with weight d for irr_t and f_d for firr_t, and one
-check, :func:`_growth_check`.  Its formula side is the metric of J*_n from
-``_jaco_metric`` plus the step from J*_n to J*_{n+1} that
-``underlying_metrics`` takes from its running totals, proved in the
+check, :func:`_growth_check`.  Its formula side is the metric of J*_n,
+which ``underlying_metric`` computes afresh for every check and nothing
+keeps, as a sweep reads each n once, plus the step from J*_n to J*_{n+1}
+that ``underlying_metrics`` takes from its running totals, proved in the
 ``jaco`` docstring: each record checks one step against a value of J*_n
 computed without the walk.  Neither reads a degree or a histogram, while
 the oracle reads the ``isqrt`` degrees, so the two sides share no degree
@@ -278,10 +277,6 @@ class VerifyReport:
         return "\n".join(lines) + "\n"
 
 
-# The formula side's metric of J*_x per (x, kind), kept for the process.
-_jaco_metric = cache(underlying_metric)
-
-
 # The oracle side's histograms of J*_x, kept for the process.
 # ``underlying_degree_counts`` is looked up on this module when called, as
 # :func:`_built_graph` looks up ``underlying_graph``.
@@ -291,40 +286,34 @@ def _oracle_counts(n: int) -> bytes:
     return bytes(underlying_degree_counts(n))
 
 
-class _FormulaGraph:
-    """J*_x as the formula side of the union checks reads it (see the module docstring).
+# The formula side's J*_x, kept for the process in two caches; neither side
+# reads the other's.  ``_tail`` and ``underlying_metric`` are looked up on
+# this module when called, as in :func:`_oracle_counts`.
+@cache
+def _formula_tail(x: int) -> tuple[int, int, bytes]:
+    """(k, lo, tail) of J*_x, as ``jaco._tail`` reads them.
 
     ``k`` is the largest degree and ``lo`` the least degree of the tail
     k+1..x; ``tail`` holds the tail's count on each degree k, k - 1, ..., lo,
-    one byte each, as ``jaco._tail`` reads them.  J*_1's tail is its one
-    vertex, of degree 0 and weight 0.  ``totals(kind)`` is (E, W(k)), the
-    tail's weight sum and the head's, sum w_d over d = 1..k, and for firr
-    also f_{lo-2} and f_{lo-1}, which shift a sum from degree lo on by -1.
-    Each kind's totals are made on first use and kept in the slot named
-    after it.
+    one byte each.  J*_1's tail is its one vertex, of degree 0 and weight 0.
     """
-
-    __slots__ = ("k", "lo", "tail", "irr", "firr")
-
-    def __init__(self, x: int) -> None:
-        self.k, self.lo, self.tail = _tail(x)
-        self.irr = self.firr = None
-
-    def totals(self, kind: str) -> tuple[int, ...]:
-        made = getattr(self, kind)
-        if made is None:
-            k, lo, tail = self.k, self.lo, self.tail
-            if kind == "irr":
-                made = sum(map(mul, tail, range(k, lo - 1, -1))), k * (k + 1) // 2
-            else:
-                f, g = fib_pair(lo)  # f_lo, f_{lo+1}; f_{lo-1} = g - f shifts the tail's sum to lo
-                made = shifted_fibonacci_sum(tail, len(tail), (g - f, f)), fib_pair(k + 1)[1] - 1, 2 * f - g, g - f
-            setattr(self, kind, made)
-        return made
+    return _tail(x)
 
 
-# The formula side's J*_x, kept for the process; neither side reads the other's cache.
-_formula_graph = cache(_FormulaGraph)
+@cache
+def _formula_totals(x: int, kind: str) -> tuple[int, ...]:
+    """(M, E, W(k)) of J*_x for metric ``kind``, and for firr also f_{lo-2} and f_{lo-1}.
+
+    M is the metric of J*_x, E the tail's weight sum and W(k) the head's,
+    sum w_d over d = 1..k; f_{lo-2} and f_{lo-1} shift a sum from degree lo
+    on by -1.
+    """
+    k, lo, tail = _formula_tail(x)
+    if kind == "irr":
+        return underlying_metric(x, kind), sum(map(mul, tail, range(k, lo - 1, -1))), k * (k + 1) // 2
+    f, g = fib_pair(lo)  # f_lo, f_{lo+1}; f_{lo-1} = g - f shifts the tail's sum to lo
+    e = shifted_fibonacci_sum(tail, len(tail), (g - f, f))
+    return underlying_metric(x, kind), e, fib_pair(k + 1)[1] - 1, 2 * f - g, g - f
 
 
 def _correction_sum(n: int, m: int, kind: str) -> int:
@@ -334,15 +323,14 @@ def _correction_sum(n: int, m: int, kind: str) -> int:
     [lo_n, k_m), by the identity in the module docstring; O(1) integer
     operations outside the window.
     """
-    gn, gm = _formula_graph(n), _formula_graph(m)
-    (e_n, w_n, *shift), (e_m, w_m, *_) = gn.totals(kind), gm.totals(kind)
-    cut, lo = gm.k, gn.lo
+    (k, lo, tail_n), (cut, _, tail_m) = _formula_tail(n), _formula_tail(m)
+    (_, e_n, w_n, *shift), (_, e_m, w_m, *_) = _formula_totals(n, kind), _formula_totals(m, kind)
     cross = (m - cut) * (e_n + w_n - w_m) - (n - cut) * e_m
     if cut > lo:
         # Top down from d = cut - 1: L^A_d, from A's counts on degrees
         # cut - 1..lo, and |B| - L^B_d, from B's counts on degrees cut..lo + 1.
-        window = gn.tail[gn.k - cut + 1 :]
-        straddles = map(mul, accumulate(window, sub, initial=sum(window)), accumulate(gm.tail[: cut - lo]))
+        window = tail_n[k - cut + 1 :]
+        straddles = map(mul, accumulate(window, sub, initial=sum(window)), accumulate(tail_m[: cut - lo]))
         cross += 2 * (shifted_fibonacci_sum(straddles, cut - lo, shift) if shift else sum(straddles))
     return cross
 
@@ -384,9 +372,10 @@ _walks: dict[str, tuple[int, Iterator[tuple[int, int]]]] = {}
 def _growth_rhs(n: int, kind: str) -> int:
     """Predicted metric ``kind`` ("irr" or "firr") of J*_{n+1} from the value of J*_n.
 
-    The value of J*_n from ``_jaco_metric``, plus the step from J*_n to
-    J*_{n+1} that ``underlying_metrics`` takes from its running totals (the
-    proof is in the ``jaco`` docstring, "Each graph from the one before").
+    The value of J*_n from ``underlying_metric``, kept nowhere, plus the
+    step from J*_n to J*_{n+1} that ``underlying_metrics`` takes from its
+    running totals (the proof is in the ``jaco`` docstring, "Each graph
+    from the one before").
     """
     if n < 2:
         raise ValueError(f"the growth recursion needs n >= 2, got {n}")
@@ -395,7 +384,7 @@ def _growth_rhs(n: int, kind: str) -> int:
         taken, walk = 0, pairwise(underlying_metrics(sys.maxsize, kind))
     before, after = next(islice(walk, n - 1 - taken, None))
     _walks[kind] = n, walk
-    return _jaco_metric(n, kind) + after - before
+    return underlying_metric(n, kind) + after - before
 
 
 def thm21_rhs(n: int) -> int:
@@ -436,7 +425,7 @@ def _union_check(theorem: str, n: int, m: int, kind: str) -> CheckRecord:
         raise ValueError(f"{theorem} needs n >= m; swap arguments ({n}, {m})")
     # The oracle: the union's own histogram, built afresh for every instance.
     lhs = pair_sum_histogram(add_histograms(_oracle_counts(n), _oracle_counts(m)), kind)
-    metric_n, metric_m = _jaco_metric(n, kind), _jaco_metric(m, kind)
+    metric_n, metric_m = _formula_totals(n, kind)[0], _formula_totals(m, kind)[0]
     params = {"n": n, "m": m}
     if n == m:
         return _equality(theorem, params, lhs, 4 * metric_n)

@@ -33,6 +33,7 @@ from jacograph import (
     underlying_graph,
 )
 from jacograph.cli import REPORTED_FIRR, REPORTED_IRR, SpecError, _row_weights, counts_for_spec, graph_for_spec, main
+from jacograph.graphs import _later_neighbors
 from jacograph.jaco import underlying_metric
 from jacograph.theorems import verify_sweep
 
@@ -213,12 +214,28 @@ def test_family_histograms_are_those_of_the_built_graphs(monkeypatch):
     for spec, g in built.items():
         assert counts_for_spec(spec) == degree_histogram(degree_sequence(g)), spec
         # the degree table the edge guard reads: half its degree sum is the edge count
-        degrees = jacograph.cli._family_degrees(*jacograph.cli._parse_spec(spec))
+        n, degrees, later = jacograph.cli._family(spec, *jacograph.cli._parse_spec(spec))
         assert sum(d * c for d, c in degrees.items()) // 2 == g.edge_count, spec
-        assert sum(degrees.values()) == g.n, spec
+        assert n == sum(degrees.values()) == g.n, spec
+        # the ranges export writes, flattened to edges, are the built graph's
+        assert [(v, w) for v, ws in later for w in ws] == [(v, w) for v, ws in _later_neighbors(g) for w in ws], spec
 
 
-def test_family_bad_arguments_keep_the_builders_messages(capsys):
+def test_jaco_histograms_build_no_graph(monkeypatch):
+    # read off the word in O(n) bytes, so the edge guard, which refuses
+    # building jaco:6000 (6 875 826 edges), does not refuse its histogram
+    def refuse(spec):
+        raise AssertionError(f"{spec} built its graph")
+
+    monkeypatch.setattr("jacograph.cli.graph_for_spec", refuse)
+    for n in [*range(1, 61), 6000]:
+        assert counts_for_spec(f"jaco:{n}") == underlying_degree_counts(n), n
+    with pytest.raises(SpecError) as refused:
+        counts_for_spec("jaco:0")
+    assert str(refused.value) == "graph spec 'jaco:0': n must be >= 1, got 0"
+
+
+def test_family_bad_arguments_keep_the_builders_messages(capsys, monkeypatch):
     for spec, message in (
         ("path:0", "path needs n >= 1, got 0"),
         ("cycle:2", "cycle needs n >= 3, got 2"),
@@ -226,7 +243,12 @@ def test_family_bad_arguments_keep_the_builders_messages(capsys):
         ("biclique:2:3", "complete bipartite needs n >= m >= 1, got (2, 3)"),
         ("biclique:2:0", "complete bipartite needs n >= m >= 1, got (2, 0)"),
     ):
-        assert run_cli(capsys, "metric", "irr", spec) == (2, "", f"error: graph spec {spec!r}: {message}\n")
+        for command in (("metric", "irr"), ("export",)):
+            assert run_cli(capsys, *command, spec) == (2, "", f"error: graph spec {spec!r}: {message}\n"), command
+    # a builder that takes what the degree table refuses is a program fault
+    monkeypatch.setattr("jacograph.cli.graph_for_spec", lambda spec: None)
+    with pytest.raises(AssertionError, match="'cycle:2'"):
+        counts_for_spec("cycle:2")
 
 
 def test_metric_too_large_exits_2(capsys):

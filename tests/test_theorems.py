@@ -56,6 +56,20 @@ def sorted_pair_sum(ws):
     return sum(w * (2 * k - 1 - len(ws)) for k, w in enumerate(ws, 1))
 
 
+def clear_union_caches():
+    theorems._oracle_counts.cache_clear()
+    theorems._formula_tail.cache_clear()
+    theorems._formula_totals.cache_clear()
+
+
+@pytest.fixture
+def fresh_union_caches():
+    """Empty the process-wide union caches before and after a test that patches a name they call."""
+    clear_union_caches()
+    yield
+    clear_union_caches()
+
+
 # -- growth recursions -------------------------------------------------------
 
 
@@ -89,10 +103,10 @@ def test_growth_checks_pit_the_oracle_against_the_recursion():
     assert (rec.lhs, rec.rhs, rec.matched) == (322, 322, True)
 
 
-def test_growth_oracle_catches_a_formula_side_off_by_one(monkeypatch, capsys):
-    # The oracle reads no metric cache: a cache one too high must turn every
-    # growth record red, and verify's exit code with it.
-    monkeypatch.setattr(theorems, "_jaco_metric", lambda x, kind: underlying_metric(x, kind) + 1)
+def test_growth_oracle_catches_a_formula_side_off_by_one(monkeypatch, capsys, fresh_union_caches):
+    # The oracle reads no metric of J*_n: a formula side one too high must
+    # turn every growth record red, and verify's exit code with it.
+    monkeypatch.setattr(theorems, "underlying_metric", lambda x, kind: underlying_metric(x, kind) + 1)
     report = verify_sweep(["thm21", "thm31"], (2, 60))
     assert report.counts == {"thm21": [59, 59], "thm31": [59, 59]}
     for rec in report.records:
@@ -147,6 +161,26 @@ def test_a_growth_sweep_starts_one_walk_per_kind(monkeypatch):
     report = verify_sweep(["thm21", "thm31"], (2, 300))
     assert report.all_matched and report.counts == {"thm21": [299, 0], "thm31": [299, 0]}
     assert sorted(starts) == ["firr", "irr"]
+
+
+def test_growth_checks_keep_nothing_per_n(monkeypatch, fresh_union_caches):
+    # each check reads the value of J*_n from underlying_metric, so a second
+    # identical sweep calls it as often as the first, and no cache of the
+    # module gains an entry
+    calls = []
+
+    def counted(n, kind):
+        calls.append(kind)
+        return underlying_metric(n, kind)
+
+    monkeypatch.setattr(theorems, "underlying_metric", counted)
+    caches = [theorems._oracle_counts, theorems._formula_tail, theorems._formula_totals, theorems._built_graph]
+    caches += [theorems._built_union, theorems._thm33_union_terms]
+    held = [c.cache_info().currsize for c in caches]
+    for sweeps in (1, 2):
+        assert verify_sweep(["thm21", "thm31"], (2, 60)).all_matched
+        assert (calls.count("irr"), calls.count("firr"), len(calls)) == (59 * sweeps, 59 * sweeps, 118 * sweeps)
+    assert [c.cache_info().currsize for c in caches] == held
 
 
 def test_growth_formula_side_does_not_depend_on_the_call_order(monkeypatch):
@@ -313,14 +347,15 @@ def test_union_records_match_the_double_loop_up_to_60():
                 assert got == union_reference(theorem, n, m), (theorem, n, m)
 
 
-def test_union_lhs_never_reads_the_memo(monkeypatch):
-    # a metric cache that answers 0 moves only the formula side, by exactly
-    # the 2 (M_n + M_m) it drops for n > m, and to 0 for n = m
+def test_union_lhs_never_reads_the_memo(monkeypatch, fresh_union_caches):
+    # a formula side's metric that answers 0 moves only the formula side, by
+    # exactly the 2 (M_n + M_m) it drops for n > m, and to 0 for n = m
     clean = {}
     for n, m in ((9, 4), (6, 6), (7, 1)):
         for theorem, kind in (("thm32", "irr"), ("cor31", "firr")):
             clean[theorem, n, m] = theorems._union_check(theorem, n, m, kind)
-    monkeypatch.setattr(theorems, "_jaco_metric", lambda x, kind: 0)
+    monkeypatch.setattr(theorems, "underlying_metric", lambda x, kind: 0)
+    clear_union_caches()
     for n, m in ((9, 4), (6, 6), (7, 1)):
         for theorem, kind, weight in (("thm32", "irr", lambda d: d), ("cor31", "firr", fib)):
             metric = {x: pair_sum_naive([weight(d) for d in underlying_degrees(x)]) for x in (n, m)}
@@ -340,11 +375,6 @@ def test_union_sweep_looks_up_no_weight(monkeypatch):
     report = verify_sweep(["thm32", "cor31"], (2, 40), (1, 40))
     assert report.total == 2 * sum(range(2, 41))
     assert report.all_matched
-
-
-def clear_union_caches():
-    theorems._oracle_counts.cache_clear()
-    theorems._formula_graph.cache_clear()
 
 
 def test_union_sweep_builds_no_degree_sequence(monkeypatch):
@@ -401,16 +431,17 @@ def test_union_checks_do_not_depend_on_the_order_of_the_instances():
         assert check(n, m).as_dict() == in_order[check, n, m], (check, n, m)
 
 
-def test_union_sides_read_their_own_histograms(monkeypatch):
+def test_union_sides_read_their_own_histograms(monkeypatch, fresh_union_caches):
     # a fault in the formula side's bands moves only the right side
     clean = {(n, m): thm32_check(n, m) for n, m in ((9, 4), (30, 12))}
+    tail = theorems._tail
 
     def faulty(x):
-        g = theorems._FormulaGraph(x)
-        g.tail = bytes([g.tail[0] + 1]) + g.tail[1:]  # one more tail vertex of degree k
-        return g
+        k, lo, counts = tail(x)
+        return k, lo, bytes([counts[0] + 1]) + counts[1:]  # one more tail vertex of degree k
 
-    monkeypatch.setattr(theorems, "_formula_graph", faulty)
+    monkeypatch.setattr(theorems, "_tail", faulty)
+    clear_union_caches()
     for (n, m), rec in clean.items():
         moved = thm32_check(n, m)
         assert moved.lhs == rec.lhs and moved.rhs != rec.rhs
@@ -442,7 +473,7 @@ def test_correction_sum_is_the_bipartite_loop_up_to_40():
     for kind, weight in (("irr", int), ("firr", fib)):
         for n in range(1, 41):
             ws = [weight(d) for d in underlying_degrees(n)]
-            e, w, *_ = theorems._formula_graph(n).totals(kind)
+            _, e, w, *_ = theorems._formula_totals(n, kind)
             assert e + w == sum(ws)  # the tail's weight plus the head's
             for m in range(1, n + 1):
                 cut = max(underlying_degrees(m))
