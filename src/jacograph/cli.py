@@ -11,17 +11,20 @@ by the format's separator, the value and the reported value; every weight
 string, d or f_d, is made once per degree before the first row, and text,
 csv and json only lay the cells out.  A row's weights are read off the
 graph's shape, its head a prefix of one string and its tail one or two
-labels per degree by the tail's counts, with no per-vertex degree.  Each
-row's value follows from the row before by the growth recursion
+labels per degree by the tail's counts, picked at C speed from a list that
+holds each label twice, with no per-vertex degree.  Each row's value
+follows from the row before by the growth recursion
 (``jaco.underlying_metrics``), in O(1) big-integer operations; the text
 format's width row is the one value computed on its own.  JSON rows come
 from a fixed template, byte-equal to what ``json.dumps`` writes.
 
-``export`` writes a chunk per vertex.  A Jaco graph or a named family is
-never built: each vertex's later neighbors are a range read off its shape,
-so its export runs in the memory of one chunk, and one above the edge
-guard is refused before any work in its size.  An edge-list file is built
-once no vertex id in it is above the guard, so its export holds the graph.
+``export`` writes a chunk per block of consecutive vertices, a few thousand
+edges each.  A Jaco graph or a named family is never built: each vertex's
+later neighbors are a range read off its shape, and a path's or a cycle's
+edges a pair of ranges per block, so its export runs in the memory of one
+block, and one above the edge guard is refused before any work in its
+size.  An edge-list file is built once no vertex id in it is above the
+guard, so its export holds the graph.
 ``verify`` keeps no record: it counts them, and for its JSON report spools
 them to a temporary file, so the report's header, which says whether all
 matched, can come first.  ``--out`` is opened before the first check runs.
@@ -32,10 +35,14 @@ and one ``error:`` line.
 Start-up is most of a run on a small graph, and every module imported is
 compiled when no bytecode cache is written, so a module that only some runs
 use is imported inside the function that uses it: ``theorems`` in
-``verify``, ``json`` in the JSON writers, ``decimal`` for the firr and
-firrpm values of ``metric``.  A ``metric``, ``table`` or ``export`` run
-loads this module, ``graphs``, ``fibonacci``, ``irregularity`` and ``jaco``
-alone, and no ``dataclasses``.
+``verify``; ``graphs`` in ``export`` and to build an edge-list file's graph;
+``irregularity`` for the kernel, which the metrics of a family or a file
+run, and ``jaco`` for firr and firrpm; ``json`` in the JSON writers;
+``decimal`` for the firr and firrpm values of ``metric``.  So ``table`` and
+``metric irr jaco:N`` load this module, ``jaco`` and ``fibonacci`` alone,
+``metric firr|firrpm jaco:N`` and a firr table's text width row add
+``irregularity``, ``export`` adds ``graphs``, and none loads
+``dataclasses``.
 """
 
 from __future__ import annotations
@@ -48,33 +55,17 @@ from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
 from functools import partial
-from itertools import accumulate, chain, repeat
-from operator import getitem
+from itertools import accumulate, chain, compress, repeat
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import THEOREM_IDS
 from .fibonacci import fib
-from .graphs import (
-    DEFAULT_EDGE_GUARD,
-    LaterNeighbors,
-    SimpleGraph,
-    _later_neighbors,
-    _parse_edge_list,
-    complete_bipartite,
-    cycle,
-    dot_chunks,
-    edge_list_chunks,
-    from_edge_list,
-    json_chunks,
-    path,
-    star,
-)
-from .irregularity import degree_histogram, pair_sum_histogram
-from .jaco import _tail, out_degree, underlying_degree_counts, underlying_graph, underlying_later_neighbors
-from .jaco import underlying_metric, underlying_metrics
+from .jaco import _tail, out_degree, underlying_degree_counts, underlying_later_neighbors, underlying_metric
+from .jaco import underlying_metrics
 
 if TYPE_CHECKING:
+    from .graphs import LaterNeighbors, SimpleGraph
     from .theorems import CheckRecord, VerifyReport
 
 __all__ = ["main"]
@@ -86,8 +77,13 @@ __all__ = ["main"]
 REPORTED_IRR = {1: 0, 2: 0, 3: 2, 4: 4, 5: 8, 6: 14, 7: 26, 8: 42, 9: 60, 10: 86, 11: 116, 12: 149}
 REPORTED_FIRR = {1: 0, 2: 0, 3: 0, 4: 0, 5: 4, 6: 9, 7: 20, 8: 54, 9: 70, 10: 133, 11: 224, 12: 322}
 
-# The builder of each named family; biclique takes two arguments, the others one.
-_FAMILIES = dict(jaco=underlying_graph, path=path, cycle=cycle, star=star, biclique=complete_bipartite)
+# The name of each named family's builder, in ``jaco`` for jaco and in
+# ``graphs`` for the others; biclique takes two arguments, the others one.
+_FAMILIES = dict(jaco="underlying_graph", path="path", cycle="cycle", star="star", biclique="complete_bipartite")
+
+# The most vertices in one run of a path's edges, or leaves in one of a
+# star's, so that one block of ``export`` holds a few thousand lines.
+_RUN = 4096
 
 
 class SpecError(ValueError):
@@ -132,17 +128,22 @@ def _family(spec: str, kind: str, args: list[int]) -> tuple[int, dict[int, int],
     n = args[0]
     if kind == "path" and n >= 1:
         degrees = {0: 1} if n == 1 else {1: 2} if n == 2 else {1: 2, 2: n - 2}
-        return n, degrees, zip(range(1, n), zip(range(2, n + 1)))  # (i, (i + 1,))
+        return n, degrees, _steps(1, n)
     if kind == "cycle" and n >= 3:
-        return n, {2: n}, chain([(1, (2, n))], zip(range(2, n), zip(range(3, n + 1))))
+        return n, {2: n}, chain([(1, (2, n))], _steps(2, n))
     m = args[1] if kind == "biclique" else 1  # a star with n leaves has the degrees of biclique n, 1
     if kind in ("star", "biclique") and n >= m >= 1:
         degrees = {n: 2 * n} if n == m else {m: n, n: m}
-        if kind == "star":  # the center's leaves in ranges of 4096, a chunk each, so no chunk holds all its edges
-            return n + 1, degrees, ((1, range(a, min(a + 4096, n + 2))) for a in range(2, n + 2, 4096))
+        if kind == "star":  # the center's leaves in runs, so no block of export holds all its edges
+            return n + 1, degrees, ((1, range(a, min(a + _RUN, n + 2))) for a in range(2, n + 2, _RUN))
         return n + m, degrees, zip(range(1, n + 1), repeat(range(n + 1, n + m + 1)))
     graph_for_spec(spec)
     raise AssertionError(f"graph spec {spec!r}: its builder takes arguments that its degree table refuses")
+
+
+def _steps(lo: int, hi: int) -> LaterNeighbors:
+    """The edges {v, v + 1} for v = lo..hi - 1, as runs of consecutive vertices (see ``graphs.LaterNeighbors``)."""
+    return ((range(a, min(a + _RUN, hi)), range(a + 1, min(a + _RUN, hi) + 1)) for a in range(lo, hi, _RUN))
 
 
 @contextmanager
@@ -162,11 +163,13 @@ def graph_for_spec(spec: str) -> SimpleGraph:
     message.  An edge-list file naming a vertex id above the edge guard is
     refused before the graph is built, as a Jaco graph above it is.
     """
+    from . import graphs, jaco
+
     kind, args = _parse_spec(spec)
     with _spec_errors(spec):
         if kind == "file":
-            return from_edge_list(Path(args).read_text(encoding="utf-8"))
-        return _FAMILIES[kind](*args)
+            return graphs.from_edge_list(Path(args).read_text(encoding="utf-8"))
+        return getattr(jaco if kind == "jaco" else graphs, _FAMILIES[kind])(*args)
 
 
 def _edge_list_counts(text: str) -> list[int]:
@@ -177,6 +180,9 @@ def _edge_list_counts(text: str) -> list[int]:
     that of the edges, not of the largest id.  Refuses what
     :func:`~jacograph.graphs.from_edge_list` refuses, with its messages.
     """
+    from .graphs import _parse_edge_list
+    from .irregularity import degree_histogram
+
     top, edges = _parse_edge_list(text)
     seen: set[tuple[int, int]] = set()
     for edge in edges:
@@ -205,29 +211,40 @@ def counts_for_spec(spec: str) -> list[int]:
     return counts
 
 
+# Translate tables: a tail count -> 1 if it lists its label at least once, at least twice.
+_ONCE = bytes([0]) + b"\x01" * 255
+_TWICE = bytes([0, 0]) + b"\x01" * 254
+
+
 def _row_weights(kind: str, n_max: int, sep: str) -> Callable[[int], str]:
     """Row i -> its weights, d (irr) or f_d (firr), joined by ``sep``, for i = 1..n_max.
 
-    Each weight string, and the string of it twice over with ``sep``
-    between, is made once per degree, for the degrees 0..G(n_max + 1) - 1 of
-    the graph on n_max vertices, whose largest degree is the largest of
-    every row up to it.  Row i lists its head degrees 1..k, a prefix of one
-    string of every head label, cut after the separator that follows label
-    k.  Its tail follows, per degree from the top down to lo: the label
-    once or twice by the degree's ``jaco._tail`` count, 1 or 2 but at the
-    top, where a 0 is stripped first, joined at C speed.
+    Each weight string is made once per degree, for the degrees
+    0..G(n_max + 1) - 1 of the graph on n_max vertices, whose largest degree
+    is the largest of every row up to it.  Row i lists its head degrees
+    1..k, a prefix of one string of every head label, cut after the
+    separator that follows label k.  Its tail follows, per degree from the
+    top down to lo: the label once or twice by the degree's ``jaco._tail``
+    count, 1 or 2 but at the top, where a 0 is stripped first.  One list
+    holds a reference to each label twice, top down, and the tail is the
+    slice of it from the top to lo, compressed at C speed by the counts:
+    the first copy of a label is kept for a count of 1 or more, the second
+    for a count of 2.
     """
     degrees = range(out_degree(n_max + 1))
     labels = list(map(str, degrees if kind == "irr" else map(fib, degrees)))
     heads = sep.join(labels[1:]) + sep
     ends = [0, *accumulate(len(label) + len(sep) for label in labels[1:])]
-    pick = (None, labels, [label + sep + label for label in labels])  # by tail count
+    doubled = [""] * (2 * len(labels))  # degree d at 2 (len(labels) - 1 - d) and the place after
+    doubled[::2] = doubled[1::2] = labels[::-1]
 
     def weights(i: int) -> str:
         k, lo, tail = _tail(i)
         counts = tail.lstrip(b"\x00")
-        top = lo + len(counts) - 1
-        return heads[: ends[k]] + sep.join(map(getitem, map(pick.__getitem__, counts), range(top, lo - 1, -1)))
+        picks = bytearray(2 * len(counts))
+        picks[::2], picks[1::2] = counts.translate(_ONCE), counts.translate(_TWICE)
+        end = len(doubled) - 2 * lo
+        return heads[: ends[k]] + sep.join(compress(doubled[end - len(picks) : end], picks))
 
     return weights
 
@@ -341,6 +358,8 @@ def _cmd_metric(args: argparse.Namespace) -> int:
     if kind == "jaco" and spec_args[0] >= 1:
         value = partial(underlying_metric, spec_args[0], args.kind)  # no histogram
     else:  # a bad spec fails here, before --out is opened
+        from .irregularity import pair_sum_histogram
+
         value = partial(pair_sum_histogram, counts_for_spec(args.spec), args.kind)
 
     def chunks() -> Iterator[str]:  # the kernel runs once --out is open
@@ -412,6 +431,8 @@ def _later_neighbors_for_spec(spec: str) -> tuple[int, LaterNeighbors]:
     work in its size, a family's edge count being half the degree sum of
     its table in :func:`_family`.  Only an edge-list file builds the graph.
     """
+    from .graphs import DEFAULT_EDGE_GUARD, _later_neighbors
+
     kind, args = _parse_spec(spec)
     if kind == "file":
         g = graph_for_spec(spec)
@@ -427,6 +448,8 @@ def _later_neighbors_for_spec(spec: str) -> tuple[int, LaterNeighbors]:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
+    from .graphs import dot_chunks, edge_list_chunks, json_chunks
+
     chunks = {"dot": dot_chunks, "edgelist": edge_list_chunks, "json": json_chunks}[args.format]
     return _write_output(chunks(*_later_neighbors_for_spec(args.spec)), args.out)
 

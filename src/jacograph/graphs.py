@@ -4,7 +4,7 @@ Graphs are immutable once constructed and safe to share across threads.
 Provides the families the irregularity metrics are tested on (path, cycle,
 star, complete bipartite), the disjoint union, the edge-joint (disjoint
 union plus one bridging edge), and DOT / edge-list / JSON serialization,
-whole or a vertex at a time.
+whole or a block of consecutive vertices at a time.
 """
 
 from __future__ import annotations
@@ -205,40 +205,68 @@ def _later_neighbors(g: SimpleGraph) -> Iterator[tuple[int, tuple[int, ...]]]:
             yield v, later
 
 
-# The chunk writers take a graph as its vertex count n and the pairs (v, the
-# ascending neighbors w > v of v) for each vertex v that has one, by v, as
-# _later_neighbors yields them, or split over consecutive pairs of one v; a
-# Jaco graph's pairs, and a named family's, come from its shape.
-LaterNeighbors = Iterable[tuple[int, Sequence[int]]]
+# The chunk writers take a graph as its vertex count n and its edges in
+# lexicographic order as runs: (v, the ascending neighbors w > v of v), for
+# one vertex v that has one, as _later_neighbors yields them, or (vs, ws), two
+# ranges of one length, the edges {vs[j], ws[j]}, for a block of vertices
+# that have one later neighbor each, as a path's.  A Jaco graph's runs, and a
+# named family's, come from its shape.
+LaterNeighbors = Iterable[tuple[int | range, Sequence[int]]]
+
+# Each chunk holds about this many lines, a few dozen KB of text, whatever
+# the vertex count: the runs of consecutive vertices up to this many edges,
+# or this many of DOT's vertex lines.
+_BLOCK_LINES = 4096
+
+
+def _edge_blocks(runs: LaterNeighbors, lead: str, mid: str, end: str) -> Iterator[str]:
+    """The line lead + v + mid + w + end of each edge, a block of at least ``_BLOCK_LINES`` at a time but the last.
+
+    A vertex's run is one join of its neighbors, a block of vertices' run
+    one format per edge, each at C speed.
+    """
+    each = f"{lead}{{}}{mid}{{}}{end}".format
+    texts: list[str] = []
+    edges = 0
+    for vs, ws in runs:
+        if isinstance(vs, int):
+            head = f"{lead}{vs}{mid}"
+            texts.append(head + (end + head).join(map(str, ws)) + end)
+        else:
+            texts.append("".join(map(each, vs, ws)))
+        edges += len(ws)
+        if edges >= _BLOCK_LINES:
+            yield "".join(texts)
+            texts, edges = [], 0
+    if texts:
+        yield "".join(texts)
 
 
 def dot_chunks(n: int, later_neighbors: LaterNeighbors) -> Iterator[str]:
-    """:func:`to_dot` a chunk at a time: the header, each vertex, each vertex's edges to later ones, the end."""
+    """:func:`to_dot` a chunk at a time: the header, the vertices and the edges in blocks, the end."""
     yield "graph G {\n"
-    for v in range(1, n + 1):
-        yield f"  {v};\n"
-    for v, later in later_neighbors:
-        yield f"  {v} -- " + f";\n  {v} -- ".join(map(str, later)) + ";\n"
+    for a in range(1, n + 1, _BLOCK_LINES):
+        yield "  " + ";\n  ".join(map(str, range(a, min(a + _BLOCK_LINES, n + 1)))) + ";\n"
+    yield from _edge_blocks(later_neighbors, "  ", " -- ", ";\n")
     yield "}\n"
 
 
 def edge_list_chunks(n: int, later_neighbors: LaterNeighbors) -> Iterator[str]:
-    """:func:`to_edge_list` a chunk at a time: the lines of each vertex's edges to later ones."""
-    for v, later in later_neighbors:
-        yield f"{v} " + f"\n{v} ".join(map(str, later)) + "\n"
+    """:func:`to_edge_list` a chunk at a time: the lines of a block of consecutive vertices' edges to later ones."""
+    return _edge_blocks(later_neighbors, "", " ", "\n")
 
 
 def json_chunks(n: int, later_neighbors: LaterNeighbors) -> Iterator[str]:
-    """JSON text of the graph a chunk at a time, each vertex's edges to later ones in one.
+    """JSON text of the graph a chunk at a time, a block of consecutive vertices' edges to later ones in one.
 
     The chunks join to json.dumps({"n": n, "edges": [[v, w] for each edge
     v < w in lexicographic order]}, sort_keys=True) + "\\n".
     """
     yield '{"edges": ['
-    sep = "["
-    for v, later in later_neighbors:
-        yield f"{sep}{v}, " + f"], [{v}, ".join(map(str, later)) + "]"
-        sep = ", ["
+    skip = 2  # each edge is led by ", " but the first
+    for block in _edge_blocks(later_neighbors, ", [", ", ", "]"):
+        yield block[skip:]
+        skip = 0
     yield f'], "n": {n}}}\n'
 
 

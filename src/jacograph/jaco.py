@@ -33,7 +33,10 @@ Every degree query therefore comes straight from n with no stored data.
 interval sweep; it is the definition the closed form is tested against.
 Adjacency is materialized only by :func:`underlying_graph`;
 :func:`underlying_later_neighbors` yields each vertex's later neighbors as a
-range, so the graph can be written out without it.
+range, so the graph can be written out without it.  ``graphs`` and
+``irregularity`` are imported inside the functions that use them (the
+graph, its edge guard, the band's kernel), so a run that asks only for
+degrees, tails or irr values loads neither.
 
 The edge count in O(log n)
 --------------------------
@@ -136,10 +139,10 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator
 from itertools import chain
 from math import isqrt
-from typing import Any, NamedTuple
+from typing import TYPE_CHECKING, Any, NamedTuple
 
-from .graphs import DEFAULT_EDGE_GUARD, SimpleGraph
-from .irregularity import pair_sum_unit_head
+if TYPE_CHECKING:
+    from .graphs import SimpleGraph
 
 __all__ = [
     "JacoProfile",
@@ -292,6 +295,8 @@ def underlying_metric(n: int, kind: str, one: Any = 1) -> Any:
         raise ValueError(f"unknown metric kind {kind!r}")
     if n == 1:
         return 0 * one
+    from .irregularity import pair_sum_unit_head
+
     return pair_sum_unit_head(*_band(n), kind, one)
 
 
@@ -470,6 +475,8 @@ def underlying_later_neighbors(n: int) -> Iterator[tuple[int, range]]:
     exceed ``DEFAULT_EDGE_GUARD``; degree based computations should use
     :func:`underlying_degrees`, which stays O(n), instead.
     """
+    from .graphs import DEFAULT_EDGE_GUARD
+
     edges = _edge_count(n)  # exact, in O(log n)
     if edges > DEFAULT_EDGE_GUARD:
         raise ValueError(
@@ -486,6 +493,8 @@ def underlying_graph(n: int) -> SimpleGraph:
 
     Refused above the edge guard as :func:`underlying_later_neighbors` is.
     """
+    from .graphs import SimpleGraph
+
     later_neighbors = underlying_later_neighbors(n)  # refuses before any O(n) work
     adj: list[list[int]] = [[] for _ in range(n + 1)]
     for i, out in later_neighbors:

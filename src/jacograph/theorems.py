@@ -16,10 +16,12 @@ The oracles:
   added edge, the graphs kept as said below): for lemma31 the union and
   the graph joined at the first vertices, for thm33 the graph joined at v_i.
 * ``thm32``/``cor31``: the histogram kernel on the sum of the two
-  word-built histograms (``underlying_degree_counts``).  The formula side
-  reads the same word, through ``jaco._tail`` into its own cache, and its
-  correction sum is its own formula, not the kernel; but a fault in the
-  word that moved both sides alike would still go unseen here.
+  graphs' histograms, each counted from the ``isqrt`` degrees
+  (``degree_histogram`` of ``underlying_degrees``), not read off the
+  Fibonacci word.  The formula side reads the word, through ``jaco._tail``
+  into its own cache, so a fault in the word moves only the right side:
+  for cor31 at n = m, 4 firr(J*_n) against the kernel on twice the true
+  histogram.  The kernel itself is shared with ``underlying_metric``.
 
 Check ids
 ---------
@@ -91,9 +93,10 @@ built afresh for every instance.
 
 What is kept across instances, and by which side.  Only the union
 statements keep Jaco graphs, in process-wide caches, the same policy as
-:func:`fib`; each side fills its own by its own reading of the word.
+:func:`fib`; each side fills its own from its own degree source.
 ``_oracle_counts`` holds the left side's histogram, one byte per degree
-(every count is at most 3), about 0.62 x bytes for J*_x.  The formula side
+(every count is at most 3), about 0.62 x bytes for J*_x, counted once per
+graph from its O(x) ``isqrt`` degrees.  The formula side
 keeps one record per graph and one per graph and kind, each made on first
 use: ``_formula_tail`` holds k_x, lo_x and the tail's counts, one byte per
 degree, about 0.24 x bytes; ``_formula_totals`` holds M_x, E_x and W(k_x),
@@ -151,6 +154,7 @@ from .fibonacci import fib, fib_pair
 from .graphs import SimpleGraph, _with_edge, degree_sequence, disjoint_union
 from .irregularity import (
     add_histograms,
+    degree_histogram,
     pair_sum_by_rank,
     pair_sum_histogram,
     shifted_fibonacci_sum,
@@ -278,12 +282,12 @@ class VerifyReport:
 
 
 # The oracle side's histograms of J*_x, kept for the process.
-# ``underlying_degree_counts`` is looked up on this module when called, as
-# :func:`_built_graph` looks up ``underlying_graph``.
+# ``underlying_degrees`` and ``degree_histogram`` are looked up on this module
+# when called, as :func:`_built_graph` looks up ``underlying_graph``.
 @cache
 def _oracle_counts(n: int) -> bytes:
-    """The word-built histogram of J*_n, one byte per degree (every count is at most 3)."""
-    return bytes(underlying_degree_counts(n))
+    """The histogram of J*_n's ``isqrt`` degrees, one byte per degree (every count is at most 3)."""
+    return bytes(degree_histogram(underlying_degrees(n)))
 
 
 # The formula side's J*_x, kept for the process in two caches; neither side

@@ -9,9 +9,13 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
+from itertools import repeat
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import jacograph
 from jacograph import (
@@ -50,6 +54,12 @@ def run_module(*argv):
     return subprocess.run(
         [sys.executable, "-m", "jacograph", *argv], capture_output=True, text=True, env=module_env()
     )
+
+
+def edges_of(runs):
+    """The edges (v, w) that export's runs name (see ``graphs.LaterNeighbors``), in order."""
+    for vs, ws in runs:
+        yield from zip(repeat(vs) if isinstance(vs, int) else vs, ws)
 
 
 def run_cli(capsys, *argv):
@@ -218,7 +228,7 @@ def test_family_histograms_are_those_of_the_built_graphs(monkeypatch):
         assert sum(d * c for d, c in degrees.items()) // 2 == g.edge_count, spec
         assert n == sum(degrees.values()) == g.n, spec
         # the ranges export writes, flattened to edges, are the built graph's
-        assert [(v, w) for v, ws in later for w in ws] == [(v, w) for v, ws in _later_neighbors(g) for w in ws], spec
+        assert list(edges_of(later)) == list(edges_of(_later_neighbors(g))), spec
 
 
 def test_jaco_histograms_build_no_graph(monkeypatch):
@@ -297,13 +307,13 @@ def test_metric_of_a_jaco_spec_builds_no_histogram(monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("built a histogram")
 
-    monkeypatch.setattr("jacograph.cli.pair_sum_histogram", refuse)
+    monkeypatch.setattr("jacograph.irregularity.pair_sum_histogram", refuse)
     for (kind, n), out in expected.items():
         if kind == "irr":  # no list at all: not even the band
             monkeypatch.setattr("jacograph.jaco._band", refuse)
         assert run_cli(capsys, "metric", kind, f"jaco:{n}") == (0, out, ""), (kind, n)
         monkeypatch.undo()
-        monkeypatch.setattr("jacograph.cli.pair_sum_histogram", refuse)
+        monkeypatch.setattr("jacograph.irregularity.pair_sum_histogram", refuse)
 
 
 def test_metric_irr_leaves_decimal_unimported():
@@ -319,14 +329,16 @@ def test_metric_irr_leaves_decimal_unimported():
 
 
 # Runs main(argv) in a fresh process, its output to devnull, and prints which
-# of the modules a metric, table or export run has no use for it loaded.
+# of the modules that only some runs use it loaded; cli, jaco and fibonacci
+# every run loads.
 IMPORT_SET = """
 import os, sys
 os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
 from jacograph.cli import main
 rc = main(sys.argv[1:])
 sys.stdout.flush()
-print(rc, *sorted({"jacograph.theorems", "dataclasses", "json"} & set(sys.modules)), file=sys.stderr)
+watched = {"jacograph.graphs", "jacograph.irregularity", "jacograph.theorems", "dataclasses", "json"}
+print(rc, *sorted(watched & set(sys.modules)), file=sys.stderr)
 """
 
 
@@ -334,12 +346,15 @@ print(rc, *sorted({"jacograph.theorems", "dataclasses", "json"} & set(sys.module
     "argv, loaded",
     [
         ("metric irr jaco:1", ""),
-        ("metric firr jaco:100", ""),
+        ("metric firr jaco:100", "jacograph.irregularity"),
+        ("metric firrpm jaco:100", "jacograph.irregularity"),
+        ("metric irr path:30", "jacograph.irregularity"),
         ("table irr 30", ""),
         ("table firr 30 --format csv", ""),
-        ("export jaco:30", ""),
-        ("export star:30 --format json", ""),
-        ("verify thm21 thm32 --n 2..5", "jacograph.theorems"),
+        ("table firr 30", "jacograph.irregularity"),  # the text format's width row runs the kernel
+        ("export jaco:30", "jacograph.graphs"),
+        ("export star:30 --format json", "jacograph.graphs"),
+        ("verify thm21 thm32 --n 2..5", "jacograph.graphs jacograph.irregularity jacograph.theorems"),
         ("table irr 30 --format json", "json"),
     ],
 )
@@ -551,8 +566,8 @@ def test_export_refuses_a_family_above_the_edge_guard_at_once(monkeypatch, capsy
     def refuse(*args):
         raise AssertionError("built a graph above the edge guard")
 
-    for kind in ("path", "cycle", "star", "biclique"):
-        monkeypatch.setitem(jacograph.cli._FAMILIES, kind, refuse)
+    for builder in ("path", "cycle", "star", "complete_bipartite"):
+        monkeypatch.setattr(jacograph.graphs, builder, refuse)
     for spec, edges in (
         ("path:100000000", 99999999),
         ("cycle:100000000", 100000000),
@@ -577,7 +592,6 @@ def test_export_of_a_jaco_graph_builds_no_graph(monkeypatch, capsys, peak_rss_kb
     def refuse(n):
         raise AssertionError("export built a Jaco graph")
 
-    monkeypatch.setitem(jacograph.cli._FAMILIES, "jaco", refuse)
     monkeypatch.setattr(jacograph.jaco, "underlying_graph", refuse)
     for n, text in expected.items():
         assert run_cli(capsys, "export", f"jaco:{n}") == (0, text, "")
@@ -597,8 +611,8 @@ def test_export_of_a_named_family_builds_no_graph(monkeypatch, capsys, peak_rss_
     def refuse(*args):
         raise AssertionError("export built a named family")
 
-    for kind in ("path", "cycle", "star", "biclique"):
-        monkeypatch.setitem(jacograph.cli._FAMILIES, kind, refuse)
+    for builder in ("path", "cycle", "star", "complete_bipartite"):
+        monkeypatch.setattr(jacograph.graphs, builder, refuse)
     for spec, (edges, dot) in expected.items():
         assert run_cli(capsys, "export", spec) == (0, edges, ""), spec
         assert run_cli(capsys, "export", spec, "--format", "dot") == (0, dot, ""), spec
@@ -625,7 +639,7 @@ def test_export_refuses_a_jaco_spec_above_the_guard_under_its_spec(tmp_path, cap
 
 
 def test_export_edge_guard_boundary(monkeypatch, capsys):
-    monkeypatch.setattr("jacograph.cli.DEFAULT_EDGE_GUARD", 12)
+    monkeypatch.setattr("jacograph.graphs.DEFAULT_EDGE_GUARD", 12)
     for at_guard, above in (
         ("path:13", "path:14"),
         ("cycle:12", "cycle:13"),
@@ -820,13 +834,34 @@ def test_table_rows_build_no_degree_sequence(monkeypatch, capsys):
 
 @pytest.mark.parametrize("sep", [", ", ",", ",\n        "])
 @pytest.mark.parametrize("kind", ["irr", "firr"])
-def test_row_weights_join_each_tail_per_degree(kind, sep):
-    # every row up to 500, the zero-count top of the tail and J*_1 included,
-    # against the weights of the isqrt degrees
+@settings(max_examples=10, deadline=None)
+@given(st.integers(1, 5000).flatmap(lambda n: st.tuples(st.just(n), st.lists(st.integers(1, n), max_size=4))))
+@example((500, range(1, 501)))  # every row up to 500, the zero-count top of the tail and J*_1 included
+@example((5000, (1, 4999, 5000)))
+def test_row_weights_join_each_tail_per_degree(kind, sep, table):
+    # rows of a table of up to 5000, against the weights of the isqrt degrees
+    n_max, rows = table
     weight = str if kind == "irr" else (lambda d: str(fib(d)))
-    weights = _row_weights(kind, 500, sep)
-    for i in range(1, 501):
+    weights = _row_weights(kind, n_max, sep)
+    for i in rows:
         assert weights(i) == sep.join(map(weight, underlying_degrees(i))), i
+
+
+def test_row_weights_hold_each_label_once():
+    # The labels and the string of every head label, each about the label
+    # text, and a few words per degree; a string of each label doubled held
+    # twice the text more.  The Fibonacci cache is filled before tracing.
+    top = out_degree(5001)
+    text = sum(len(str(fib(d))) for d in range(top))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        weights = _row_weights("firr", 5000, ",")
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert weights(5000) == ",".join(str(fib(d)) for d in underlying_degrees(5000))
+    assert 2 * text < held < 2 * text + 20 * 8 * top
 
 
 @pytest.mark.parametrize("fmt, calls", [("csv", 0), ("json", 0), ("text", 1)])
@@ -854,8 +889,8 @@ def test_table_values_build_no_histogram(kind, monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("a table row built a degree histogram")
 
-    monkeypatch.setattr("jacograph.cli.pair_sum_histogram", refuse)
-    monkeypatch.setattr("jacograph.cli.degree_histogram", refuse)
+    monkeypatch.setattr("jacograph.irregularity.pair_sum_histogram", refuse)
+    monkeypatch.setattr("jacograph.irregularity.degree_histogram", refuse)
     assert run_cli(capsys, "table", kind, "300") == (0, expected, "")
 
 
@@ -924,7 +959,7 @@ def test_metric_unwritable_out_fails_before_the_kernel(tmp_path, capsys, monkeyp
     def refuse(*args):
         raise AssertionError("the kernel ran for a path that cannot be written")
 
-    monkeypatch.setattr("jacograph.cli.pair_sum_histogram", refuse)
+    monkeypatch.setattr("jacograph.irregularity.pair_sum_histogram", refuse)
     monkeypatch.setattr("jacograph.cli.underlying_metric", refuse)
     out_path = tmp_path / "missing" / "x"
     for spec in ("jaco:1000", "path:1000"):

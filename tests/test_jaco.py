@@ -311,7 +311,7 @@ def test_edge_count_matches_the_floor_sum_form():
 
 
 def test_underlying_graph_memory_guard(monkeypatch):
-    monkeypatch.setattr("jacograph.jaco.DEFAULT_EDGE_GUARD", 100)
+    monkeypatch.setattr("jacograph.graphs.DEFAULT_EDGE_GUARD", 100)
     with pytest.raises(ValueError):
         underlying_graph(1000)
 
@@ -342,10 +342,10 @@ def test_underlying_graph_guard_boundary(monkeypatch):
         edges = underlying_graph(n).edge_count
         k = out_degree(n + 1) - 1
         assert 4 * edges >= k * (k + 1), n
-        monkeypatch.setattr("jacograph.jaco.DEFAULT_EDGE_GUARD", edges)
+        monkeypatch.setattr("jacograph.graphs.DEFAULT_EDGE_GUARD", edges)
         assert underlying_graph(n).edge_count == edges
         if edges:
-            monkeypatch.setattr("jacograph.jaco.DEFAULT_EDGE_GUARD", edges - 1)
+            monkeypatch.setattr("jacograph.graphs.DEFAULT_EDGE_GUARD", edges - 1)
             with pytest.raises(ValueError):
                 underlying_graph(n)
         monkeypatch.undo()
@@ -361,7 +361,7 @@ def test_later_neighbors_off_the_shape_match_the_construction_sweep(monkeypatch)
     for n in (5117, 10**18):
         with pytest.raises(ValueError, match="above the guard of 5000000"):
             underlying_later_neighbors(n)
-    monkeypatch.setattr("jacograph.jaco.DEFAULT_EDGE_GUARD", 13)  # jaco:8 has 13 edges
+    monkeypatch.setattr("jacograph.graphs.DEFAULT_EDGE_GUARD", 13)  # jaco:8 has 13 edges
     assert sum(len(later) for _, later in underlying_later_neighbors(8)) == 13
     with pytest.raises(ValueError, match="underlying graph on 9 vertices has 16 edges"):
         underlying_later_neighbors(9)

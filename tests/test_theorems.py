@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import jacograph.jaco
 import jacograph.theorems as theorems
 from jacograph import (
     THEOREM_IDS,
@@ -377,24 +378,24 @@ def test_union_sweep_looks_up_no_weight(monkeypatch):
     assert report.all_matched
 
 
-def test_union_sweep_builds_no_degree_sequence(monkeypatch):
-    # the formula side reads word-built histograms and per-graph metrics only;
-    # the caches are emptied so that every histogram is built under the patch
+def test_union_sweep_builds_no_degree_sequence(monkeypatch, fresh_union_caches):
+    # the formula side reads word-built tails and per-graph metrics only; the
+    # oracle counts the isqrt degrees, so its histograms are made before the
+    # patch, and the formula side's tails and totals all under it
     def refuse(*args):
-        raise AssertionError("a union check built a per-vertex degree sequence")
+        raise AssertionError("a union check's formula side built a per-vertex degree sequence")
 
+    for x in range(1, 41):
+        theorems._oracle_counts(x)
     monkeypatch.setattr("jacograph.theorems.underlying_degrees", refuse)
-    # theorems no longer imports degree_histogram; the patch still refuses it
-    # should the name come back
-    monkeypatch.setattr("jacograph.theorems.degree_histogram", refuse, raising=False)
-    clear_union_caches()
+    monkeypatch.setattr("jacograph.theorems.degree_histogram", refuse)
     report = verify_sweep(["thm32", "cor31"], (1, 40), (1, 40))
     assert report.total == 2 * sum(range(1, 41))
     assert report.all_matched
 
 
 def test_union_sweep_builds_each_histogram_once_per_side(monkeypatch):
-    built = {"counts": [], "tail": []}
+    built = {"degrees": [], "tail": []}
 
     def counting(source, name):
         def build(n):
@@ -403,16 +404,16 @@ def test_union_sweep_builds_each_histogram_once_per_side(monkeypatch):
 
         return build
 
-    monkeypatch.setattr(theorems, "underlying_degree_counts", counting(underlying_degree_counts, "counts"))
+    monkeypatch.setattr(theorems, "underlying_degrees", counting(underlying_degrees, "degrees"))
     monkeypatch.setattr(theorems, "_tail", counting(theorems._tail, "tail"))
     clear_union_caches()
     report = verify_sweep(["thm32", "cor31"], (1, 40), (1, 40))
     clear_union_caches()
     assert report.total == 2 * sum(range(1, 41)) and report.all_matched
-    # the oracle's histograms of J*_1..J*_40 once each, and the formula's
+    # the oracle's degrees of J*_1..J*_40 once each, and the formula's
     # tails once each for both kinds; without the caches every instance
     # builds two of each
-    assert sorted(built["counts"]) == list(range(1, 41))
+    assert sorted(built["degrees"]) == list(range(1, 41))
     assert sorted(built["tail"]) == list(range(1, 41))
 
 
@@ -445,6 +446,31 @@ def test_union_sides_read_their_own_histograms(monkeypatch, fresh_union_caches):
     for (n, m), rec in clean.items():
         moved = thm32_check(n, m)
         assert moved.lhs == rec.lhs and moved.rhs != rec.rhs
+
+
+def test_a_vertex_moved_in_the_word_turns_cor31_red(monkeypatch, fresh_union_caches):
+    # the union oracle counts the isqrt degrees, so a fault in jaco._tail
+    # reaches the formula side alone: one tail vertex moved from the top
+    # nonzero count to the degree below, in every graph that has one to move
+    tail = jacograph.jaco._tail
+
+    def moved(x):
+        k, lo, counts = tail(x)
+        top = len(counts) - len(counts.lstrip(b"\x00"))
+        if top + 1 == len(counts):
+            return k, lo, counts
+        faulty = bytearray(counts)
+        faulty[top] -= 1
+        faulty[top + 1] += 1
+        return k, lo, bytes(faulty)
+
+    assert moved(40) != tail(40)
+    monkeypatch.setattr(jacograph.jaco, "_tail", moved)
+    monkeypatch.setattr(theorems, "_tail", moved)
+    report = verify_sweep(["cor31"], (2, 40), (1, 40))
+    assert report.counts["cor31"][1] > 0
+    # at n = m the kernel on twice the true histogram against four times the moved one's value
+    assert not cor31_check(40, 40).matched
 
 
 def explicit_tails(n, m):
