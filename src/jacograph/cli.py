@@ -19,12 +19,12 @@ format's width row is the one value computed on its own.  JSON rows come
 from a fixed template, byte-equal to what ``json.dumps`` writes.
 
 ``export`` writes a chunk per block of consecutive vertices, a few thousand
-edges each.  A Jaco graph or a named family is never built: each vertex's
-later neighbors are a range read off its shape, and a path's or a cycle's
-edges a pair of ranges per block, so its export runs in the memory of one
-block, and one above the edge guard is refused before any work in its
-size.  An edge-list file is built once no vertex id in it is above the
-guard, so its export holds the graph.
+edges each, and builds no graph.  A Jaco graph's or a named family's later
+neighbors are ranges read off its shape, a path's edges one pair of
+ranges, so its export runs in the memory of one block, and one above the
+edge guard is refused before any work in its size.  An edge-list file's
+are gathered from its parsed edges once no vertex id in it is above the
+guard, so its export holds the edges, not a list per id.
 ``verify`` keeps no record: it counts them, and for its JSON report spools
 them to a temporary file, so the report's header, which says whether all
 matched, can come first.  ``--out`` is opened before the first check runs.
@@ -35,14 +35,14 @@ and one ``error:`` line.
 Start-up is most of a run on a small graph, and every module imported is
 compiled when no bytecode cache is written, so a module that only some runs
 use is imported inside the function that uses it: ``theorems`` in
-``verify``; ``graphs`` in ``export`` and to build an edge-list file's graph;
-``irregularity`` for the kernel, which the metrics of a family or a file
-run, and ``jaco`` for firr and firrpm; ``json`` in the JSON writers;
-``decimal`` for the firr and firrpm values of ``metric``.  So ``table`` and
-``metric irr jaco:N`` load this module, ``jaco`` and ``fibonacci`` alone,
-``metric firr|firrpm jaco:N`` and a firr table's text width row add
-``irregularity``, ``export`` adds ``graphs``, and none loads
-``dataclasses``.
+``verify``; ``graphs`` in ``export``, to parse an edge-list file and for a
+family's refusal message; ``irregularity`` for the kernel, which the
+metrics of a family or a file run, and ``jaco`` for firr and firrpm;
+``json`` in the JSON writers; ``decimal`` for the firr and firrpm values of
+``metric``.  So ``table`` and ``metric irr jaco:N`` load this module,
+``jaco`` and ``fibonacci`` alone, ``metric firr|firrpm jaco:N`` and a firr
+table's text width row add ``irregularity``, ``export`` adds ``graphs``,
+and none loads ``dataclasses``.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ import argparse
 import os
 import sys
 import tempfile
-from collections import Counter
+from collections import Counter, defaultdict
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
 from functools import partial
@@ -65,7 +65,7 @@ from .jaco import _tail, out_degree, underlying_degree_counts, underlying_later_
 from .jaco import underlying_metrics
 
 if TYPE_CHECKING:
-    from .graphs import LaterNeighbors, SimpleGraph
+    from .graphs import LaterNeighbors
     from .theorems import CheckRecord, VerifyReport
 
 __all__ = ["main"]
@@ -77,13 +77,9 @@ __all__ = ["main"]
 REPORTED_IRR = {1: 0, 2: 0, 3: 2, 4: 4, 5: 8, 6: 14, 7: 26, 8: 42, 9: 60, 10: 86, 11: 116, 12: 149}
 REPORTED_FIRR = {1: 0, 2: 0, 3: 0, 4: 0, 5: 4, 6: 9, 7: 20, 8: 54, 9: 70, 10: 133, 11: 224, 12: 322}
 
-# The name of each named family's builder, in ``jaco`` for jaco and in
-# ``graphs`` for the others; biclique takes two arguments, the others one.
-_FAMILIES = dict(jaco="underlying_graph", path="path", cycle="cycle", star="star", biclique="complete_bipartite")
-
-# The most vertices in one run of a path's edges, or leaves in one of a
-# star's, so that one block of ``export`` holds a few thousand lines.
-_RUN = 4096
+# The name of each named family's builder in ``graphs``, called only for
+# its refusal message; biclique takes two arguments, the others one.
+_FAMILIES = dict(path="path", cycle="cycle", star="star", biclique="complete_bipartite")
 
 
 class SpecError(ValueError):
@@ -107,7 +103,7 @@ def _parse_range(text: str, name: str) -> tuple[int, int]:
 
 def _parse_spec(spec: str) -> tuple[str, list[int]] | tuple[str, str]:
     head, _, rest = spec.partition(":")
-    if head not in _FAMILIES:
+    if head != "jaco" and head not in _FAMILIES:
         return "file", spec
     try:
         args = [int(p) for p in rest.split(":")]
@@ -118,32 +114,53 @@ def _parse_spec(spec: str) -> tuple[str, list[int]] | tuple[str, str]:
     return head, args
 
 
-def _family(spec: str, kind: str, args: list[int]) -> tuple[int, dict[int, int], LaterNeighbors]:
-    """The vertex count, vertex count per degree and later-neighbor ranges of a named family but jaco.
+def _read_spec(spec: str) -> tuple[int, dict[int, int], LaterNeighbors]:
+    """The vertex count, vertex count per degree and later-neighbor runs of the graph a spec but jaco names.
 
-    Each is read off the family's shape, and no graph is built but for
-    arguments its table refuses: those go to :func:`graph_for_spec` once,
-    for the builder's own message.
+    A named family's are read off its shape.  An edge-list file's are read
+    off its parsed edges: each named id's degree counted from them, the ids
+    1..top that no edge names one count of degree 0, and each named id's
+    later neighbors gathered and sorted only once the runs are read, so the
+    memory is that of the edges, not of the largest id.  No graph is built
+    but for family arguments that the degree table refuses: those go to the
+    family's builder once, for its own message.
     """
+    kind, args = _parse_spec(spec)
+    if kind == "file":
+        from .graphs import _parse_edge_list
+
+        with _spec_errors(spec):
+            top, edges = _parse_edge_list(Path(args).read_text(encoding="utf-8"))
+        per_id = Counter(chain.from_iterable(edges))
+        degrees = Counter(per_id.values())
+        if top > len(per_id):
+            degrees[0] = top - len(per_id)
+        return top, degrees, _file_runs(edges)
     n = args[0]
     if kind == "path" and n >= 1:
         degrees = {0: 1} if n == 1 else {1: 2} if n == 2 else {1: 2, 2: n - 2}
-        return n, degrees, _steps(1, n)
+        return n, degrees, [(range(1, n), range(2, n + 1))]
     if kind == "cycle" and n >= 3:
-        return n, {2: n}, chain([(1, (2, n))], _steps(2, n))
+        return n, {2: n}, [(1, (2, n)), (range(2, n), range(3, n + 1))]
     m = args[1] if kind == "biclique" else 1  # a star with n leaves has the degrees of biclique n, 1
     if kind in ("star", "biclique") and n >= m >= 1:
         degrees = {n: 2 * n} if n == m else {m: n, n: m}
-        if kind == "star":  # the center's leaves in runs, so no block of export holds all its edges
-            return n + 1, degrees, ((1, range(a, min(a + _RUN, n + 2))) for a in range(2, n + 2, _RUN))
-        return n + m, degrees, zip(range(1, n + 1), repeat(range(n + 1, n + m + 1)))
-    graph_for_spec(spec)
+        later = [(1, range(2, n + 2))] if kind == "star" else zip(range(1, n + 1), repeat(range(n + 1, n + m + 1)))
+        return n + m, degrees, later
+    from . import graphs
+
+    with _spec_errors(spec):
+        getattr(graphs, _FAMILIES[kind])(*args)
     raise AssertionError(f"graph spec {spec!r}: its builder takes arguments that its degree table refuses")
 
 
-def _steps(lo: int, hi: int) -> LaterNeighbors:
-    """The edges {v, v + 1} for v = lo..hi - 1, as runs of consecutive vertices (see ``graphs.LaterNeighbors``)."""
-    return ((range(a, min(a + _RUN, hi)), range(a + 1, min(a + _RUN, hi) + 1)) for a in range(lo, hi, _RUN))
+def _file_runs(edges: list[tuple[int, int]]) -> Iterator[tuple[int, list[int]]]:
+    """(v, the sorted later neighbors of v) for each id v that has one, by v, gathered when first asked for."""
+    later: dict[int, list[int]] = defaultdict(list)
+    for i, j in edges:
+        later[i].append(j)
+    for v in sorted(later):
+        yield v, sorted(later[v])
 
 
 @contextmanager
@@ -155,57 +172,14 @@ def _spec_errors(spec: str) -> Iterator[None]:
         raise SpecError(f"graph spec {spec!r}: {exc}") from exc
 
 
-def graph_for_spec(spec: str) -> SimpleGraph:
-    """Build the graph a spec names; raises SpecError on unusable input.
-
-    The commands build only an edge-list file's graph here, for ``export``,
-    and call a family's builder here only for arguments it refuses, for its
-    message.  An edge-list file naming a vertex id above the edge guard is
-    refused before the graph is built, as a Jaco graph above it is.
-    """
-    from . import graphs, jaco
-
-    kind, args = _parse_spec(spec)
-    with _spec_errors(spec):
-        if kind == "file":
-            return graphs.from_edge_list(Path(args).read_text(encoding="utf-8"))
-        return getattr(jaco if kind == "jaco" else graphs, _FAMILIES[kind])(*args)
-
-
-def _edge_list_counts(text: str) -> list[int]:
-    """Degree histogram of the graph that edge-list text names, with no graph built.
-
-    Each named id's degree is counted from the parsed edges, and the ids
-    1..top that no edge names are one count of degree 0, so the memory is
-    that of the edges, not of the largest id.  Refuses what
-    :func:`~jacograph.graphs.from_edge_list` refuses, with its messages.
-    """
-    from .graphs import _parse_edge_list
-    from .irregularity import degree_histogram
-
-    top, edges = _parse_edge_list(text)
-    seen: set[tuple[int, int]] = set()
-    for edge in edges:
-        if edge in seen:
-            raise ValueError(f"duplicate edge {edge}")
-        seen.add(edge)
-    per_id = Counter(chain.from_iterable(edges))
-    counts = degree_histogram(per_id.values())
-    if top > len(per_id):
-        counts[0] += top - len(per_id)
-    return counts
-
-
 def counts_for_spec(spec: str) -> list[int]:
     """Degree histogram for a spec, with no graph built."""
     kind, args = _parse_spec(spec)
-    with _spec_errors(spec):
-        if kind == "file":
-            return _edge_list_counts(Path(args).read_text(encoding="utf-8"))
-        if kind == "jaco":
+    if kind == "jaco":
+        with _spec_errors(spec):
             return underlying_degree_counts(args[0])
-    _, degrees, _ = _family(spec, kind, args)
-    counts = [0] * (max(degrees) + 1)
+    _, degrees, _ = _read_spec(spec)
+    counts = [0] * (max(degrees, default=-1) + 1)
     for d, c in degrees.items():
         counts[d] += c
     return counts
@@ -426,23 +400,22 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _later_neighbors_for_spec(spec: str) -> tuple[int, LaterNeighbors]:
     """The vertex count and the later neighbors of each vertex of the graph a spec names.
 
-    A Jaco graph's, or a named family's, are ranges read off its shape, and
-    no graph is built.  Either is refused above the edge guard before any
-    work in its size, a family's edge count being half the degree sum of
-    its table in :func:`_family`.  Only an edge-list file builds the graph.
+    A Jaco graph's, or a named family's, are ranges read off its shape, an
+    edge-list file's the lists gathered from its edges, and no graph is
+    built.  A Jaco graph or a named family is refused above the edge guard
+    before any work in its size, a family's edge count being half the
+    degree sum of its table in :func:`_read_spec`; a file is refused only
+    by its id guard.
     """
-    from .graphs import DEFAULT_EDGE_GUARD, _later_neighbors
+    from .graphs import DEFAULT_EDGE_GUARD
 
     kind, args = _parse_spec(spec)
-    if kind == "file":
-        g = graph_for_spec(spec)
-        return g.n, _later_neighbors(g)
     if kind == "jaco":
         with _spec_errors(spec):
             return args[0], underlying_later_neighbors(args[0])
-    n, degrees, later = _family(spec, kind, args)
+    n, degrees, later = _read_spec(spec)
     edges = sum(d * c for d, c in degrees.items()) // 2
-    if edges > DEFAULT_EDGE_GUARD:
+    if kind != "file" and edges > DEFAULT_EDGE_GUARD:
         raise SpecError(f"graph spec {spec!r}: the graph has {edges} edges, above the guard of {DEFAULT_EDGE_GUARD}")
     return n, later
 

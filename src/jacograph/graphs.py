@@ -209,8 +209,9 @@ def _later_neighbors(g: SimpleGraph) -> Iterator[tuple[int, tuple[int, ...]]]:
 # lexicographic order as runs: (v, the ascending neighbors w > v of v), for
 # one vertex v that has one, as _later_neighbors yields them, or (vs, ws), two
 # ranges of one length, the edges {vs[j], ws[j]}, for a block of vertices
-# that have one later neighbor each, as a path's.  A Jaco graph's runs, and a
-# named family's, come from its shape.
+# that have one later neighbor each, as a path's.  A run may be of any
+# length: the writer cuts it into blocks.  A Jaco graph's runs, and a named
+# family's, come from its shape.
 LaterNeighbors = Iterable[tuple[int | range, Sequence[int]]]
 
 # Each chunk holds about this many lines, a few dozen KB of text, whatever
@@ -220,24 +221,28 @@ _BLOCK_LINES = 4096
 
 
 def _edge_blocks(runs: LaterNeighbors, lead: str, mid: str, end: str) -> Iterator[str]:
-    """The line lead + v + mid + w + end of each edge, a block of at least ``_BLOCK_LINES`` at a time but the last.
+    """The line lead + v + mid + w + end of each edge, ``_BLOCK_LINES`` to twice that a block but the last.
 
-    A vertex's run is one join of its neighbors, a block of vertices' run
-    one format per edge, each at C speed.
+    A run of any length is cut into pieces of at most ``_BLOCK_LINES``
+    edges, so no block holds more than twice that many lines.  A vertex's
+    piece is one join of its neighbors, a piece of a block of vertices one
+    format per edge, each at C speed.
     """
     each = f"{lead}{{}}{mid}{{}}{end}".format
     texts: list[str] = []
     edges = 0
     for vs, ws in runs:
-        if isinstance(vs, int):
-            head = f"{lead}{vs}{mid}"
-            texts.append(head + (end + head).join(map(str, ws)) + end)
-        else:
-            texts.append("".join(map(each, vs, ws)))
-        edges += len(ws)
-        if edges >= _BLOCK_LINES:
-            yield "".join(texts)
-            texts, edges = [], 0
+        for a in range(0, len(ws), _BLOCK_LINES):
+            piece = ws[a : a + _BLOCK_LINES]
+            if isinstance(vs, int):
+                head = f"{lead}{vs}{mid}"
+                texts.append(head + (end + head).join(map(str, piece)) + end)
+            else:
+                texts.append("".join(map(each, vs[a : a + _BLOCK_LINES], piece)))
+            edges += len(piece)
+            if edges >= _BLOCK_LINES:
+                yield "".join(texts)
+                texts, edges = [], 0
     if texts:
         yield "".join(texts)
 
@@ -292,8 +297,8 @@ def from_edge_list(text: str) -> SimpleGraph:
 def _parse_edge_list(text: str) -> tuple[int, list[tuple[int, int]]]:
     """The vertex count and the edges, in file order, of edge-list text, with no graph built.
 
-    Refuses a malformed line, a pair that is not 1 <= i < j, and an id above
-    the guard; duplicate edges are left to the caller.
+    Refuses a malformed line, a pair that is not 1 <= i < j, an id above
+    the guard and then the first duplicate edge in file order.
     """
     edges: list[tuple[int, int]] = []
     top = 0
@@ -314,4 +319,9 @@ def _parse_edge_list(text: str) -> tuple[int, list[tuple[int, int]]]:
         edges.append((i, j))
     if top > DEFAULT_EDGE_GUARD:  # the graph holds a list per id up to top
         raise ValueError(f"vertex id {top} is above the guard of {DEFAULT_EDGE_GUARD}")
+    seen: set[tuple[int, int]] = set()
+    for edge in edges:
+        if edge in seen:
+            raise ValueError(f"duplicate edge {edge}")
+        seen.add(edge)
     return top, edges

@@ -6,6 +6,7 @@ import json
 import operator
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -36,8 +37,8 @@ from jacograph import (
     underlying_degrees,
     underlying_graph,
 )
-from jacograph.cli import REPORTED_FIRR, REPORTED_IRR, SpecError, _row_weights, counts_for_spec, graph_for_spec, main
-from jacograph.graphs import _later_neighbors
+from jacograph.cli import REPORTED_FIRR, REPORTED_IRR, SpecError, _row_weights, counts_for_spec, main
+from jacograph.graphs import SimpleGraph, _later_neighbors, from_edge_list, json_chunks
 from jacograph.jaco import underlying_metric
 from jacograph.theorems import verify_sweep
 
@@ -157,12 +158,15 @@ def test_edge_list_file_with_a_far_vertex_id_is_refused_at_once(tmp_path, capsys
 
 def test_metric_of_an_edge_list_file_builds_no_graph(tmp_path, monkeypatch, peak_rss_kb):
     # Each named id's degree is counted from the edges, and the 4 999 997 ids
-    # that no edge names are one count of degree 0.  Building the graph, a
-    # list per id, took 4.82 s and 400.1 MB for these 16 bytes.
+    # that no edge names are one count of degree 0; export writes the later
+    # neighbours gathered from the edges.  Building the graph, a list per id,
+    # took 4.82 s and 400.1 MB for these 16 bytes under metric, 2.5 s and
+    # 408 408 KB under export.
     f = tmp_path / "far.txt"
     f.write_text("1 2\n2 5000000")
-    rc, peak = peak_rss_kb("-m", "jacograph", "metric", "irr", str(f))
-    assert rc == 0 and peak < 40 * 1024
+    for argv in (("metric", "irr", str(f)), ("export", str(f))):
+        rc, peak = peak_rss_kb("-m", "jacograph", *argv)
+        assert rc == 0 and peak < 40 * 1024, argv
 
     def refuse(*args):
         raise AssertionError("built a graph")
@@ -171,10 +175,10 @@ def test_metric_of_an_edge_list_file_builds_no_graph(tmp_path, monkeypatch, peak
     assert counts_for_spec(str(f)) == [4999997, 2, 1]
 
 
-def test_edge_list_histograms_are_those_of_the_built_graphs(tmp_path):
+def test_edge_list_histograms_are_those_of_the_built_graphs(tmp_path, capsys):
     # Generated files, some with a duplicate edge, a reversed pair or blank
-    # lines: the counted histogram equals the built graph's, or both refuse
-    # the file with one message.
+    # lines: the counted histogram equals the built graph's, and each export
+    # its serialization, or each refuses the file with one message.
     rng = random.Random(24)
     f = tmp_path / "g.txt"
     for case in range(300):
@@ -189,13 +193,18 @@ def test_edge_list_histograms_are_those_of_the_built_graphs(tmp_path):
         rng.shuffle(lines)
         f.write_text("\n".join(lines))
         try:
-            built = degree_histogram(degree_sequence(graph_for_spec(str(f))))
-        except SpecError as exc:
-            with pytest.raises(SpecError) as counted:
+            g = from_edge_list(f.read_text())
+        except ValueError as exc:
+            message = f"graph spec {str(f)!r}: {exc}"
+            with pytest.raises(SpecError, match=f"^{re.escape(message)}$"):
                 counts_for_spec(str(f))
-            assert str(counted.value) == str(exc), case
+            for fmt in ("edgelist", "dot", "json"):
+                assert run_cli(capsys, "export", str(f), "--format", fmt) == (2, "", f"error: {message}\n"), case
             continue
-        assert counts_for_spec(str(f)) == built, case
+        assert counts_for_spec(str(f)) == degree_histogram(degree_sequence(g)), case
+        texts = {"edgelist": to_edge_list(g), "dot": to_dot(g), "json": "".join(json_chunks(g.n, _later_neighbors(g)))}
+        for fmt, text in texts.items():
+            assert run_cli(capsys, "export", str(f), "--format", fmt) == (0, text, ""), (case, fmt)
 
 
 def test_metric_bad_specs(capsys):
@@ -217,14 +226,15 @@ def test_family_histograms_are_those_of_the_built_graphs(monkeypatch):
         for m in range(1, n + 1):
             built[f"biclique:{n}:{m}"] = complete_bipartite(n, m)
 
-    def refuse(spec):
-        raise AssertionError(f"{spec} built its graph")
+    def refuse(*args):
+        raise AssertionError("built a graph")
 
-    monkeypatch.setattr("jacograph.cli.graph_for_spec", refuse)
+    for builder in ("path", "cycle", "star", "complete_bipartite"):
+        monkeypatch.setattr(jacograph.graphs, builder, refuse)
     for spec, g in built.items():
         assert counts_for_spec(spec) == degree_histogram(degree_sequence(g)), spec
         # the degree table the edge guard reads: half its degree sum is the edge count
-        n, degrees, later = jacograph.cli._family(spec, *jacograph.cli._parse_spec(spec))
+        n, degrees, later = jacograph.cli._read_spec(spec)
         assert sum(d * c for d, c in degrees.items()) // 2 == g.edge_count, spec
         assert n == sum(degrees.values()) == g.n, spec
         # the ranges export writes, flattened to edges, are the built graph's
@@ -234,10 +244,11 @@ def test_family_histograms_are_those_of_the_built_graphs(monkeypatch):
 def test_jaco_histograms_build_no_graph(monkeypatch):
     # read off the word in O(n) bytes, so the edge guard, which refuses
     # building jaco:6000 (6 875 826 edges), does not refuse its histogram
-    def refuse(spec):
-        raise AssertionError(f"{spec} built its graph")
+    def refuse(*args):
+        raise AssertionError("built a graph")
 
-    monkeypatch.setattr("jacograph.cli.graph_for_spec", refuse)
+    monkeypatch.setattr(jacograph.jaco, "underlying_graph", refuse)
+    monkeypatch.setattr(jacograph.graphs, "SimpleGraph", refuse)
     for n in [*range(1, 61), 6000]:
         assert counts_for_spec(f"jaco:{n}") == underlying_degree_counts(n), n
     with pytest.raises(SpecError) as refused:
@@ -256,7 +267,7 @@ def test_family_bad_arguments_keep_the_builders_messages(capsys, monkeypatch):
         for command in (("metric", "irr"), ("export",)):
             assert run_cli(capsys, *command, spec) == (2, "", f"error: graph spec {spec!r}: {message}\n"), command
     # a builder that takes what the degree table refuses is a program fault
-    monkeypatch.setattr("jacograph.cli.graph_for_spec", lambda spec: None)
+    monkeypatch.setattr(jacograph.graphs, "cycle", lambda n: None)
     with pytest.raises(AssertionError, match="'cycle:2'"):
         counts_for_spec("cycle:2")
 
@@ -354,14 +365,16 @@ print(rc, *sorted(watched & set(sys.modules)), file=sys.stderr)
         ("table firr 30", "jacograph.irregularity"),  # the text format's width row runs the kernel
         ("export jaco:30", "jacograph.graphs"),
         ("export star:30 --format json", "jacograph.graphs"),
+        ("export {file}", "jacograph.graphs"),  # the file is read like a family: no kernel, no graph
         ("verify thm21 thm32 --n 2..5", "jacograph.graphs jacograph.irregularity jacograph.theorems"),
         ("table irr 30 --format json", "json"),
     ],
 )
-def test_each_subcommand_imports_only_what_it_runs(argv, loaded):
-    proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_SET, *argv.split()], capture_output=True, text=True, env=module_env()
-    )
+def test_each_subcommand_imports_only_what_it_runs(argv, loaded, tmp_path):
+    f = tmp_path / "g.txt"
+    f.write_text("1 2\n2 3\n")
+    argv = argv.format(file=f).split()
+    proc = subprocess.run([sys.executable, "-c", IMPORT_SET, *argv], capture_output=True, text=True, env=module_env())
     assert proc.stderr.split() == ["0", *loaded.split()]
 
 
@@ -600,6 +613,32 @@ def test_export_of_a_jaco_graph_builds_no_graph(monkeypatch, capsys, peak_rss_kb
     rc, peak = peak_rss_kb("-m", "jacograph", "export", "jaco:5000")
     assert rc == 0
     assert peak < 40 * 1024
+
+
+def test_metric_and_export_of_files_and_families_build_no_graph(tmp_path, monkeypatch, capsys):
+    # Every spec but jaco is read as one record, its degree table and its
+    # later-neighbour runs; nothing on either command's path constructs a graph.
+    files = {"far.txt": "1 2\n2 9000\n", "hub.txt": "".join(f"1 {w}\n" for w in range(9000, 1, -1)) + "\n3 4\n"}
+    specs = {"path:9": path(9), "cycle:9": cycle(9), "star:9000": star(9000), "biclique:5:3": complete_bipartite(5, 3)}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+        specs[str(tmp_path / name)] = from_edge_list(text)
+    expected = {}
+    for spec, g in specs.items():
+        counts = degree_histogram(degree_sequence(g))
+        for kind in ("irr", "firr", "firrpm"):
+            expected["metric", kind, spec] = f"{pair_sum_histogram(counts, kind)}\n"
+        expected["export", spec, "--format", "edgelist"] = to_edge_list(g)
+        expected["export", spec, "--format", "dot"] = to_dot(g)
+        expected["export", spec, "--format", "json"] = "".join(json_chunks(g.n, _later_neighbors(g)))
+
+    def refuse(*args):
+        raise AssertionError("built a graph")
+
+    monkeypatch.setattr(SimpleGraph, "__init__", refuse)
+    monkeypatch.setattr(SimpleGraph, "_from_sorted_adjacency", refuse)
+    for argv, out in expected.items():
+        assert run_cli(capsys, *argv) == (0, out, ""), argv
 
 
 def test_export_of_a_named_family_builds_no_graph(monkeypatch, capsys, peak_rss_kb):

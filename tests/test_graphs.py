@@ -20,7 +20,7 @@ from jacograph import (
     to_edge_list,
     underlying_graph,
 )
-from jacograph.graphs import _with_edge
+from jacograph.graphs import _BLOCK_LINES, _edge_blocks, _parse_edge_list, _with_edge
 
 
 @st.composite
@@ -250,6 +250,38 @@ def test_edge_list_parse_errors():
         from_edge_list("a b\n")
     with pytest.raises(ValueError):
         from_edge_list("1 2\n1 2\n")
+
+
+def test_edge_list_parser_refuses_the_first_duplicate_after_the_id_guard(monkeypatch):
+    # stated once, in the parser: every reader of a file gets it with no graph built
+    with pytest.raises(ValueError, match=r"^duplicate edge \(2, 3\)$"):
+        _parse_edge_list("2 3\n1 2\n1 3\n2 3\n1 2\n")
+
+    def refuse(*args):
+        raise AssertionError("built a graph")
+
+    monkeypatch.setattr(SimpleGraph, "__init__", refuse)
+    with pytest.raises(ValueError, match=r"^duplicate edge \(1, 2\)$"):
+        _parse_edge_list("1 2\n\n 1   2 \n")
+    monkeypatch.setattr("jacograph.graphs.DEFAULT_EDGE_GUARD", 12)
+    with pytest.raises(ValueError, match="^vertex id 13 is above the guard of 12$"):
+        _parse_edge_list("1 2\n1 2\n2 13\n")
+
+
+@pytest.mark.parametrize(
+    "run, lines",
+    [
+        ((1, range(2, 10002)), [f"1 {w}" for w in range(2, 10002)]),  # a star's centre
+        ((range(1, 10001), range(2, 10002)), [f"{v} {v + 1}" for v in range(1, 10001)]),  # a path's range pair
+    ],
+)
+def test_edge_blocks_cut_a_long_run(run, lines):
+    chunks = list(_edge_blocks([run], "", " ", "\n"))
+    assert "".join(chunks) == "".join(line + "\n" for line in lines)
+    assert len(chunks) == 3 and all(chunk.count("\n") <= 2 * _BLOCK_LINES for chunk in chunks)
+    # behind a short run the cut pieces still make blocks of _BLOCK_LINES up to twice that
+    chunks = list(_edge_blocks([(1, (2, 3)), run], "", " ", "\n"))
+    assert [chunk.count("\n") for chunk in chunks] == [_BLOCK_LINES + 2, _BLOCK_LINES, 10000 - 2 * _BLOCK_LINES]
 
 
 def test_edge_list_vertex_id_guard_boundary(monkeypatch):
