@@ -103,7 +103,7 @@ def _parse_range(text: str, name: str) -> tuple[int, int]:
 
 def _parse_spec(spec: str) -> tuple[str, list[int]] | tuple[str, str]:
     head, _, rest = spec.partition(":")
-    if head != "jaco" and head not in _FAMILIES:
+    if head != "jaco" and head not in _FAMILIES and spec:  # '' names no file: refused below
         return "file", spec
     try:
         args = [int(p) for p in rest.split(":")]

@@ -166,34 +166,25 @@ def disjoint_union(g: SimpleGraph, h: SimpleGraph) -> SimpleGraph:
     """Disjoint union; vertices of h are relabeled g.n + 1 .. g.n + h.n.
 
     Graphs are immutable, so the union shares g's neighbor tuples and builds
-    only h's relabeled ones.  Each is relabeled as a list, which
-    ``_from_sorted_adjacency`` turns into a tuple of known size: a
-    ``tuple(map(...))`` per vertex kept about 0.3 MB more in small tuples
-    over ``verify lemma31 thm33 --n 3..20 --m 1..20`` (tracemalloc,
-    CPython 3.11).
+    only h's relabeled ones, each relabeled as a list, which
+    ``_from_sorted_adjacency`` turns into a tuple of known size.
     """
     off = g.n
     return SimpleGraph._from_sorted_adjacency([*g._adj, *([w + off for w in nbrs] for nbrs in h._adj[1:])])
 
 
-def _with_edge(g: SimpleGraph, v: int, w: int) -> SimpleGraph:
-    """g plus the edge {v, w}: a trusted fast path, for two distinct vertices of g that are not adjacent.
-
-    Only the two touched neighbor tuples are new; the others are g's own.
-    """
-    adj = list(g._adj)
-    for a, b in ((v, w), (w, v)):
-        nbrs = adj[a]
-        at = bisect_left(nbrs, b)
-        adj[a] = (*nbrs[:at], b, *nbrs[at:])
-    return SimpleGraph._from_sorted_adjacency(adj)
-
-
 def edge_joint(g: SimpleGraph, v: int, h: SimpleGraph, u: int) -> SimpleGraph:
-    """Disjoint union of g and h plus the single edge from v to (relabeled) u."""
+    """Disjoint union of g and h plus the single edge from v to (relabeled) u.
+
+    The union's neighbor tuples are shared but the two the edge changes.
+    """
     g._check_vertex(v)
     h._check_vertex(u)
-    return _with_edge(disjoint_union(g, h), v, u + g.n)
+    adj = list(disjoint_union(g, h)._adj)
+    for a, b in ((v, u + g.n), (u + g.n, v)):
+        at = bisect_left(adj[a], b)
+        adj[a] = (*adj[a][:at], b, *adj[a][at:])
+    return SimpleGraph._from_sorted_adjacency(adj)
 
 
 def _later_neighbors(g: SimpleGraph) -> Iterator[tuple[int, tuple[int, ...]]]:

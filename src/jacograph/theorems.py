@@ -12,9 +12,11 @@ The oracles:
   the per-vertex degrees of J*_{n+1}, ``underlying_degrees``, which come
   from ``isqrt`` and not from the Fibonacci word.
 * ``lemma31``/``thm33``: the rank sum over the weights of the degrees of
-  the constructed graphs (``underlying_graph``, ``disjoint_union`` and one
-  added edge, the graphs kept as said below): for lemma31 the union and
-  the graph joined at the first vertices, for thm33 the graph joined at v_i.
+  the edge-joint J*_n ~>_{v u} J*_m, the union plus the edge vu, whose
+  degrees are the union's ``isqrt`` degrees (``underlying_degrees`` of n,
+  then of m) with d(v) and d(u) one higher: for lemma31 the union and the
+  graph joined at the first vertices, for thm33 the graph joined at v_i.
+  No graph is built.
 * ``thm32``/``cor31``: the histogram kernel on the sum of the two
   graphs' histograms, each counted from the ``isqrt`` degrees
   (``degree_histogram`` of ``underlying_degrees``), not read off the
@@ -92,8 +94,8 @@ The left side is the kernel on the union's histogram, the sum of the two,
 built afresh for every instance.
 
 What is kept across instances, and by which side.  Only the union
-statements keep Jaco graphs, in process-wide caches, the same policy as
-:func:`fib`; each side fills its own from its own degree source.
+statements keep records per Jaco graph, in process-wide caches, the same
+policy as :func:`fib`; each side fills its own from its own degree source.
 ``_oracle_counts`` holds the left side's histogram, one byte per degree
 (every count is at most 3), about 0.62 x bytes for J*_x, counted once per
 graph from its O(x) ``isqrt`` degrees.  The formula side
@@ -106,14 +108,12 @@ per graph for the tail, 272 for the irr totals and 618 for the firr ones,
 1336 in all).  A sweep reads each graph's word once per side, and its
 metric once per kind, not twice per instance.  thm33's formula side keeps
 the terms that do not depend on i, for one (n, m) at a time
-(``_thm33_union_terms``).  The oracle side keeps the last two graphs built
-by ``underlying_graph`` (``_built_graph``) and their union
-(``_built_union``): records come in ascending (n, m, i) order, so the
-current J*_n and J*_m and their union are built once per (n, m) and not
-once per instance.  lemma31 and thm33 join the union by one edge
-(``graphs._with_edge``), a new graph that shares every neighbor tuple but
-the two it changes, and read its degrees, for every instance.  Neither
-side reads the other's data.
+(``_thm33_union_terms``).  The oracle side keeps the union's degrees for
+one (n, m) at a time (``_union_degrees``), O(n + m) ints: records come in
+ascending (n, m, i) order, so the ``isqrt`` degrees are counted once per
+(n, m) and not once per instance.  lemma31 and thm33 copy them and raise
+the two joined vertices' degrees by one, for every instance
+(:func:`_joint_firr`).  Neither side reads the other's data.
 
 The growth recursions thm21 and thm31 are one recursion in weight space,
 :func:`_growth_rhs`, with weight d for irr_t and f_d for firr_t, and one
@@ -151,7 +151,6 @@ from typing import Any, NamedTuple
 
 from . import THEOREM_IDS
 from .fibonacci import fib, fib_pair
-from .graphs import SimpleGraph, _with_edge, degree_sequence, disjoint_union
 from .irregularity import (
     add_histograms,
     degree_histogram,
@@ -164,7 +163,6 @@ from .jaco import (
     out_degree,
     underlying_degree_counts,
     underlying_degrees,
-    underlying_graph,
     underlying_metric,
     underlying_metrics,
 )
@@ -283,7 +281,7 @@ class VerifyReport:
 
 # The oracle side's histograms of J*_x, kept for the process.
 # ``underlying_degrees`` and ``degree_histogram`` are looked up on this module
-# when called, as :func:`_built_graph` looks up ``underlying_graph``.
+# when called.
 @cache
 def _oracle_counts(n: int) -> bytes:
     """The histogram of J*_n's ``isqrt`` degrees, one byte per degree (every count is at most 3)."""
@@ -339,33 +337,27 @@ def _correction_sum(n: int, m: int, kind: str) -> int:
     return cross
 
 
-@lru_cache(maxsize=2)
-def _built_graph(n: int) -> SimpleGraph:
-    """The oracle side's J*_n, built by ``underlying_graph``.
-
-    Two entries hold the current n and m of a sweep whose records come in
-    ascending (n, m, i) order, so each graph is built once per (n, m) and
-    not once per instance.  Graphs are immutable, so sharing them is safe.
-    At most two graphs stay alive, up to about 2 x 317 MB at the edge guard,
-    and :func:`_built_union` adds a relabeled copy of the second.
-    """
-    return underlying_graph(n)
-
-
 @lru_cache(maxsize=1)
-def _built_union(n: int, m: int) -> SimpleGraph:
-    """The oracle side's J*_n + J*_m, the union that lemma31 and thm33 join by one edge.
+def _union_degrees(n: int, m: int) -> tuple[int, ...]:
+    """The oracle side's degrees of J*_n + J*_m: the ``isqrt`` degrees of J*_n, then those of J*_m.
 
     One entry holds the current (n, m) of a sweep in ascending (n, m, i)
-    order, so the union, and J*_m's relabeled copy in it, is built once per
-    (n, m); each joined graph is the union plus one edge, sharing the rest.
+    order, the same policy as :func:`_thm33_union_terms`.
     """
-    return disjoint_union(_built_graph(n), _built_graph(m))
+    return underlying_degrees(n) + underlying_degrees(m)
 
 
-def _firr_by_rank(g: SimpleGraph) -> int:
-    """The oracle side's firr_t of a built graph: the rank sum over the weights of its degrees."""
-    return pair_sum_by_rank(map(fib, degree_sequence(g)))
+def _joint_firr(n: int, m: int, v: int) -> int:
+    """The oracle side's firr_t of J*_n + J*_m plus the edge from v_v to J*_m's first vertex, none for v = 0.
+
+    The edge-joint is the union with those two degrees one higher; the
+    value is the rank sum over the weights of its degrees.
+    """
+    degrees = list(_union_degrees(n, m))
+    if v:
+        degrees[v - 1] += 1
+        degrees[n] += 1
+    return pair_sum_by_rank(map(fib, degrees))
 
 
 # Per kind, (the pairs taken, the walk): the walk yields the pairs
@@ -462,14 +454,12 @@ def lemma31_check(n: int, m: int) -> CheckRecord:
     """firr_t is unchanged by joining the two first vertices, n, m >= 2.
 
     Both first vertices have degree 1, and f_1 = f_2, so raising both to
-    degree 2 moves no weight.  Both sides are recomputed from actually
-    constructed graphs.
+    degree 2 moves no weight.  Both sides are recomputed by the rank-sum
+    oracle, from the union's degrees and from those of the joined graph.
     """
     if n < 2 or m < 2:
         raise ValueError(f"lemma31 needs n, m >= 2, got ({n}, {m})")
-    union = _built_union(n, m)
-    lhs = _firr_by_rank(union)
-    return _equality("lemma31", {"n": n, "m": m}, lhs, _firr_by_rank(_with_edge(union, 1, n + 1)))
+    return _equality("lemma31", {"n": n, "m": m}, _joint_firr(n, m, 0), _joint_firr(n, m, 1))
 
 
 def _check_thm33_args(n: int, m: int, i: int) -> None:
@@ -484,9 +474,9 @@ def _check_thm33_args(n: int, m: int, i: int) -> None:
 def thm33_exact(n: int, m: int, i: int) -> int:
     """Ground truth: firr_t of the graph joined at v_i and the first vertex
     of the second copy, recomputed by the rank-sum oracle over the degrees of
-    the built, joined graph."""
+    the joined graph: the union's, with those of v_i and v_{n+1} one higher."""
     _check_thm33_args(n, m, i)
-    return _firr_by_rank(_with_edge(_built_union(n, m), i, n + 1))
+    return _joint_firr(n, m, i)
 
 
 def thm33_literal(n: int, m: int, i: int) -> int:

@@ -214,6 +214,12 @@ def test_metric_bad_specs(capsys):
         assert "error" in err
 
 
+def test_the_empty_spec_is_refused_as_a_spec_not_read_as_a_path(capsys):
+    # '' once fell through to a file path, '.', and was refused as a directory
+    for argv in (("metric", "irr", ""), ("export", "")):
+        assert run_cli(capsys, *argv) == (2, "", "error: bad graph spec ''\n"), argv
+
+
 def test_family_histograms_are_those_of_the_built_graphs(monkeypatch):
     # jaco:N never comes here: metric sends it to underlying_metric, and
     # test_jaco checks underlying_degree_counts against the built graphs
@@ -366,7 +372,8 @@ print(rc, *sorted(watched & set(sys.modules)), file=sys.stderr)
         ("export jaco:30", "jacograph.graphs"),
         ("export star:30 --format json", "jacograph.graphs"),
         ("export {file}", "jacograph.graphs"),  # the file is read like a family: no kernel, no graph
-        ("verify thm21 thm32 --n 2..5", "jacograph.graphs jacograph.irregularity jacograph.theorems"),
+        ("verify thm21 thm32 --n 2..5", "jacograph.irregularity jacograph.theorems"),
+        ("verify lemma31 thm33 --n 4 --m 2..3 --i 4", "jacograph.irregularity jacograph.theorems"),  # no graph
         ("table irr 30 --format json", "json"),
     ],
 )
@@ -477,6 +484,22 @@ def test_verify_union_of_large_graphs_runs_in_the_floor_memory(peak_rss_kb):
     # 3 992 degrees; the oracle's two histograms are about 34 000 bytes.
     floor = peak_rss_kb("-m", "jacograph", "metric", "irr", "jaco:1")
     rc, peak = peak_rss_kb("-m", "jacograph", "verify", "cor31", "--n", "30000", "--m", "25000")
+    assert floor[0] == rc == 0
+    assert peak - floor[1] < 2 * 1024
+
+
+def test_joint_checks_of_large_graphs_run_in_the_floor_memory(capsys, peak_rss_kb):
+    # The joint oracle reads the union's isqrt degrees and builds no graph,
+    # so it has the size limits of thm21/thm31, not the edge guard: the
+    # graph it once built at n = 5000 peaked at 324 MB, and n = 5200 was
+    # refused with 5 164 560 edges.
+    assert run_cli(capsys, "verify", "lemma31", "--n", "5200", "--m", "2") == (
+        0,
+        "lemma31: 1 checks, 0 mismatches\noverall: PASS (1 checks, 0 mismatches)\n",
+        "",
+    )
+    floor = peak_rss_kb("-m", "jacograph", "metric", "irr", "jaco:1")
+    rc, peak = peak_rss_kb("-m", "jacograph", "verify", "lemma31", "--n", "5000", "--m", "2")
     assert floor[0] == rc == 0
     assert peak - floor[1] < 2 * 1024
 

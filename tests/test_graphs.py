@@ -20,7 +20,7 @@ from jacograph import (
     to_edge_list,
     underlying_graph,
 )
-from jacograph.graphs import _BLOCK_LINES, _edge_blocks, _parse_edge_list, _with_edge
+from jacograph.graphs import _BLOCK_LINES, _edge_blocks, _parse_edge_list
 
 
 @st.composite
@@ -172,14 +172,15 @@ def test_edge_joint_vertex_validation():
         edge_joint(path(2), 1, path(2), 0)
 
 
-def test_with_edge_adds_one_edge_and_shares_the_rest():
-    g = disjoint_union(cycle(5), star(3))
-    for v, w in ((4, 7), (7, 4), (1, 3), (9, 8)):
-        joined = _with_edge(g, v, w)
+def test_edge_joint_adds_one_edge_and_shares_the_rest():
+    g, h = cycle(5), star(3)
+    union = disjoint_union(g, h)
+    for v, u in ((4, 2), (1, 1), (5, 4), (3, 1)):
+        joined = edge_joint(g, v, h, u)
         joined.validate()
-        assert joined == SimpleGraph(g.n, g.edges() + [(min(v, w), max(v, w))])
-        assert [x for x in range(g.n + 1) if joined._adj[x] is not g._adj[x]] == sorted((v, w))
-    assert g == disjoint_union(cycle(5), star(3))  # g is left as it was
+        assert joined == SimpleGraph(union.n, union.edges() + [(v, u + g.n)])
+        assert [x for x in range(g.n + 1) if joined._adj[x] is not g._adj[x]] == [v]  # g's other tuples are shared
+    assert (g, h) == (cycle(5), star(3))  # the operands are left as they were
 
 
 @given(simple_graphs(), simple_graphs())

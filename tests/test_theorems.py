@@ -175,8 +175,8 @@ def test_growth_checks_keep_nothing_per_n(monkeypatch, fresh_union_caches):
         return underlying_metric(n, kind)
 
     monkeypatch.setattr(theorems, "underlying_metric", counted)
-    caches = [theorems._oracle_counts, theorems._formula_tail, theorems._formula_totals, theorems._built_graph]
-    caches += [theorems._built_union, theorems._thm33_union_terms]
+    caches = [theorems._oracle_counts, theorems._formula_tail, theorems._formula_totals, theorems._union_degrees]
+    caches += [theorems._thm33_union_terms]
     held = [c.cache_info().currsize for c in caches]
     for sweeps in (1, 2):
         assert verify_sweep(["thm21", "thm31"], (2, 60)).all_matched
@@ -528,8 +528,8 @@ def test_lemma31_validation():
 
 
 def test_lemma31_oracle_is_the_rank_sum(monkeypatch):
-    # Both sides of lemma31 are the built-graph oracle that thm33 uses, the
-    # rank sum over the weights; the histogram kernel is not on its path.
+    # Both sides of lemma31 are the joint oracle that thm33 uses, the rank
+    # sum over the weights; the histogram kernel is not on its path.
     expected = verify_sweep(["lemma31"], (2, 8), (2, 8)).records
 
     def refuse(*args):
@@ -537,6 +537,17 @@ def test_lemma31_oracle_is_the_rank_sum(monkeypatch):
 
     monkeypatch.setattr("jacograph.irregularity.pair_sum_histogram", refuse)
     assert verify_sweep(["lemma31"], (2, 8), (2, 8)).records == expected
+
+
+def test_lemma31_sides_equal_the_naive_oracle_on_the_built_graphs():
+    for n in range(2, 11):
+        gn = underlying_graph(n)
+        for m in range(2, 11):
+            gm = underlying_graph(m)
+            union = pair_sum_naive([fib(d) for d in degree_sequence(disjoint_union(gn, gm))])
+            joined = pair_sum_naive([fib(d) for d in degree_sequence(edge_joint(gn, 1, gm, 1))])
+            rec = lemma31_check(n, m)
+            assert (rec.lhs, rec.rhs) == (union, joined), (n, m)
 
 
 # -- arbitrary-vertex joint --------------------------------------------------
@@ -587,48 +598,37 @@ def test_thm33_literal_matches_a_double_loop_over_vertices():
                 assert thm33_literal(n, m, i) == literal(n, m, i), (n, m, i)
 
 
-def test_joint_oracles_build_each_graph_once_per_pair(monkeypatch):
-    builds = []
-    unions = []
+def test_joint_oracles_build_no_graph_and_count_degrees_once_per_pair(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the joint oracle built a graph")
+
+    calls = []
 
     def counting(n):
-        builds.append(n)
-        return underlying_graph(n)
+        calls.append(n)
+        return underlying_degrees(n)
 
-    def counting_unions(g, h):
-        unions.append((g.n, h.n))
-        return disjoint_union(g, h)
-
-    monkeypatch.setattr(theorems, "underlying_graph", counting)
-    monkeypatch.setattr(theorems, "disjoint_union", counting_unions)
-    theorems._built_graph.cache_clear()
-    theorems._built_union.cache_clear()
+    monkeypatch.setattr("jacograph.jaco.underlying_graph", refuse)
+    monkeypatch.setattr("jacograph.graphs.disjoint_union", refuse)
+    monkeypatch.setattr(theorems, "underlying_degrees", counting)
+    theorems._union_degrees.cache_clear()
     report = verify_sweep(["lemma31", "thm33"], (3, 12), (1, 12))
-    theorems._built_graph.cache_clear()
-    theorems._built_union.cache_clear()
+    theorems._union_degrees.cache_clear()
     assert report.counts == {"lemma31": [110, 0], "thm33": [780, 752]}
-    # one union per (n, m), each joined graph the union plus one edge;
-    # without the union memo every thm33 instance built its own, 780 here
-    assert unions == [(n, m) for n in range(3, 13) for m in range(2, 13)] + [
-        (n, m) for n in range(3, 13) for m in range(1, 13)
-    ]
-    # The two-graph memo holds J*_n and the last J*_m.  Each n builds J*_n
-    # once and J*_m once for every m but m = n, except that J*_12 is still
-    # held when n reaches 12: lemma31 (m = 2..12) 9 * 11 + 10, thm33
-    # (m = 1..12) 9 * 12 + 11.  Without the memo every instance builds two.
-    assert len(builds) == (9 * 11 + 10) + (9 * 12 + 11) == 228
-    assert len(builds) <= 110 + 120 < 2 * 890
+    # The one-entry memo holds the current (n, m)'s union degrees: two
+    # isqrt passes per (n, m) per id, lemma31 (m = 2..12) 10 * 11 pairs and
+    # thm33 (m = 1..12) 10 * 12, not two per instance, 2 * 890.
+    assert len(calls) == 2 * (110 + 120) == 460
 
 
 def test_thm33_sides_do_not_depend_on_the_order_of_the_instances():
-    # the oracle's graph and union memos and the literal side's (n, m)
-    # terms keep no stale value: shuffled calls equal in-order calls made
-    # with all three empty
+    # the oracle's union degrees and the literal side's (n, m) terms keep
+    # no stale value: shuffled calls equal in-order calls made with both
+    # memos empty
     instances = [(n, m, i) for n in range(3, 11) for m in range(1, 11) for i in range(2, n + 1)]
     in_order = {}
     for p in instances:
-        theorems._built_graph.cache_clear()
-        theorems._built_union.cache_clear()
+        theorems._union_degrees.cache_clear()
         theorems._thm33_union_terms.cache_clear()
         in_order[p] = (thm33_exact(*p), thm33_literal(*p))
     shuffled = list(instances)
@@ -641,8 +641,7 @@ def test_thm33_literal_reads_no_graph(monkeypatch):
     def refuse(*args):
         raise AssertionError("the formula side built a graph")
 
-    monkeypatch.setattr(theorems, "underlying_graph", refuse)
-    theorems._built_graph.cache_clear()
+    monkeypatch.setattr("jacograph.jaco.underlying_graph", refuse)
     for n in range(3, 13):
         for m in range(1, 13):
             for i in range(2, n + 1):
