@@ -36,13 +36,14 @@ Start-up is most of a run on a small graph, and every module imported is
 compiled when no bytecode cache is written, so a module that only some runs
 use is imported inside the function that uses it: ``theorems`` in
 ``verify``; ``graphs`` in ``export``, to parse an edge-list file and for a
-family's refusal message; ``irregularity`` for the kernel, which the
-metrics of a family or a file run, and ``jaco`` for firr and firrpm;
-``json`` in the JSON writers; ``decimal`` for the firr and firrpm values of
-``metric``.  So ``table`` and ``metric irr jaco:N`` load this module,
-``jaco`` and ``fibonacci`` alone, ``metric firr|firrpm jaco:N`` and a firr
-table's text width row add ``irregularity``, ``export`` adds ``graphs``,
-and none loads ``dataclasses``.
+family's refusal message; ``irregularity`` for the rank sum over a degree
+table, which the metrics of a family or a file run, and in ``jaco`` for
+the kernel of firr and firrpm; ``json`` in the JSON writers; ``decimal``
+for the firr and firrpm values of ``metric``.  So ``table`` and ``metric
+irr jaco:N`` load this module, ``jaco`` and ``fibonacci`` alone, ``metric
+firr|firrpm jaco:N`` and a firr table's text width row add
+``irregularity``, ``export`` adds ``graphs``, and none loads
+``dataclasses``.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from typing import TYPE_CHECKING
 
 from . import THEOREM_IDS
 from .fibonacci import fib
-from .jaco import _tail, out_degree, underlying_degree_counts, underlying_later_neighbors, underlying_metric
+from .jaco import _shape, _tail, out_degree, underlying_later_neighbors, underlying_metric
 from .jaco import underlying_metrics
 
 if TYPE_CHECKING:
@@ -111,6 +112,9 @@ def _parse_spec(spec: str) -> tuple[str, list[int]] | tuple[str, str]:
         args = []
     if len(args) != 1 + (head == "biclique"):
         raise SpecError(f"bad graph spec {spec!r}")
+    if head == "jaco":  # n < 1 is refused here, in jaco's own words, before metric or export opens --out
+        with _spec_errors(spec):
+            _shape(args[0])
     return head, args
 
 
@@ -132,9 +136,7 @@ def _read_spec(spec: str) -> tuple[int, dict[int, int], LaterNeighbors]:
         with _spec_errors(spec):
             top, edges = _parse_edge_list(Path(args).read_text(encoding="utf-8"))
         per_id = Counter(chain.from_iterable(edges))
-        degrees = Counter(per_id.values())
-        if top > len(per_id):
-            degrees[0] = top - len(per_id)
+        degrees = Counter(per_id.values()) + Counter({0: top - len(per_id)})  # + keeps positive counts only
         return top, degrees, _file_runs(edges)
     n = args[0]
     if kind == "path" and n >= 1:
@@ -170,19 +172,6 @@ def _spec_errors(spec: str) -> Iterator[None]:
         yield
     except (ValueError, OSError) as exc:
         raise SpecError(f"graph spec {spec!r}: {exc}") from exc
-
-
-def counts_for_spec(spec: str) -> list[int]:
-    """Degree histogram for a spec, with no graph built."""
-    kind, args = _parse_spec(spec)
-    if kind == "jaco":
-        with _spec_errors(spec):
-            return underlying_degree_counts(args[0])
-    _, degrees, _ = _read_spec(spec)
-    counts = [0] * (max(degrees, default=-1) + 1)
-    for d, c in degrees.items():
-        counts[d] += c
-    return counts
 
 
 # Translate tables: a tail count -> 1 if it lists its label at least once, at least twice.
@@ -328,15 +317,15 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_metric(args: argparse.Namespace) -> int:
-    kind, spec_args = _parse_spec(args.spec)
-    if kind == "jaco" and spec_args[0] >= 1:
+    kind, spec_args = _parse_spec(args.spec)  # a bad spec fails here, before --out is opened
+    if kind == "jaco":
         value = partial(underlying_metric, spec_args[0], args.kind)  # no histogram
-    else:  # a bad spec fails here, before --out is opened
-        from .irregularity import pair_sum_histogram
+    else:  # its degree table, ranked by weight
+        from .irregularity import _pair_sum_by_table
 
-        value = partial(pair_sum_histogram, counts_for_spec(args.spec), args.kind)
+        value = partial(_pair_sum_by_table, _read_spec(args.spec)[1], args.kind)
 
-    def chunks() -> Iterator[str]:  # the kernel runs once --out is open
+    def chunks() -> Iterator[str]:  # the value is computed once --out is open
         if args.kind == "irr":  # an int, printed under the str() cap
             yield f"{value()}\n"
             return

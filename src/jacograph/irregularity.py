@@ -19,7 +19,11 @@ histogram, by :func:`pair_sum_by_rank`: sort the N weights and take
 sum_j w_(j) (2j - N + 1), in O(N log N) where :func:`pair_sum_naive`, the
 definition, takes O(N^2).  In the ascending order w_(j) is the larger member
 of j pairs and the smaller of N - 1 - j, and a tie adds 0 whichever member
-counts as larger, so the two are equal for any ints.
+counts as larger, so the two are equal for any ints.  The command line's
+metric of a degree table {d: c}, a named family's or an edge-list file's,
+takes those ranks a group of equal weights at a time
+(:func:`_pair_sum_by_table`), in O(K log K) for K distinct degrees, so a
+star's two degrees cost two weights however many leaves it has.
 
 With L_d = #{degrees <= d}, exactly L_d (n - L_d) pairs straddle the step
 from d to d + 1, and f_{d+1} - f_d = f_{d-1} (with f_{-1} = 1), so
@@ -119,7 +123,7 @@ and a weight sum, and by the band's offset in :func:`pair_sum_unit_head`.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from itertools import accumulate, chain, islice, repeat
 from typing import Any, NamedTuple
 
@@ -184,6 +188,26 @@ def pair_sum_by_rank(weights: Iterable[int]) -> int:
     """
     ws = sorted(weights)
     return sum(map(int.__mul__, ws, range(1 - len(ws), len(ws), 2)))
+
+
+def _pair_sum_by_table(degrees: Mapping[int, int], kind: str, one: Any = 1) -> Any:
+    """Metric ``kind`` ("irr", "firr" or "firrpm") of a degree table {d: c}, by its ranks grouped by weight.
+
+    The rank sum of :func:`pair_sum_by_rank` with the c equal weights w at
+    ranks b..b+c-1, b the vertices below them, taken together:
+    w sum_j (2j - N + 1) over those ranks is c w (2b + c - N).  Two groups
+    of one weight, as f_1 = f_2, add c w (2b + c - N) of their merged group
+    in either order, so ties need no care.  O(K log K) for K distinct
+    degrees, however large they are or however many vertices share them.
+    The Fibonacci weights come from ``fib_pair(d, one)``, in the ring of
+    ``one`` as in :func:`pair_sum_histogram`; irr is an int.
+    """
+    n, below, total = sum(degrees.values()), 0, 0  # an int 0 first: a Decimal -0 term then adds to +0
+    sign = -1 if kind == "firrpm" else 1  # firrpm weighs an odd degree -f_d
+    for w, c in sorted((d if kind == "irr" else sign**d * fib_pair(d, one)[0], c) for d, c in degrees.items()):
+        total += c * w * (2 * below + c - n)
+        below += c
+    return total
 
 
 def _checked_degrees(degrees: Iterable[int]) -> list[int]:

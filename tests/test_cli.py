@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from itertools import repeat
 from pathlib import Path
 
@@ -29,7 +30,9 @@ from jacograph import (
     irr_t,
     out_degree,
     pair_sum_histogram,
+    pair_sum_naive,
     path,
+    signed_weight_of_degree,
     star,
     to_dot,
     to_edge_list,
@@ -37,7 +40,7 @@ from jacograph import (
     underlying_degrees,
     underlying_graph,
 )
-from jacograph.cli import REPORTED_FIRR, REPORTED_IRR, SpecError, _row_weights, counts_for_spec, main
+from jacograph.cli import REPORTED_FIRR, REPORTED_IRR, SpecError, _read_spec, _row_weights, main
 from jacograph.graphs import SimpleGraph, _later_neighbors, from_edge_list, json_chunks
 from jacograph.jaco import underlying_metric
 from jacograph.theorems import verify_sweep
@@ -172,7 +175,7 @@ def test_metric_of_an_edge_list_file_builds_no_graph(tmp_path, monkeypatch, peak
         raise AssertionError("built a graph")
 
     monkeypatch.setattr("jacograph.graphs.SimpleGraph", refuse)
-    assert counts_for_spec(str(f)) == [4999997, 2, 1]
+    assert _read_spec(str(f))[1] == {0: 4999997, 1: 2, 2: 1}
 
 
 def test_edge_list_histograms_are_those_of_the_built_graphs(tmp_path, capsys):
@@ -197,11 +200,11 @@ def test_edge_list_histograms_are_those_of_the_built_graphs(tmp_path, capsys):
         except ValueError as exc:
             message = f"graph spec {str(f)!r}: {exc}"
             with pytest.raises(SpecError, match=f"^{re.escape(message)}$"):
-                counts_for_spec(str(f))
+                _read_spec(str(f))
             for fmt in ("edgelist", "dot", "json"):
                 assert run_cli(capsys, "export", str(f), "--format", fmt) == (2, "", f"error: {message}\n"), case
             continue
-        assert counts_for_spec(str(f)) == degree_histogram(degree_sequence(g)), case
+        assert _read_spec(str(f))[1] == Counter(degree_sequence(g)), case
         texts = {"edgelist": to_edge_list(g), "dot": to_dot(g), "json": "".join(json_chunks(g.n, _later_neighbors(g)))}
         for fmt, text in texts.items():
             assert run_cli(capsys, "export", str(f), "--format", fmt) == (0, text, ""), (case, fmt)
@@ -238,28 +241,72 @@ def test_family_histograms_are_those_of_the_built_graphs(monkeypatch):
     for builder in ("path", "cycle", "star", "complete_bipartite"):
         monkeypatch.setattr(jacograph.graphs, builder, refuse)
     for spec, g in built.items():
-        assert counts_for_spec(spec) == degree_histogram(degree_sequence(g)), spec
+        n, degrees, later = _read_spec(spec)
+        assert degrees == Counter(degree_sequence(g)), spec
         # the degree table the edge guard reads: half its degree sum is the edge count
-        n, degrees, later = jacograph.cli._read_spec(spec)
         assert sum(d * c for d, c in degrees.items()) // 2 == g.edge_count, spec
         assert n == sum(degrees.values()) == g.n, spec
         # the ranges export writes, flattened to edges, are the built graph's
         assert list(edges_of(later)) == list(edges_of(_later_neighbors(g))), spec
 
 
+def test_metric_of_a_degree_table_is_the_pair_sum_of_the_built_graph(tmp_path, capsys):
+    # metric ranks a family's or a file's degree table; each value must be the
+    # definitional double loop over the weights of the graph the builders, or
+    # from_edge_list, make: the family grid and 100 random files, some with
+    # ids that no edge names (degree 0)
+    built = {f"path:{n}": path(n) for n in range(1, 31)}
+    built.update({f"cycle:{n}": cycle(n) for n in range(3, 31)})
+    built.update({f"star:{n}": star(n) for n in range(1, 31)})
+    built.update({f"biclique:{n}:{m}": complete_bipartite(n, m) for n in range(1, 11) for m in range(1, n + 1)})
+    rng = random.Random(34)
+    for case in range(100):
+        top = rng.randint(1, 40)
+        pairs = [(i, j) for i in range(1, top + 1) for j in range(i + 1, top + 1)]
+        edges = rng.sample(pairs, rng.randint(0, min(len(pairs), rng.choice((5, 40, 800)))))
+        f = tmp_path / f"g{case}.txt"
+        f.write_text("".join(f"{i} {j}\n" for i, j in edges))
+        built[str(f)] = from_edge_list(f.read_text())
+    weights = {"irr": int, "firr": fib, "firrpm": signed_weight_of_degree}
+    for spec, g in built.items():
+        for kind, weight in weights.items():
+            value = pair_sum_naive([weight(d) for d in degree_sequence(g)])
+            assert run_cli(capsys, "metric", kind, spec) == (0, f"{value}\n", ""), (kind, spec)
+
+
+# A child that runs the command line under a 1 GiB address-space limit, so
+# that a run which allocates in its size, as a dense histogram of degrees up
+# to 10^9 did (7.8 GB), fails at once with exit 2 instead of filling memory.
+LIMITED_MAIN = (
+    "import resource, sys\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+    "from jacograph.cli import main\n"
+    "sys.exit(main(sys.argv[1:]))\n"
+)
+
+
+def test_metric_irr_of_families_with_a_billion_vertices_runs_at_the_floor(capsys, peak_rss_kb):
+    # two distinct degrees each, so two weights however many vertices
+    n, m = 10**9, 3
+    floor = peak_rss_kb("-c", LIMITED_MAIN, "metric", "irr", "jaco:1")
+    assert floor[0] == 0
+    for spec, value in ((f"star:{n}", n * (n - 1)), (f"biclique:{n}:{m}", n * m * (n - m))):
+        rc, peak = peak_rss_kb("-c", LIMITED_MAIN, "metric", "irr", spec)
+        assert rc == 0 and peak - floor[1] < 2 * 1024, spec
+        assert run_cli(capsys, "metric", "irr", spec) == (0, f"{value}\n", ""), spec
+
+
 def test_jaco_histograms_build_no_graph(monkeypatch):
     # read off the word in O(n) bytes, so the edge guard, which refuses
-    # building jaco:6000 (6 875 826 edges), does not refuse its histogram
+    # building jaco:6000 (6 875 826 edges), does not refuse its histogram;
+    # jaco:0 is refused when the spec is parsed (test_metric_bad_spec_creates_no_out_file)
     def refuse(*args):
         raise AssertionError("built a graph")
 
     monkeypatch.setattr(jacograph.jaco, "underlying_graph", refuse)
     monkeypatch.setattr(jacograph.graphs, "SimpleGraph", refuse)
     for n in [*range(1, 61), 6000]:
-        assert counts_for_spec(f"jaco:{n}") == underlying_degree_counts(n), n
-    with pytest.raises(SpecError) as refused:
-        counts_for_spec("jaco:0")
-    assert str(refused.value) == "graph spec 'jaco:0': n must be >= 1, got 0"
+        assert underlying_degree_counts(n) == degree_histogram(underlying_degrees(n)), n
 
 
 def test_family_bad_arguments_keep_the_builders_messages(capsys, monkeypatch):
@@ -275,7 +322,7 @@ def test_family_bad_arguments_keep_the_builders_messages(capsys, monkeypatch):
     # a builder that takes what the degree table refuses is a program fault
     monkeypatch.setattr(jacograph.graphs, "cycle", lambda n: None)
     with pytest.raises(AssertionError, match="'cycle:2'"):
-        counts_for_spec("cycle:2")
+        _read_spec("cycle:2")
 
 
 def test_metric_too_large_exits_2(capsys):
@@ -1021,7 +1068,7 @@ def test_metric_unwritable_out_fails_before_the_kernel(tmp_path, capsys, monkeyp
     def refuse(*args):
         raise AssertionError("the kernel ran for a path that cannot be written")
 
-    monkeypatch.setattr("jacograph.irregularity.pair_sum_histogram", refuse)
+    monkeypatch.setattr("jacograph.irregularity._pair_sum_by_table", refuse)
     monkeypatch.setattr("jacograph.cli.underlying_metric", refuse)
     out_path = tmp_path / "missing" / "x"
     for spec in ("jaco:1000", "path:1000"):
@@ -1031,11 +1078,15 @@ def test_metric_unwritable_out_fails_before_the_kernel(tmp_path, capsys, monkeyp
 
 
 def test_metric_bad_spec_creates_no_out_file(tmp_path, capsys):
+    # jaco:N with N < 1 is refused in jaco's own words when the spec is
+    # parsed, so neither metric nor export opens --out
     out_path = tmp_path / "x"
-    rc, out, err = run_cli(capsys, "metric", "firr", "jaco:0", "--out", str(out_path))
-    assert (rc, out) == (2, "")
-    assert err == "error: graph spec 'jaco:0': n must be >= 1, got 0\n"
-    assert not out_path.exists()
+    for n in (0, -3):
+        refused = (2, "", f"error: graph spec 'jaco:{n}': n must be >= 1, got {n}\n")
+        for command in (("metric", "irr"), ("metric", "firr"), ("metric", "firrpm"), ("export",)):
+            assert run_cli(capsys, *command, f"jaco:{n}") == refused, command
+            assert run_cli(capsys, *command, f"jaco:{n}", "--out", str(out_path)) == refused, command
+            assert not out_path.exists(), command
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, a device every write to fails")

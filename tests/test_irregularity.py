@@ -2,6 +2,7 @@
 
 import decimal
 import random
+from collections import Counter
 from itertools import combinations
 from unittest import mock
 
@@ -36,7 +37,7 @@ from jacograph import (
     underlying_degrees,
 )
 from jacograph.fibonacci import fib_pair
-from jacograph.irregularity import _LEAF, _fib_poly_sum, pair_sum_unit_head
+from jacograph.irregularity import _LEAF, _fib_poly_sum, _pair_sum_by_table, pair_sum_unit_head
 from jacograph.jaco import underlying_metric
 
 degree_sequences = st.lists(st.integers(min_value=0, max_value=120), max_size=40)
@@ -199,6 +200,47 @@ def test_kernel_matches_naive_oracle_across_leaves(top):
             with decimal.localcontext(EXACT):
                 in_decimal = pair_sum_histogram(padded, kind, decimal.Decimal(1))
             assert type(in_decimal) is decimal.Decimal and in_decimal == value
+
+
+# Degree tables {d: c} where a rank sum can slip: degree 0 (f_0 = 0), both
+# degrees 1 and 2 (f_1 = f_2, a tie), weights past 64 bits, both parities,
+# and a count of 0, which the command line never passes but adds nothing.
+degree_tables = st.dictionaries(
+    st.one_of(st.sampled_from([0, 1, 2, 93, 94, 699, 700]), st.integers(min_value=0, max_value=130)),
+    st.integers(min_value=0, max_value=6),
+    max_size=8,
+)
+
+
+@given(degree_tables)
+@example({})
+@example({0: 4})
+@example({7: 1})
+@example({1: 1})
+@example({1: 2, 2: 3})
+@example({0: 1, 1: 1, 2: 2, 3: 1})
+def test_table_rank_sum_matches_the_kernel_and_the_naive_oracle(table):
+    # against the kernel on the expanded table and the double loop on the
+    # expanded weights, in int and in the command line's decimal ring
+    ds = [d for d, c in table.items() for _ in range(c)]
+    weights = {"irr": int, "firr": fib, "firrpm": signed_weight_of_degree}
+    for kind, weight in weights.items():
+        value = _pair_sum_by_table(table, kind)
+        assert value == pair_sum_histogram(degree_histogram(ds), kind) == pair_sum_naive(list(map(weight, ds)))
+        with decimal.localcontext(EXACT):
+            in_decimal = _pair_sum_by_table(table, kind, decimal.Decimal(1))
+        # a sum that began with a Decimal -0 term, as c w (2b + c - N) is for
+        # w = f_0 or for a lone vertex, would print "-0"
+        assert str(in_decimal) == str(value) and not str(in_decimal).startswith("-"), kind
+
+
+def test_table_rank_sum_matches_the_closed_forms():
+    for n in (*range(1, 61), 93, 94, 1000):
+        assert _pair_sum_by_table(Counter(degree_sequence(star(n))), "firr") == star_firr_closed(n).value, n
+    for n in range(1, 41):
+        for m in range(1, n + 1):
+            table = Counter(degree_sequence(complete_bipartite(n, m)))
+            assert _pair_sum_by_table(table, "firr") == biclique_firr_closed(n, m).value, (n, m)
 
 
 @st.composite
