@@ -62,7 +62,10 @@ which irr_t sums and firr_t weights (one stream serves both), or the
 firr_pm terms c_d m_d + Y_d (m_d - Y_d).  One binary splitting routine takes
 either stream.  Its leaf, at most ``_LEAF`` degrees, is Horner's rule over
 the stream's next terms, a step (p, q) -> (q + g_d, p + q) of big-integer
-additions, and a histogram of one leaf runs only that loop.  The leaves
+additions, and a histogram of one leaf runs only that loop.  For firr_t
+:func:`pair_sum_histogram` runs that loop itself, with the straddle count
+inline and no stream: per degree one Horner step and one count, the whole
+cost of the small histograms the union checks hand it.  The leaves
 draw their terms in order, top down, so no list of coefficients is built
 and memory stays O(D) words plus the result.  The kernel makes no
 per-degree :func:`~jacograph.fibonacci.fib` call.
@@ -154,11 +157,12 @@ METHOD_NAIVE = "naive"
 METHOD_SORTED = "sorted-prefix"
 METHOD_CLOSED = "closed-form"
 
-# Histograms no longer than this run the Horner loop once; longer ones are
-# split down to leaves of at most this many degrees.  Measured on the firr and
-# firrpm histograms of jaco:10^5 and jaco:10^6 (CPython 3.11, 2-core VM),
-# leaves of 256 to 1024 run equally fast and 4096 up to 30 % slower.  With
-# 1024 the histogram of every Jaco graph up to 1656 vertices is one leaf.
+# Histograms no longer than this run the Horner loop once (firr inline in
+# pair_sum_histogram); longer ones are split down to leaves of at most this
+# many degrees.  Measured on the firr and firrpm histograms of jaco:10^5 and
+# jaco:10^6 (CPython 3.11, 2-core VM), leaves of 256 to 1024 run equally
+# fast and 4096 up to 30 % slower.  With 1024 the histogram of every Jaco
+# graph up to 1656 vertices is one leaf.
 _LEAF = 1024
 
 
@@ -241,7 +245,15 @@ def pair_sum_histogram(counts: Sequence[int], kind: str, one: Any = 1) -> Any:
     if kind == "irr":
         return sum(_straddles(reversed(counts), n))
     if kind == "firr":  # f_{d+1} - f_d = f_{d-1}: shifted by -1, (f_{-2}, f_{-1}) = (-1, 1)
-        return shifted_fibonacci_sum(_straddles(reversed(counts), n), len(counts), (-1, 1), one)
+        if len(counts) > _LEAF:
+            return shifted_fibonacci_sum(_straddles(reversed(counts), n), len(counts), (-1, 1), one)
+        # One leaf: the split's Horner loop with the straddle count inline,
+        # whose (A, B) = (q, p + q) shifted by (-1, 1) is B - A = p.
+        p = q = above = 0
+        for c in reversed(counts):
+            p, q = q + above * (n - above), p + q
+            above += c
+        return one * p
     if kind == "firrpm":
         terms = _parity_terms(reversed(counts), len(counts) - 1, n, sum(islice(counts, 1, None, 2)))
         return shifted_fibonacci_sum(terms, len(counts), (1, 0), one)

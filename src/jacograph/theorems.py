@@ -20,10 +20,12 @@ The oracles:
 * ``thm32``/``cor31``: the histogram kernel on the sum of the two
   graphs' histograms, each counted from the ``isqrt`` degrees
   (``degree_histogram`` of ``underlying_degrees``), not read off the
-  Fibonacci word.  The formula side reads the word, through ``jaco._tail``
-  into its own cache, so a fault in the word moves only the right side:
-  for cor31 at n = m, 4 firr(J*_n) against the kernel on twice the true
-  histogram.  The kernel itself is shared with ``underlying_metric``.
+  Fibonacci word, and kept as one int, a byte per degree, so that the sum
+  is one integer addition.  The formula side reads the word, through
+  ``jaco._tail`` into its own cache, so a fault in the word moves only the
+  right side: for cor31 at n = m, 4 firr(J*_n) against the kernel on twice
+  the true histogram.  The kernel itself is shared with
+  ``underlying_metric``.
 
 Check ids
 ---------
@@ -90,15 +92,20 @@ binary splitting of :func:`~jacograph.irregularity.shifted_fibonacci_sum`,
 shifted to lo_n by the pair (f_{lo_n-2}, f_{lo_n-1}), so no per-degree
 Fibonacci number is looked up.
 
-The left side is the kernel on the union's histogram, the sum of the two,
-built afresh for every instance.
+The left side is the kernel on the union's histogram, built afresh for
+every instance as one big-integer sum: each graph's histogram is one
+little-endian int with a byte per degree, and as no count exceeds 3, the
+sum of two adds them degree by degree with no carry, its bytes the union's
+counts.  A histogram with a count above 127, which could carry, is refused
+when it is made.  So each instance costs the kernel's one pass over the
+union's degrees and no per-degree loop before it.
 
 What is kept across instances, and by which side.  Only the union
 statements keep records per Jaco graph, in process-wide caches, the same
 policy as :func:`fib`; each side fills its own from its own degree source.
-``_oracle_counts`` holds the left side's histogram, one byte per degree
-(every count is at most 3), about 0.62 x bytes for J*_x, counted once per
-graph from its O(x) ``isqrt`` degrees.  The formula side
+``_oracle_counts`` holds the left side's histogram as one int, a byte per
+degree, about 0.66 x bytes for J*_x (``sys.getsizeof``, CPython 3.11),
+counted once per graph from its O(x) ``isqrt`` degrees.  The formula side
 keeps one record per graph and one per graph and kind, each made on first
 use: ``_formula_tail`` holds k_x, lo_x and the tail's counts, one byte per
 degree, about 0.24 x bytes; ``_formula_totals`` holds M_x, E_x and W(k_x),
@@ -283,9 +290,17 @@ class VerifyReport:
 # ``underlying_degrees`` and ``degree_histogram`` are looked up on this module
 # when called.
 @cache
-def _oracle_counts(n: int) -> bytes:
-    """The histogram of J*_n's ``isqrt`` degrees, one byte per degree (every count is at most 3)."""
-    return bytes(degree_histogram(underlying_degrees(n)))
+def _oracle_counts(n: int) -> int:
+    """The histogram of J*_n's ``isqrt`` degrees as one int, little-endian, one byte per degree.
+
+    Every count of a Jaco graph is at most 3, so the sum of two such ints is
+    the union's histogram, degree by degree with no carry.  A count above
+    127, which could carry in such a sum, raises ValueError.
+    """
+    counts = degree_histogram(underlying_degrees(n))
+    if max(counts) > 127:
+        raise ValueError(f"J*_{n} has {max(counts)} vertices of one degree; a union histogram byte holds 127 + 127")
+    return int.from_bytes(bytes(counts), "little")
 
 
 # The formula side's J*_x, kept for the process in two caches; neither side
@@ -325,15 +340,16 @@ def _correction_sum(n: int, m: int, kind: str) -> int:
     [lo_n, k_m), by the identity in the module docstring; O(1) integer
     operations outside the window.
     """
-    (k, lo, tail_n), (cut, _, tail_m) = _formula_tail(n), _formula_tail(m)
-    (_, e_n, w_n, *shift), (_, e_m, w_m, *_) = _formula_totals(n, kind), _formula_totals(m, kind)
-    cross = (m - cut) * (e_n + w_n - w_m) - (n - cut) * e_m
+    k, lo, tail_n = _formula_tail(n)
+    cut, _, tail_m = _formula_tail(m)
+    totals_n, totals_m = _formula_totals(n, kind), _formula_totals(m, kind)  # (M, E, W(k), ...)
+    cross = (m - cut) * (totals_n[1] + totals_n[2] - totals_m[2]) - (n - cut) * totals_m[1]
     if cut > lo:
         # Top down from d = cut - 1: L^A_d, from A's counts on degrees
         # cut - 1..lo, and |B| - L^B_d, from B's counts on degrees cut..lo + 1.
         window = tail_n[k - cut + 1 :]
         straddles = map(mul, accumulate(window, sub, initial=sum(window)), accumulate(tail_m[: cut - lo]))
-        cross += 2 * (shifted_fibonacci_sum(straddles, cut - lo, shift) if shift else sum(straddles))
+        cross += 2 * (sum(straddles) if kind == "irr" else shifted_fibonacci_sum(straddles, cut - lo, totals_n[3:]))
     return cross
 
 
@@ -419,8 +435,10 @@ def _union_check(theorem: str, n: int, m: int, kind: str) -> CheckRecord:
         raise ValueError(f"{theorem} needs m >= 1, got {m}")
     if n < m:
         raise ValueError(f"{theorem} needs n >= m; swap arguments ({n}, {m})")
-    # The oracle: the union's own histogram, built afresh for every instance.
-    lhs = pair_sum_histogram(add_histograms(_oracle_counts(n), _oracle_counts(m)), kind)
+    # The oracle: the union's own histogram, the sum of the two as bytes;
+    # its top degree's count is at least 1, so its byte length is the length.
+    union = _oracle_counts(n) + _oracle_counts(m)
+    lhs = pair_sum_histogram(union.to_bytes((union.bit_length() + 7) // 8, "little"), kind)
     metric_n, metric_m = _formula_totals(n, kind)[0], _formula_totals(m, kind)[0]
     params = {"n": n, "m": m}
     if n == m:
@@ -589,10 +607,11 @@ def iter_checks(
 
     # Ids in sorted order, each with its tuples in ascending (n, m, i) order:
     # the records come out sorted by (theorem, n, m, i) with no sort after.
-    # Each record's check is looked up on the module by name, so a check
-    # replaced there is the one that runs.
+    # Each id's check is looked up on the module by name, once, here, so a
+    # check replaced there before the sweep is the one that runs.
     named = globals()
-    return (named[f"{tid}_check"](*p) for tid in sorted(ids) for p in _instances(tid, n_range, m_range, i_range))
+    checks = [(tid, named[f"{tid}_check"]) for tid in sorted(ids)]
+    return (check(*p) for tid, check in checks for p in _instances(tid, n_range, m_range, i_range))
 
 
 def verify_sweep(

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import jacograph.irregularity as irregularity
 from jacograph import (
     METHOD_NAIVE,
     METHOD_SORTED,
@@ -323,21 +324,33 @@ def test_decimal_ring_raises_rather_than_rounds():
 def test_small_histograms_stay_in_one_leaf(monkeypatch):
     # Up to _LEAF entries the kernel is one Horner pass and needs no shift, so
     # small graphs (jaco:1000 has 619 entries) run the loop the kernel ran
-    # before it had a split.
+    # before it had a split; firr runs it inline, without the split routine.
     def refuse(*args):
         raise AssertionError("a histogram of one leaf was split")
 
+    split, sizes = irregularity._fibonacci_split, []
+
+    def counting(*args):
+        sizes.append(args[1])
+        return split(*args)
+
     monkeypatch.setattr("jacograph.irregularity.fib_pair", refuse)
+    monkeypatch.setattr("jacograph.irregularity._fibonacci_split", counting)
     rng = random.Random(1)
     for ds in ([_LEAF - 1], [0, _LEAF - 1, 5, 5, 700], [_LEAF - 1] + [rng.randint(0, _LEAF - 1) for _ in range(30)]):
         counts = degree_histogram(ds)
         assert len(counts) == _LEAF
         assert pair_sum_histogram(counts, "firr") == pair_sum_naive([fib(d) for d in ds])
+        assert sizes == []  # firr's one leaf needs no split routine
         assert pair_sum_histogram(counts, "firrpm") == pair_sum_naive([signed_weight_of_degree(d) for d in ds])
+        assert sizes == [_LEAF]  # firrpm's is the split routine's leaf
+        sizes.clear()
     ds = underlying_degrees(1000)
     assert firr_t(ds).value == pair_sum_naive([fib(d) for d in ds])
+    assert sizes == []
     with pytest.raises(AssertionError, match="was split"):
         pair_sum_histogram(counts + [0], "firr")  # one entry more is two leaves
+    assert sizes[0] == _LEAF + 1
 
 
 P61 = 2**61 - 1

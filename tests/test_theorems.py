@@ -8,7 +8,7 @@ from itertools import chain, combinations, repeat
 from operator import sub
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import jacograph.jaco
@@ -346,6 +346,31 @@ def test_union_records_match_the_double_loop_up_to_60():
                     "detail": rec.detail,
                 }
                 assert got == union_reference(theorem, n, m), (theorem, n, m)
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=1, max_value=2000).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))))
+@example((1, 1))
+@example((1656, 1))  # a union histogram of _LEAF entries, one leaf
+@example((1657, 1))  # one entry more, split
+def test_union_lhs_is_the_rank_sum_of_the_union_degrees(nm):
+    n, m = nm
+    union = underlying_degrees(n) + underlying_degrees(m)
+    assert thm32_check(n, m).lhs == pair_sum_by_rank(union)
+    assert cor31_check(n, m).lhs == pair_sum_by_rank(map(fib, union))
+
+
+def test_union_histogram_counts_never_carry(monkeypatch, fresh_union_caches):
+    # the union histogram is the sum of two ints, one byte per degree: 127 +
+    # 127 stays in its byte, and a count of 128, which could carry into the
+    # next degree's byte, is refused
+    monkeypatch.setattr(theorems, "underlying_degrees", lambda x: (0,) + (1,) * 127)
+    assert thm32_check(2, 1).lhs == pair_sum_by_rank((0, 0) + (1,) * 254) == 2 * 254
+    monkeypatch.setattr(theorems, "underlying_degrees", lambda x: (0,) + (1,) * 128)
+    clear_union_caches()
+    for check in (thm32_check, cor31_check):
+        with pytest.raises(ValueError, match="128 vertices of one degree"):
+            check(2, 1)
 
 
 def test_union_lhs_never_reads_the_memo(monkeypatch, fresh_union_caches):
