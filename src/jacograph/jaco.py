@@ -94,8 +94,8 @@ operations, so irr of J*_{10^18} takes about a millisecond and no list.
 Each graph from the one before
 ------------------------------
 :func:`underlying_metrics` walks J*_1, J*_2, ..., each value from the one
-before; the thm21 and thm31 checks take their step from it
-(``theorems._growth_rhs``).  From J*_n to J*_{n+1}, with k = G(n+1) - 1
+before, and ``theorems._growth_rhs`` takes one step from J*_n's tail
+alone.  From J*_n to J*_{n+1}, with k = G(n+1) - 1
 the largest degree of J*_n, vertex n + 1 gets an arc from each v_i with
 i + G(i) >= n + 1, that is from the tail D = v_{k+1}..v_n alone (see the
 shape above).  So it arrives with degree l = n - k, every degree d of D
@@ -132,6 +132,34 @@ graph costs O(1) big-integer additions and multiplications, with no list
 and no ``fib`` call.  The walk starts at J*_1, one tail vertex of degree 0
 with s_0 = w_1 - w_0 = 1: its first step is exact although s falls from
 s_0 to s_1 = 0 for firr, as a single vertex has no gap to keep.
+
+The same step, for n >= 2, from the tail's counts with no walk.  Let c_d
+count the vertices of D of degree d, lo <= d <= k, as :func:`_tail` reads
+them, and A_d those above d; |D| = l.  For irr, s = 1 and P_s = 0, so a
+vertex of degree d adds (2d - k) + (d + 1) = 3d - k + 1, and with w_l = l
+the head term less |D| w_l is W(k) - 2 W(l-1) + (l-2-k) l
+= (k + 1)(k - 2l) / 2.  For firr, s_d = f_{d-1} and
+w_{d+1} = f_{d-1} + f_d = 2 f_{d-1} + f_{d-2}, so a vertex of degree d adds
+(2d - k + 2) f_{d-1} + f_{d-2}.  As D's degrees are >= 1, where s never
+falls, P_s(D) is the pair sum of the weights f_{d-1} of D by its ranks
+grouped by degree: the c_d vertices of degree d, with A_d of D above and
+l - A_d - c_d below, add c_d (l - 2 A_d - c_d) f_{d-1}.  That is the pair
+sum by straddles, sum_d L_d (l - L_d) (s_{d+1} - s_d) with the steps
+f_d - f_{d-1} = f_{d-2}, summed by parts.  So the coefficient of f_{d-1}
+is c_d (2d - k + 2 + l - 2 A_d - c_d), where 2d - k + 2 + l is n + 2 at
+d = k, and that of f_{d-2} is c_d.  Moved one degree down, to e = d - 1,
+the second is a coefficient of f_{e-1} too, so the tail's part is one sum
+over e = lo - 1..k of (c_e (2e - k + 2 + l - 2 A_e - c_e) + c_{e+1}) f_{e-1},
+with c_{lo-1} = c_{k+1} = 0: one stream, from the top down, for
+``irregularity.shifted_fibonacci_sum``, shifted by
+(f_{lo-3}, f_{lo-2}), both from (f_lo, f_{lo+1}) as f_{i-1} = f_{i+1} - f_i.
+For lo <= 2, that is n <= 6, the shift is negative: the recurrence run
+downwards gives f_{-1} = 1 and f_{-2} = -1, and
+f_{j+s} = f_{s-1} f_j + f_s f_{j+1} holds for every integer s;
+lo = n - G(n) >= 1 is the degree of v_n, so no lower index is needed.  The
+head term less |D| f_l is f_{k+2} - 2 f_{l+1} + 1 + (l - 2 - k) f_l.  A step
+costs one pass over the tail's about 0.236 n counts, and nothing is kept
+between graphs.
 """
 
 from __future__ import annotations

@@ -48,7 +48,7 @@ the index fields ``None`` for m = 1, where J*_1 has no index.
 
 The correction sum runs over every pair of a vertex beyond the cut in J*_n
 and one beyond the cut in J*_m, n > m: a cross pair sum, which
-:func:`_correction_sum` takes from a few per-graph totals and a walk over a
+:func:`_union_bound` takes from a few per-graph totals and a walk over a
 window of degrees, never over the whole histograms.
 :func:`~jacograph.irregularity.cross_pair_sum` of the two tail histograms
 is the reference the tests hold it to.
@@ -124,18 +124,15 @@ the two joined vertices' degrees by one, for every instance
 
 The growth recursions thm21 and thm31 are one recursion in weight space,
 :func:`_growth_rhs`, with weight d for irr_t and f_d for firr_t, and one
-check, :func:`_growth_check`.  Its formula side is the metric of J*_n,
-which ``underlying_metric`` computes afresh for every check and nothing
-keeps, as a sweep reads each n once, plus the step from J*_n to J*_{n+1}
-that ``underlying_metrics`` takes from its running totals, proved in the
-``jaco`` docstring: each record checks one step against a value of J*_n
-computed without the walk.  Neither reads a degree or a histogram, while
-the oracle reads the ``isqrt`` degrees, so the two sides share no degree
-source.  One walk per kind is kept in ``_walks``, two values each: a check
-resumes it while n grows and restarts it from J*_1 when n goes back, so a
-sweep starts it once.  Concurrent growth checks of one kind would step one
-walk from two threads, and are unsupported: this module promises no
-thread safety.
+check, :func:`_growth_check`.  Its formula side is the metric of J*_n from
+``underlying_metric`` plus the step from J*_n to J*_{n+1}, summed over
+J*_n's tail as ``_tail(n)`` reads it off the Fibonacci word, proved in the
+``jaco`` docstring ("Each graph from the one before"): each record checks
+the recursion as the paper states it, J*_{n+1} from J*_n alone.  Both are
+computed afresh for every check, ``_tail(n)`` uncached, and nothing is
+kept, so a record depends on its n alone and not on the checks before it.
+The formula side reads no per-vertex degree, while the oracle reads the
+``isqrt`` degrees, so the two sides share no degree source.
 
 A sweep is one stream of records, :func:`iter_checks`.  It walks one
 generator of parameter tuples per check id, which also answers whether a
@@ -149,10 +146,9 @@ and those mismatches.
 
 from __future__ import annotations
 
-import sys
 from collections.abc import Callable, Iterator
 from functools import cache, lru_cache
-from itertools import accumulate, islice, pairwise
+from itertools import accumulate, count
 from operator import mul, sub
 from typing import Any, NamedTuple
 
@@ -171,7 +167,6 @@ from .jaco import (
     underlying_degree_counts,
     underlying_degrees,
     underlying_metric,
-    underlying_metrics,
 )
 
 __all__ = [
@@ -333,12 +328,13 @@ def _formula_totals(x: int, kind: str) -> tuple[int, ...]:
     return underlying_metric(x, kind), e, fib_pair(k + 1)[1] - 1, 2 * f - g, g - f
 
 
-def _correction_sum(n: int, m: int, kind: str) -> int:
-    """The union bound's correction sum for n >= m: the cross pair sum of J*_n and J*_m beyond the cut k_m.
+def _union_bound(n: int, m: int, kind: str) -> int:
+    """The union bound's right side for n >= m: 2 (M_n + M_m) plus the correction sum.
 
-    |B| S_A - |A| S_B plus twice the straddle sum over the window
+    The correction sum is the cross pair sum of J*_n and J*_m beyond the
+    cut k_m: |B| S_A - |A| S_B plus twice the straddle sum over the window
     [lo_n, k_m), by the identity in the module docstring; O(1) integer
-    operations outside the window.
+    operations outside the window.  Each graph's totals are looked up once.
     """
     k, lo, tail_n = _formula_tail(n)
     cut, _, tail_m = _formula_tail(m)
@@ -350,7 +346,7 @@ def _correction_sum(n: int, m: int, kind: str) -> int:
         window = tail_n[k - cut + 1 :]
         straddles = map(mul, accumulate(window, sub, initial=sum(window)), accumulate(tail_m[: cut - lo]))
         cross += 2 * (sum(straddles) if kind == "irr" else shifted_fibonacci_sum(straddles, cut - lo, totals_n[3:]))
-    return cross
+    return 2 * (totals_n[0] + totals_m[0]) + cross
 
 
 @lru_cache(maxsize=1)
@@ -376,27 +372,28 @@ def _joint_firr(n: int, m: int, v: int) -> int:
     return pair_sum_by_rank(map(fib, degrees))
 
 
-# Per kind, (the pairs taken, the walk): the walk yields the pairs
-# (M_x, M_{x+1}) of ``underlying_metrics``, the next one at x = taken + 1.
-_walks: dict[str, tuple[int, Iterator[tuple[int, int]]]] = {}
-
-
 def _growth_rhs(n: int, kind: str) -> int:
     """Predicted metric ``kind`` ("irr" or "firr") of J*_{n+1} from the value of J*_n.
 
-    The value of J*_n from ``underlying_metric``, kept nowhere, plus the
-    step from J*_n to J*_{n+1} that ``underlying_metrics`` takes from its
-    running totals (the proof is in the ``jaco`` docstring, "Each graph
-    from the one before").
+    The value of J*_n from ``underlying_metric`` plus the step from J*_n to
+    J*_{n+1}: a sum over J*_n's tail, the counts c_k..c_lo of ``_tail``,
+    and a head term in k and l = n - k, the new vertex's degree (the proof
+    is in the ``jaco`` docstring, "Each graph from the one before").
     """
     if n < 2:
         raise ValueError(f"the growth recursion needs n >= 2, got {n}")
-    taken, walk = _walks.get(kind, (n, None))
-    if taken >= n:
-        taken, walk = 0, pairwise(underlying_metrics(sys.maxsize, kind))
-    before, after = next(islice(walk, n - 1 - taken, None))
-    _walks[kind] = n, walk
-    return underlying_metric(n, kind) + after - before
+    k, lo, tail = _tail(n)
+    l = n - k
+    if kind == "irr":  # 3d - k + 1 per tail vertex of degree d = k..lo; W(k) - 2 W(l-1) + (l-2-k) l
+        return underlying_metric(n, kind) + sum(map(mul, tail, range(2 * k + 1, -k, -3))) + (k + 1) * (k - 2 * l) // 2
+    # The coefficient of f_{e-1} for e = k..lo-1: c_e (2e - k + 2 + l - 2 A_e - c_e) + c_{e+1},
+    # with A_e the tail's vertices above degree e and c_{k+1} = c_{lo-1} = 0.
+    above = accumulate(tail, initial=0)
+    terms = (c * (r - 2 * a - c) + up for c, r, a, up in zip(tail + b"\0", count(n + 2, -2), above, b"\0" + tail))
+    f, g = fib_pair(lo)  # f_lo, f_{lo+1}: the shift (f_{lo-3}, f_{lo-2}) of f_{e-1} from e = lo - 1
+    step = shifted_fibonacci_sum(terms, len(tail) + 1, (2 * g - 3 * f, 2 * f - g))
+    f, g = fib_pair(l)  # W(k) - 2 W(l-1) + (l-2-k) f_l with W(x) = f_{x+2} - 1
+    return underlying_metric(n, kind) + step + fib_pair(k + 2)[0] - 2 * g + 1 + (l - 2 - k) * f
 
 
 def thm21_rhs(n: int) -> int:
@@ -439,11 +436,10 @@ def _union_check(theorem: str, n: int, m: int, kind: str) -> CheckRecord:
     # its top degree's count is at least 1, so its byte length is the length.
     union = _oracle_counts(n) + _oracle_counts(m)
     lhs = pair_sum_histogram(union.to_bytes((union.bit_length() + 7) // 8, "little"), kind)
-    metric_n, metric_m = _formula_totals(n, kind)[0], _formula_totals(m, kind)[0]
     params = {"n": n, "m": m}
     if n == m:
-        return _equality(theorem, params, lhs, 4 * metric_n)
-    rhs = 2 * (metric_n + metric_m) + _correction_sum(n, m, kind)
+        return _equality(theorem, params, lhs, 4 * _formula_totals(n, kind)[0])
+    rhs = _union_bound(n, m, kind)
     holds = lhs <= rhs
     detail = {
         "rhs_degree_reading": rhs,

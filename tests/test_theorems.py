@@ -4,6 +4,7 @@ import json
 import random
 import signal
 import time
+from collections.abc import Iterator
 from itertools import chain, combinations, repeat
 from operator import sub
 
@@ -117,8 +118,9 @@ def test_growth_oracle_catches_a_formula_side_off_by_one(monkeypatch, capsys, fr
 
 
 def test_growth_formula_side_reads_no_per_vertex_degrees(monkeypatch):
-    # the oracle keeps the isqrt degrees; the recursion steps the walk of
-    # running totals and reads no degree, so the two sides share no degree source
+    # the oracle keeps the isqrt degrees; the recursion reads J*_n's tail
+    # counts off the Fibonacci word and no degree, so the two sides share no
+    # degree source
     oracle = {
         n: (pair_sum_by_rank(underlying_degrees(n + 1)), pair_sum_by_rank(map(fib, underlying_degrees(n + 1))))
         for n in range(2, 81)
@@ -132,62 +134,67 @@ def test_growth_formula_side_reads_no_per_vertex_degrees(monkeypatch):
         assert (thm21_rhs(n), thm31_rhs(n)) == oracle[n], n
 
 
-@pytest.mark.parametrize("j", [2, 3, 41, 80])
-def test_one_faulty_walk_step_shows_at_exactly_one_n(monkeypatch, j):
-    # every value of the walk from J*_{j+1} on is one too high, so only its
-    # step from J*_j to J*_{j+1} is wrong: one red record per kind, at n = j
-    walk = theorems.underlying_metrics
+@pytest.mark.parametrize("j", [3, 41, 80])  # J*_2's tail is one degree wide: no vertex can move up in it
+def test_one_faulty_tail_shows_at_exactly_one_n(monkeypatch, j):
+    # one vertex of J*_j's lowest tail degree moves one degree up; the step
+    # reads J*_n's own tail, so only the step from J*_j to J*_{j+1} is wrong:
+    # one red record per kind, at n = j
+    tail_of = theorems._tail
 
-    def faulty(n_max, kind):
-        return (value + (x > j) for x, value in enumerate(walk(n_max, kind), 1))
+    def faulty(x):
+        k, lo, tail = tail_of(x)
+        if x != j:
+            return k, lo, tail
+        moved = bytearray(tail)
+        moved[-1] -= 1
+        moved[-2] += 1
+        return k, lo, bytes(moved)
 
-    monkeypatch.setattr(theorems, "underlying_metrics", faulty)
-    monkeypatch.setattr(theorems, "_walks", {})
+    monkeypatch.setattr(theorems, "_tail", faulty)
     report = verify_sweep(["thm21", "thm31"], (2, 80))
     assert report.counts == {"thm21": [79, 1], "thm31": [79, 1]}
-    red = [(rec.theorem, rec.params, rec.rhs - rec.lhs) for rec in report.records if not rec.matched]
-    assert red == [("thm21", {"n": j}, 1), ("thm31", {"n": j}, 1)]
+    red = [(rec.theorem, rec.params) for rec in report.records if not rec.matched]
+    assert red == [("thm21", {"n": j}), ("thm31", {"n": j})]
 
 
-def test_a_growth_sweep_starts_one_walk_per_kind(monkeypatch):
-    starts = []
-    walk = theorems.underlying_metrics
+def test_a_growth_sweep_never_walks_the_prefix(monkeypatch):
+    # each step is read off its own J*_n: no walk from J*_1 runs
+    def refuse(*args):
+        raise AssertionError("a growth check walked from J*_1")
 
-    def counted(n_max, kind):
-        starts.append(kind)
-        return walk(n_max, kind)
-
-    monkeypatch.setattr(theorems, "underlying_metrics", counted)
-    monkeypatch.setattr(theorems, "_walks", {})
+    monkeypatch.setattr(jacograph.jaco, "underlying_metrics", refuse)
+    assert not hasattr(theorems, "underlying_metrics")
     report = verify_sweep(["thm21", "thm31"], (2, 300))
     assert report.all_matched and report.counts == {"thm21": [299, 0], "thm31": [299, 0]}
-    assert sorted(starts) == ["firr", "irr"]
 
 
 def test_growth_checks_keep_nothing_per_n(monkeypatch, fresh_union_caches):
-    # each check reads the value of J*_n from underlying_metric, so a second
-    # identical sweep calls it as often as the first, and no cache of the
-    # module gains an entry
+    # each check reads the value of J*_n from underlying_metric and its tail
+    # from _tail, uncached, so a second identical sweep calls both as often
+    # as the first, and no cache of the module gains an entry
     calls = []
 
-    def counted(n, kind):
-        calls.append(kind)
-        return underlying_metric(n, kind)
+    def counted(name, f):
+        def wrapper(*args):
+            calls.append(name)
+            return f(*args)
 
-    monkeypatch.setattr(theorems, "underlying_metric", counted)
+        return wrapper
+
+    monkeypatch.setattr(theorems, "underlying_metric", counted("metric", underlying_metric))
+    monkeypatch.setattr(theorems, "_tail", counted("tail", theorems._tail))
     caches = [theorems._oracle_counts, theorems._formula_tail, theorems._formula_totals, theorems._union_degrees]
     caches += [theorems._thm33_union_terms]
     held = [c.cache_info().currsize for c in caches]
     for sweeps in (1, 2):
         assert verify_sweep(["thm21", "thm31"], (2, 60)).all_matched
-        assert (calls.count("irr"), calls.count("firr"), len(calls)) == (59 * sweeps, 59 * sweeps, 118 * sweeps)
+        assert (calls.count("metric"), calls.count("tail")) == (118 * sweeps, 118 * sweeps)
     assert [c.cache_info().currsize for c in caches] == held
 
 
-def test_growth_formula_side_does_not_depend_on_the_call_order(monkeypatch):
-    # each n twice, both kinds interleaved: the walks go forward, back to
-    # J*_1 and forward again, and every value still equals the oracle's
-    monkeypatch.setattr(theorems, "_walks", {})
+def test_growth_formula_side_does_not_depend_on_the_call_order():
+    # each n twice, both kinds interleaved, in random order: every value
+    # still equals the oracle's, as no check reads what one before it left
     oracle = {
         (rhs, n): pair_sum_by_rank(map(weight, underlying_degrees(n + 1)))
         for rhs, weight in ((thm21_rhs, int), (thm31_rhs, fib))
@@ -197,6 +204,41 @@ def test_growth_formula_side_does_not_depend_on_the_call_order(monkeypatch):
     random.Random(7).shuffle(calls)
     for rhs, n in calls:
         assert rhs(n) == oracle[rhs, n], (rhs.__name__, n)
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=2, max_value=10**5), st.sampled_from(["irr", "firr"]))
+@example(2, "irr")
+@example(2, "firr")  # lo = 1 from n = 2 to n = 4: the shift (f_{-2}, f_{-1}) = (-1, 1)
+@example(3, "firr")
+@example(4, "firr")
+@example(5, "irr")
+@example(5, "firr")  # lo = 2 at n = 5 and n = 6: the shift (f_{-1}, f_0) = (1, 0)
+@example(6, "firr")
+@example(7, "firr")  # lo = 3: the first shift with no negative index
+@example(10**5, "irr")
+@example(10**5, "firr")  # a stream of 23 607 terms, past the split's leaf
+def test_growth_step_is_the_next_metric(n, kind):
+    assert theorems._growth_rhs(n, kind) == underlying_metric(n + 1, kind)
+
+
+def test_growth_examples_cover_every_negative_shift():
+    # the examples above hold every n whose stream starts below f_0
+    assert [n for n in range(2, 100) if jacograph.jaco._tail(n)[1] < 3] == [2, 3, 4, 5, 6]
+
+
+def test_theorems_keeps_no_module_level_mutable_state():
+    # what a check keeps between calls lives in functools caches, which a
+    # test can count and clear; a dict, list, set or iterator at module
+    # level would carry state from one check to the next unseen.  Dunder
+    # names are the module's own machinery: __all__ and __builtins__.
+    mutable = (dict, list, set, bytearray, Iterator)
+    held = {
+        name: type(value).__name__
+        for name, value in vars(theorems).items()
+        if isinstance(value, mutable) and not (name.startswith("__") and name.endswith("__"))
+    }
+    assert held == {}
 
 
 def test_thm21_validation():
@@ -498,6 +540,11 @@ def test_a_vertex_moved_in_the_word_turns_cor31_red(monkeypatch, fresh_union_cac
     assert not cor31_check(40, 40).matched
 
 
+def correction_sum(n, m, kind):
+    """The cross term of the union bound: its right side less 2 (M_n + M_m)."""
+    return theorems._union_bound(n, m, kind) - 2 * (underlying_metric(n, kind) + underlying_metric(m, kind))
+
+
 def explicit_tails(n, m):
     """The histograms of J*_n and J*_m with one vertex of each degree 1..k_m removed, as lists."""
     cut = len(underlying_degree_counts(m)) - 1
@@ -517,7 +564,7 @@ def explicit_tails(n, m):
 def test_correction_sum_is_the_cross_pair_sum_of_the_tails(nm):
     n, m = nm
     for kind in ("irr", "firr"):
-        assert theorems._correction_sum(n, m, kind) == cross_pair_sum(*explicit_tails(n, m), kind), kind
+        assert correction_sum(n, m, kind) == cross_pair_sum(*explicit_tails(n, m), kind), kind
 
 
 def test_correction_sum_is_the_bipartite_loop_up_to_40():
@@ -530,7 +577,7 @@ def test_correction_sum_is_the_bipartite_loop_up_to_40():
                 cut = max(underlying_degrees(m))
                 wm = [weight(d) for d in underlying_degrees(m)[cut:]]
                 expected = sum(abs(a - b) for a in ws[cut:] for b in wm)
-                assert theorems._correction_sum(n, m, kind) == expected, (kind, n, m)
+                assert correction_sum(n, m, kind) == expected, (kind, n, m)
 
 
 # -- first-vertex joint ------------------------------------------------------
