@@ -5,20 +5,15 @@ degree gets (f_d outgrows 64-bit words near d = 93, and degree sequences of
 large graphs go far beyond that).  Only :func:`fib_pair` also runs in another
 ring, given its unit.
 
-There is one Fibonacci routine, the fast doubling of :func:`fib_pair`.
-:func:`fib` is a cache in front of it, for the callers that ask for the same
-small indices over and over: in :mod:`jacograph.theorems` the thm33
-formula and the weights that the thm31 and thm33 oracles rank; the closed
-forms and the naive oracle; and the table's weight labels, once per
-degree.  A miss at i adds the cached f_{i-2} and f_{i-1} when both are
-there, so a sweep upwards costs one addition per index, and runs
-``fib_pair(i)`` otherwise.  The cache holds only the values asked for,
-each computed once, so f_i costs O(log i) multiplications and O(i) bits
-however large i is.  It is safe to share across threads: a dict's get and
-set are each atomic, and two threads that miss on the same index both
-compute the same value.  ``fib.__self__`` is the cache itself, a dict from
-index to value.  The histogram metric kernel calls ``fib_pair`` directly and
-makes no per-degree ``fib`` call.
+There is one Fibonacci routine, the fast doubling of :func:`fib_pair`, and
+:func:`fib` is its first value: f_i in O(log i) multiplications of numbers
+no longer than f_i and O(i) bits of memory, whatever was asked before.  The
+module keeps no state, so no value depends on the calls before it.  The
+callers that want one f_d at a time call :func:`fib`: the thm33 formula's
+pivot, the closed forms, the naive oracle and the table's weight labels,
+once per degree.  The histogram kernel and the verify oracles make no
+per-degree call: they step from one Fibonacci number to the next by an
+addition.
 """
 
 from __future__ import annotations
@@ -48,22 +43,11 @@ def fib_pair(i: int, one: Any = 1) -> tuple[Any, Any]:
     return a, b
 
 
-class _FibCache(dict):
-    """Index -> f_i for the indices asked for; a miss computes and stores the value."""
-
-    def __missing__(self, i: int) -> int:
-        before, last = self.get(i - 2), self.get(i - 1)
-        value = before + last if before is not None and last is not None else fib_pair(i)[0]
-        self[i] = value
-        return value
-
-
-# f_i for non-negative i (f_0 = 0, f_1 = f_2 = 1), cached per index.  A bound
-# __getitem__, so a hit is one dict lookup and runs no Python code.
-fib = _FibCache().__getitem__
+def fib(i: int) -> int:
+    """f_i for non-negative i (f_0 = 0, f_1 = f_2 = 1): the first value of :func:`fib_pair`."""
+    return fib_pair(i)[0]
 
 
 def signed_weight_of_degree(d: int) -> int:
     """Signed Fibonacci weight: -f_d when d is odd, +f_d when d is even."""
-    w = fib(d)
-    return -w if d % 2 else w
+    return (-1) ** d * fib(d)

@@ -29,17 +29,19 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 
 
 @pytest.fixture
-def peak_rss_kb():
-    """A function: exit code and peak RSS (KiB) of ``python ARGV...`` in a fresh process.
-
-    The child imports the package under test, installed or not.
-    """
+def child_env():
+    """The environment of a child ``python`` that imports the package under test, installed or not."""
     src = str(Path(jacograph.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
+@pytest.fixture
+def peak_rss_kb(child_env):
+    """A function: exit code and peak RSS (KiB) of ``python ARGV...`` in a fresh process."""
 
     def run(*argv: str) -> tuple[int, int]:
         cmd = [sys.executable, "-S", "-c", REAPER, *argv]
-        proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=child_env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         rc, maxrss_kb = map(int, proc.stdout.split())
         return rc, maxrss_kb

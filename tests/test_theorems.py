@@ -3,15 +3,19 @@
 import json
 import random
 import signal
+import subprocess
+import sys
 import time
 from collections.abc import Iterator
 from itertools import chain, combinations, repeat
 from operator import sub
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import jacograph.fibonacci
 import jacograph.jaco
 import jacograph.theorems as theorems
 from jacograph import (
@@ -45,6 +49,7 @@ from jacograph import (
     verify_sweep,
 )
 from jacograph.cli import main
+from jacograph.irregularity import _LEAF
 from jacograph.jaco import underlying_metric
 
 
@@ -230,15 +235,110 @@ def test_growth_examples_cover_every_negative_shift():
 def test_theorems_keeps_no_module_level_mutable_state():
     # what a check keeps between calls lives in functools caches, which a
     # test can count and clear; a dict, list, set or iterator at module
-    # level would carry state from one check to the next unseen.  Dunder
-    # names are the module's own machinery: __all__ and __builtins__.
+    # level, or a method bound to one, would carry state from one check to
+    # the next unseen.  The same holds for fibonacci, which both sides of a
+    # check may call.  Dunder names are the modules' own machinery:
+    # __all__ and __builtins__.
     mutable = (dict, list, set, bytearray, Iterator)
     held = {
-        name: type(value).__name__
-        for name, value in vars(theorems).items()
-        if isinstance(value, mutable) and not (name.startswith("__") and name.endswith("__"))
+        f"{module.__name__}.{name}": type(value).__name__
+        for module in (theorems, jacograph.fibonacci)
+        for name, value in vars(module).items()
+        if isinstance(value, mutable) or isinstance(getattr(value, "__self__", None), mutable)
+        if not (name.startswith("__") and name.endswith("__"))
     }
     assert held == {}
+
+
+# -- the oracles' rank sum ---------------------------------------------------
+
+
+def weight_list(top):
+    """f_0..f_top by the plain two-variable recurrence."""
+    f = [0, 1]
+    while len(f) <= top:
+        f.append(f[-1] + f[-2])
+    return f[: top + 1]
+
+
+@given(st.lists(st.integers(min_value=0, max_value=4), max_size=30), st.sampled_from(["irr", "firr"]))
+@example([], "firr")
+@example([1], "firr")  # one vertex, of degree 0
+@example([0, 1], "firr")  # one vertex, of degree 1
+@example([3], "irr")  # degree 0 alone
+@example([0, 2, 3], "firr")  # f_1 = f_2: two degrees, one weight
+@example([2, 1, 1, 0, 0, 4], "firr")
+def test_rank_sum_is_the_pair_sum_of_any_histogram(counts, kind):
+    degrees = [d for d, c in enumerate(counts) for _ in range(c)]
+    weights = degrees if kind == "irr" else [weight_list(len(counts))[d] for d in degrees]
+    assert theorems._rank_sum(counts, kind) == pair_sum_naive(weights) == pair_sum_by_rank(weights)
+
+
+def test_rank_sum_is_the_rank_sum_of_every_jaco_graph_up_to_3000():
+    f = weight_list(2000)
+    for n in range(1, 3001):
+        degrees = underlying_degrees(n)
+        counts = degree_histogram(degrees)
+        assert theorems._rank_sum(counts, "irr") == pair_sum_by_rank(degrees), n
+        assert theorems._rank_sum(counts, "firr") == pair_sum_by_rank(map(f.__getitem__, degrees)), n
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["thm31", "--n", "100000"], 0),
+        (["lemma31", "--n", "100000", "--m", "2"], 0),
+        (["thm33", "--n", "100000", "--m", "2", "--i", "50000"], 1),  # the printed delta is off there
+    ],
+)
+def test_an_oracle_at_n_100000_runs_in_under_40_mb(peak_rss_kb, argv, code):
+    # each oracle holds one histogram and two running sums, no weight per
+    # vertex or per degree: a cache of every f_d asked for peaked at 193 MB
+    rc, peak = peak_rss_kb("-m", "jacograph", "verify", *argv)
+    assert rc == code and peak < 40 * 1024, peak
+
+
+# -- the two sides of each check ---------------------------------------------
+
+SIDES = Path(__file__).with_name("sides.py")
+
+# What both sides of any check may reach, as the theorems docstring lists it.
+SHARED = {"jaco._shape", "jaco.out_degree", "theorems._check_thm33_args"}
+# What both sides of a union check may reach once its histogram is longer
+# than one leaf: the oracle's kernel splits it, as the formula side's metric
+# splits the band.
+UNION_SPLIT = {
+    "irregularity.shifted_fibonacci_sum",
+    "irregularity._fibonacci_split",
+    "irregularity._straddles",
+    "fibonacci.fib_pair",
+}
+# A small sweep of every check id but lemma31, whose two sides are one oracle
+# at two inputs, and one instance past each size switch: at n = 4400 the
+# growth step's stream, the band and the window of (4400, 4399) are longer
+# than one leaf, and from n = 1657 on so is a union's histogram.
+TRACED = {
+    "thm21": [[n] for n in range(2, 9)] + [[4400]],
+    "thm31": [[n] for n in range(2, 9)] + [[4400]],
+    "thm32": [[n, m] for n in range(1, 7) for m in range(1, n + 1)] + [[1656, 1], [1657, 1], [4400, 4399]],
+    "cor31": [[n, m] for n in range(1, 7) for m in range(1, n + 1)] + [[1656, 1], [1657, 1], [4400, 4399]],
+    "thm33": [[n, m, i] for n in range(3, 7) for m in range(1, 4) for i in range(2, n + 1)] + [[1657, 1, 2]],
+}
+
+
+def test_the_two_sides_of_a_check_share_no_function(child_env):
+    assert {*TRACED, "lemma31"} == set(THEOREM_IDS)
+    assert len(jacograph.jaco._tail(4400)[2]) > _LEAF and len(underlying_degree_counts(1657)) > _LEAF
+    assert all(name.split(".")[1] in theorems.__doc__ for name in SHARED | UNION_SPLIT)
+    for tid, instances in TRACED.items():
+        cmd = [sys.executable, str(SIDES), tid, json.dumps(instances)]
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=child_env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        traced = json.loads(proc.stdout)
+        assert [args for args, _ in traced] == instances
+        for args, shared in traced:
+            split = tid in ("thm32", "cor31") and len(underlying_degree_counts(args[0])) > _LEAF
+            assert set(shared) <= SHARED | (UNION_SPLIT if split else set()), (tid, args, shared)
 
 
 def test_thm21_validation():

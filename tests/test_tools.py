@@ -1,11 +1,12 @@
-"""tools/code_lines.py, the code-line count each simplicity change reports."""
+"""The tools: code_lines.py, the code-line count each simplicity change reports, and mutants.py."""
 
 import importlib.util
 from pathlib import Path
 
 import jacograph
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "code_lines.py"
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+TOOL = TOOLS / "code_lines.py"
 
 SAMPLE = '''"""Module docstring."""
 import os
@@ -29,8 +30,8 @@ def call(a):
 '''
 
 
-def load_tool():
-    spec = importlib.util.spec_from_file_location("code_lines", TOOL)
+def load_tool(path=TOOL):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -47,3 +48,14 @@ def test_code_lines_total_is_the_sum_of_its_files(capsys):
     assert total.split()[1] == "total"
     assert [line.split()[1] for line in files] == sorted(line.split()[1] for line in files)
     assert len(files) >= 8 and int(total.split()[0]) == sum(int(line.split()[0]) for line in files)
+
+
+def test_every_mutation_changes_one_place_in_src():
+    # the runner itself takes seconds and runs no test; this only keeps its
+    # mutations pointed at the code they name
+    sources = {path.name: path.read_text(encoding="utf-8") for path in Path(jacograph.__file__).parent.glob("*.py")}
+    mutations = load_tool(TOOLS / "mutants.py").MUTATIONS
+    assert len({name for name, *_ in mutations}) == len(mutations) == 6
+    for name, file, text, replacement in mutations:
+        assert text != replacement
+        assert {f: source.count(text) for f, source in sources.items() if text in source} == {file: 1}, name
